@@ -25,7 +25,6 @@ from .conjecture import (
 )
 from .errors import (
     AnomalyFoundError,
-    CacheFormatError,
     CheckpointMismatchError,
     ConfigurationError,
     CounterexampleFoundError,
@@ -58,13 +57,12 @@ from .search import (
     verify_range,
     witness_statistics,
 )
-from .sieve import PrimeTable, build_table, load_or_build, load_table
+from .sieve import PrimeTable, build_table
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnomalyFoundError",
-    "CacheFormatError",
     "CheckpointMismatchError",
     "ConfigurationError",
     "CounterexampleFoundError",
@@ -100,8 +98,6 @@ __all__ = [
     "evaluate_instance",
     "first_witness_index",
     "goldbach_decompose",
-    "load_or_build",
-    "load_table",
     "make_instance",
     "merge_summaries",
     "parse_records",

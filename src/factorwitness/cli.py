@@ -13,7 +13,7 @@ Exit codes:
   1  internal failure or failed selftest
   2  bad arguments, mismatched checkpoint, or invalid configuration
   3  prime table too small for the request
-  4  I/O failure (unreadable cache, unwritable output, ...)
+  4  I/O failure (unwritable output, ...)
   5  counterexample candidate found
   6  unit anomaly found (some n - p_i equal to 1)
 
@@ -28,6 +28,7 @@ import os
 import random
 import sys
 import time
+from math import prod
 
 from . import __version__
 from .bruteforce import BruteOracle, trial_largest_factor, trial_smallest_factor
@@ -40,7 +41,6 @@ from .conjecture import (
 )
 from .errors import (
     AnomalyFoundError,
-    CacheFormatError,
     CheckpointMismatchError,
     ConfigurationError,
     CounterexampleFoundError,
@@ -68,7 +68,7 @@ from .search import (
     verify_range,
     witness_statistics,
 )
-from .sieve import build_table, load_or_build
+from .sieve import build_table
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -103,12 +103,6 @@ def _resolve_workers(flag: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _get_table(limit: int, cache_path):
-    if cache_path:
-        return load_or_build(cache_path, limit)
-    return build_table(limit)
-
-
 def _write_out(path, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -129,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_format=True):
         p.add_argument("--limit", type=int, default=None,
                        help="prime table ceiling (default: the largest n used)")
-        p.add_argument("--sieve-cache", metavar="PATH", default=None,
-                       help="binary table cache; reused when it covers --limit")
         if needs_format:
             p.add_argument("--format", choices=FORMATS, default=NDJSON)
             p.add_argument("--output", metavar="PATH", default="-",
@@ -195,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     limit = args.limit if args.limit is not None else args.max
     workers = _resolve_workers(args.workers)
-    table = _get_table(limit, args.sieve_cache)
+    table = build_table(limit)
     job = RangeJob(
         n_min=args.min,
         n_max=args.max,
@@ -236,7 +228,7 @@ def _cmd_verify(args) -> int:
 def _cmd_edge_cases(args) -> int:
     limit = args.limit if args.limit is not None else max(args.max, 6)
     workers = _resolve_workers(args.workers)
-    table = _get_table(limit, args.sieve_cache)
+    table = build_table(limit)
     cases = enumerate_edge_cases(table, args.max, workers=workers)
     _write_out(args.output, render_edge_cases(cases, args.format))
     print(f"{len(cases)} equality case(s) with n <= {args.max}", file=sys.stderr)
@@ -246,7 +238,7 @@ def _cmd_edge_cases(args) -> int:
 def _cmd_stats(args) -> int:
     limit = args.limit if args.limit is not None else max(args.max, 6)
     workers = _resolve_workers(args.workers)
-    table = _get_table(limit, args.sieve_cache)
+    table = build_table(limit)
     stats = witness_statistics(table, args.max, workers=workers)
     _write_out(args.output, render_stats(stats, args.format))
     print(
@@ -258,7 +250,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_goldbach(args) -> int:
     limit = args.limit if args.limit is not None else args.n
-    table = _get_table(limit, args.sieve_cache)
+    table = build_table(limit)
     trace = goldbach_decompose(table, args.n, verify=True)
     sys.stdout.write(render_proof_trace(trace))
     return EXIT_OK
@@ -266,7 +258,7 @@ def _cmd_goldbach(args) -> int:
 
 def _cmd_lemma(args) -> int:
     limit = args.limit if args.limit is not None else args.n
-    table = _get_table(limit, args.sieve_cache)
+    table = build_table(limit)
     inst = make_instance(table, args.n, args.k)
     outcome = evaluate_instance(table, inst)
     if outcome.kind is OutcomeKind.VACUOUS:
@@ -314,12 +306,15 @@ def _cmd_selftest(args) -> int:
 
     rng = random.Random(args.seed)
     sample = [rng.randrange(2, limit + 1) for _ in range(args.sample)]
-    bad = sum(
-        1
-        for x in sample
-        if table.smallest_prime_factor(x) != trial_smallest_factor(x)
-        or table.largest_prime_factor(x) != trial_largest_factor(x)
-    )
+    bad = 0
+    for x in sample:
+        parts = table.factorize(x)
+        if (
+            prod(parts) != x
+            or parts[0] != trial_smallest_factor(x)
+            or parts[-1] != trial_largest_factor(x)
+        ):
+            bad += 1
     check("factor tables vs trial division", bad == 0, f"{bad} mismatches")
 
     from .report import summary_to_records  # local: avoids the csv path entirely
@@ -365,9 +360,6 @@ def run(argv=None) -> int:
     except SweepInterrupted as exc:
         print(f"stopped on request: {exc}", file=sys.stderr)
         return EXIT_OK
-    except CacheFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (ConfigurationError, PreconditionError, CheckpointMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,10 +16,6 @@ class ConfigurationError(EngineError):
     """A parameter combination is malformed (bad range, bad worker count, ...)."""
 
 
-class CacheFormatError(ConfigurationError):
-    """A sieve cache file is corrupt or has an incompatible layout version."""
-
-
 class PreconditionError(EngineError):
     """An argument violates a documented precondition of a single call."""
 

@@ -42,6 +42,7 @@ from .errors import (
     ConfigurationError,
     CounterexampleFoundError,
     CoverageError,
+    EngineError,
     PreconditionError,
     SweepInterrupted,
 )
@@ -301,9 +302,11 @@ def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _BlockResult:
             wit_val[rows] = val
 
         witnessed = wit_pos > 0
-        if __debug__:
-            # The candidate bookkeeping must agree with the classifier.
-            assert np.array_equal(witnessed, gt | eq)
+        if not np.array_equal(witnessed, gt | eq):
+            raise EngineError(
+                f"block [{lo}, {hi}], k={i}: first-witness candidates disagree "
+                "with the classifier"
+            )
         if witnessed.any():
             wp = wit_pos[witnessed]
             small = wp <= HIST_EXACT_MAX
@@ -322,13 +325,17 @@ def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _BlockResult:
     for key in sorted(hist_large):
         hist[key] = hist_large[key]
     res.hist = hist
-    assert res.instances == (
+    classified = (
         res.vacuous
         + res.strict
         + res.equal
         + len(res.cex_pairs)
         + len(res.anomaly_pairs)
     )
+    if classified != res.instances:
+        raise EngineError(
+            f"block [{lo}, {hi}]: {classified} outcomes for {res.instances} instances"
+        )
     return res
 
 

@@ -62,7 +62,6 @@ def make_doctored(
         all_primes = table._primes
     return PrimeTable(
         limit=table.limit,
-        spf=table.spf,
         lpf=lpf,
         primality=primality,
         odd_primes=all_primes[1:],

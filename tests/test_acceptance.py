@@ -47,7 +47,6 @@ def _verdict(num: int, label: str, problems: list[str], detail: str = "") -> Non
 
 def test_c1_exhaustive_sweep_clean_and_worker_invariant(tmp_path, capsys):
     problems: list[str] = []
-    cache = tmp_path / "table.spf"
     payload: dict[int, bytes] = {}
     slowest = 0.0
     for workers in (1, 8):
@@ -59,7 +58,6 @@ def test_c1_exhaustive_sweep_clean_and_worker_invariant(tmp_path, capsys):
                 "--min", "6",
                 "--max", str(TEN_M),
                 "--workers", str(workers),
-                "--sieve-cache", str(cache),
                 "--output", str(out),
             ]
         )

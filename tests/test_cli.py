@@ -160,25 +160,6 @@ def test_verify_checkpoint_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_sieve_cache_reuse_and_refresh(tmp_path, capsys):
-    cache = tmp_path / "primes.bin"
-    assert run("verify", "--max", "1000", "--sieve-cache", str(cache)) == 0
-    assert cache.exists()
-    stamp = cache.stat().st_mtime_ns
-    assert run("verify", "--max", "500", "--sieve-cache", str(cache)) == 0
-    assert cache.stat().st_mtime_ns == stamp  # covered: reused as-is
-    assert run("verify", "--max", "2000", "--sieve-cache", str(cache)) == 0
-    assert cache.stat().st_mtime_ns != stamp  # too small: rebuilt
-    capsys.readouterr()
-
-
-def test_verify_corrupt_cache_is_io_error(tmp_path, capsys):
-    cache = tmp_path / "primes.bin"
-    cache.write_bytes(b"junk")
-    assert run("verify", "--max", "100", "--sieve-cache", str(cache)) == cli.EXIT_IO
-    capsys.readouterr()
-
-
 # -- failure exit codes (engine failures injected; real sweeps stay clean) ----
 
 

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from factorwitness.bruteforce import trial_smallest_factor
 from factorwitness.conjecture import (
     construct_lemma_prime,
     evaluate_instance,
@@ -24,14 +25,15 @@ def test_factorization_reconstructs(table1m, x):
         assert table1m.is_prime(p)
         prod *= p
     assert prod == x
-    assert parts[0] == table1m.smallest_prime_factor(x)
+    assert parts[0] == trial_smallest_factor(x)
     assert parts[-1] == table1m.largest_prime_factor(x)
 
 
 @given(x=values)
 def test_spf_lpf_bracket_all_factors(table1m, x):
-    spf = table1m.smallest_prime_factor(x)
+    spf = table1m.factorize(x)[0]
     lpf = table1m.largest_prime_factor(x)
+    assert spf == trial_smallest_factor(x)
     assert spf <= lpf
     assert x % spf == 0 and x % lpf == 0
 

@@ -1,9 +1,14 @@
 """Range sweeps: aggregation, determinism, checkpointing, derived queries."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import factorwitness
 from factorwitness.errors import (
     AnomalyFoundError,
     CheckpointMismatchError,
@@ -13,7 +18,7 @@ from factorwitness.errors import (
     PreconditionError,
     SweepInterrupted,
 )
-from factorwitness.report import canonical_bytes, summary_to_records
+from factorwitness.report import canonical_bytes, summary_digest, summary_to_records
 from factorwitness.search import (
     DEFAULT_BLOCK_EVENS,
     RangeJob,
@@ -125,6 +130,29 @@ def test_worker_count_is_invisible(table1m):
         table1m, job_for(6, 4_000, table1m, checkpoint_interval=200, workers=3)
     )
     assert canonical_bytes(base) == canonical_bytes(pooled)
+
+
+# -- canonical digests --------------------------------------------------------
+
+# Full sweeps [6, limit]: regression gates for any change to the tables
+# or the sweep kernel.
+CANONICAL = {
+    1_000_000: (
+        "528e467fde3190c5db61358c89de683a93261a5fca80523521e510a5dd43f387",
+        3_104_370,
+    ),
+    10_000_000: (
+        "225d9abb5eb2c50b0f0b2d4f4f70766e4896b3256b5231a6809d2a869995bbd7",
+        37_323_350,
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", ["table1m", "table10m"])
+def test_canonical_digest(request, fixture):
+    table = request.getfixturevalue(fixture)
+    s = verify_range(table, job_for(6, table.limit, table))
+    assert (summary_digest(s), s.instances_evaluated) == CANONICAL[table.limit]
 
 
 # -- merging ------------------------------------------------------------------
@@ -256,6 +284,57 @@ def test_fail_fast_raises_anomaly(table1m):
     with pytest.raises(AnomalyFoundError) as info:
         verify_range(doctored, job_for(8, 8, doctored), fail_fast=True)
     assert info.value.pairs == [(8, 3)]
+
+
+# Both engine invariants of the block sweep are broken through faulty
+# tables, in a fresh interpreter so that the run under -O proves the
+# checks are not asserts.
+_INVARIANT_PROBE = """
+import dataclasses
+import numpy as np
+from factorwitness.errors import EngineError
+from factorwitness.search import _sweep_block
+from factorwitness.sieve import build_table
+
+table = build_table(2_000)
+
+class SplitLpf(np.ndarray):
+    # Answers the batched first-witness rescan (a 2-D gather) with zeros
+    # while the per-step gather stays honest.
+    def __getitem__(self, idx):
+        out = np.asarray(super().__getitem__(idx))
+        return np.zeros_like(out) if np.ndim(idx) == 2 else out
+
+try:
+    _sweep_block(dataclasses.replace(table, lpf=table.lpf.view(SplitLpf)), 6, 2_000)
+except EngineError as exc:
+    print("classifier:", exc)
+
+# 1 marked prime counts n = 8, k = 3 (8 - 7 = 1) both as vacuous and as
+# a unit anomaly once the earlier hits 5 and 3 are hidden.
+primality = table.primality.copy()
+primality[[1, 3, 5]] = (True, False, False)
+try:
+    _sweep_block(dataclasses.replace(table, primality=primality), 8, 8)
+except EngineError as exc:
+    print("conservation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_sweep_invariants_raise_engine_error(flags):
+    src = str(Path(factorwitness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _INVARIANT_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["classifier", "conservation"]
+    assert "disagree with the classifier" in lines[0]
+    assert "4 outcomes for 3 instances" in lines[1]
 
 
 # -- derived queries ----------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Table construction, lookups, and the binary cache."""
+"""Table construction and lookups."""
 
 import random
 
-import numpy as np
 import pytest
 
 from factorwitness.bruteforce import (
@@ -11,13 +10,12 @@ from factorwitness.bruteforce import (
     trial_smallest_factor,
 )
 from factorwitness.errors import (
-    CacheFormatError,
     ConfigurationError,
     CoverageError,
     OutOfRangeError,
     PreconditionError,
 )
-from factorwitness.sieve import build_table, load_or_build, load_table
+from factorwitness.sieve import SEGMENT, build_table
 
 # pi(x) reference points; classical values, double-checked against the
 # bytearray oracle sieve in test_bruteforce.
@@ -45,7 +43,7 @@ def test_factor_tables_against_trial_division(table1m):
     rng = random.Random(0xF4C708)
     for _ in range(100_000):
         x = rng.randrange(2, table1m.limit + 1)
-        assert table1m.smallest_prime_factor(x) == trial_smallest_factor(x)
+        assert table1m.factorize(x)[0] == trial_smallest_factor(x)
         assert table1m.largest_prime_factor(x) == trial_largest_factor(x)
 
 
@@ -60,12 +58,11 @@ def test_factorize_reconstructs(table1m):
             assert table1m.is_prime(p)
         assert prod == x
         assert list(parts) == sorted(parts)
-        assert parts[0] == table1m.smallest_prime_factor(x)
+        assert parts[0] == trial_smallest_factor(x)
         assert parts[-1] == table1m.largest_prime_factor(x)
 
 
 def test_prime_fixpoints(table1m):
-    assert table1m.smallest_prime_factor(997) == 997
     assert table1m.largest_prime_factor(997) == 997
     assert table1m.factorize(997) == (997,)
 
@@ -106,77 +103,29 @@ def test_build_validation():
     with pytest.raises(ConfigurationError):
         build_table(5)
     with pytest.raises(ConfigurationError):
-        build_table(10_000, segment=100)
-    with pytest.raises(ConfigurationError):
         build_table(3_000_000_000)
 
 
-def test_segment_size_is_invisible():
-    a = build_table(50_000)
-    b = build_table(50_000, segment=1024)
-    assert np.array_equal(a.spf, b.spf)
-    assert np.array_equal(a.lpf, b.lpf)
-    assert np.array_equal(a.primality, b.primality)
+def _assert_matches_trial_division(table, xs):
+    for x in xs:
+        assert table.lpf[x] == trial_largest_factor(x), x
+        assert table.primality[x] == trial_is_prime(x), x
 
 
-def test_cache_round_trip(tmp_path):
-    path = tmp_path / "table.bin"
-    a = build_table(40_000)
-    a.save(path)
-    b = load_table(path, min_limit=40_000)
-    assert b.limit == a.limit
-    assert np.array_equal(a.spf, b.spf)
-    assert np.array_equal(a.lpf, b.lpf)
-    assert np.array_equal(a.primality, b.primality)
-    assert np.array_equal(a.odd_primes, b.odd_primes)
+def test_tables_match_trial_division_exhaustively():
+    # Every cell of every doubling segment [2^j, 2^(j+1)) up to 50,000.
+    table = build_table(50_000)
+    _assert_matches_trial_division(table, range(2, 50_001))
+    assert table.lpf[:2].tolist() == [0, 1]
+    assert not table.primality[:2].any()
 
 
-def test_cache_insufficient_limit(tmp_path):
-    path = tmp_path / "table.bin"
-    build_table(10_000).save(path)
-    with pytest.raises(CoverageError):
-        load_table(path, min_limit=20_000)
-
-
-def test_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "table.bin"
-    path.write_bytes(b"definitely not a table")
-    with pytest.raises(CacheFormatError):
-        load_table(path)
-
-
-def test_cache_rejects_truncation(tmp_path):
-    path = tmp_path / "table.bin"
-    build_table(10_000).save(path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(CacheFormatError):
-        load_table(path)
-
-
-def test_cache_rejects_bitflip(tmp_path):
-    path = tmp_path / "table.bin"
-    build_table(10_000).save(path)
-    raw = bytearray(path.read_bytes())
-    raw[40] ^= 0xFF  # inside the packed primality payload
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CacheFormatError):
-        load_table(path)
-
-
-def test_cache_rejects_missing_file(tmp_path):
-    with pytest.raises(CacheFormatError):
-        load_table(tmp_path / "absent.bin")
-
-
-def test_load_or_build_reuses_and_refreshes(tmp_path):
-    path = tmp_path / "table.bin"
-    first = load_or_build(path, 10_000)
-    assert path.exists()
-    stamp = path.stat().st_mtime_ns
-    again = load_or_build(path, 8_000)  # covered: reuse, no rewrite
-    assert again.limit == first.limit == 10_000
-    assert path.stat().st_mtime_ns == stamp
-    bigger = load_or_build(path, 20_000)  # stale: rebuild and overwrite
-    assert bigger.limit == 20_000
-    assert load_table(path, min_limit=20_000).limit == 20_000
+def test_tables_match_trial_division_at_segment_seams(table10m):
+    # Segments start at every power of two up to SEGMENT and at every
+    # multiple of SEGMENT beyond it; check a window around each start.
+    starts = [1 << j for j in range(SEGMENT.bit_length())]
+    starts += range(2 * SEGMENT, table10m.limit + 1, SEGMENT)
+    for s in starts:
+        lo, hi = max(2, s - 64), min(table10m.limit, s + 64)
+        _assert_matches_trial_division(table10m, range(lo, hi + 1))
+    _assert_matches_trial_division(table10m, range(table10m.limit - 64, table10m.limit + 1))
