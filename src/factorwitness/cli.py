@@ -11,11 +11,17 @@ Subcommands:
 Exit codes:
   0  success (including a clean sweep, and a requested early stop)
   1  internal failure or failed selftest
-  2  bad arguments, mismatched checkpoint, or invalid configuration
+  2  bad arguments, mismatched checkpoint, or invalid configuration,
+     including a prime table too large for the available memory
   3  prime table too small for the request
   4  I/O failure (unwritable output, ...)
   5  counterexample candidate found
   6  unit anomaly found (some n - p_i equal to 1)
+
+Before allocating, every subcommand's table build compares its estimated
+bytes (5 per integer, 8 per prime, plus segment scratch) with the memory
+available to the process (MemAvailable, or a smaller cgroup v2 limit)
+and refuses with exit 2 if the table would not fit.
 
 Record streams go to --output (default stdout) and never contain timing,
 so byte-identical reruns are expected; measurements land on stderr.

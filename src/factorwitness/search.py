@@ -482,12 +482,13 @@ def _pool_sweep(bounds: tuple[int, int]) -> _BlockResult:
     return _sweep_block(_SHARED_TABLE, bounds[0], bounds[1])
 
 
-def _block_bounds(job: RangeJob) -> list[tuple[int, int]]:
-    span = 2 * job.checkpoint_interval
+def _block_bounds(n_min: int, n_max: int, evens_per_block: int) -> list[tuple[int, int]]:
+    """Split even n in [n_min, n_max] into ascending blocks [lo, hi]."""
+    span = 2 * evens_per_block
     out = []
-    lo = job.n_min
-    while lo <= job.n_max:
-        hi = min(lo + span - 2, job.n_max)
+    lo = n_min
+    while lo <= n_max:
+        hi = min(lo + span - 2, n_max)
         out.append((lo, hi))
         lo = hi + 2
     return out
@@ -517,7 +518,7 @@ def verify_range(
     if stop_after_blocks is not None and not checkpoint_path:
         raise ConfigurationError("stop_after_blocks requires a checkpoint path")
 
-    bounds = _block_bounds(job)
+    bounds = _block_bounds(job.n_min, job.n_max, job.checkpoint_interval)
     agg = _Aggregate()
     done = 0
     elapsed_prior = 0.0
@@ -646,12 +647,49 @@ def witness_statistics(table: PrimeTable, n_max: int, workers: int = 1) -> Witne
     )
 
 
+def _decompose_block(
+    table: PrimeTable, lo: int, hi: int
+) -> tuple[list[int], tuple[int, int] | None]:
+    """Failures and (deepest first-hit index, least such n) of [lo, hi]."""
+    primality = table.primality
+    odd = table.odd_primes
+    act = np.arange(lo, hi + 1, 2, dtype=np.int64)
+    failures: list[int] = []
+    max_scan = None
+    i = 0
+    while act.size:
+        i += 1
+        if i > odd.size:
+            failures.extend(act.tolist())
+            break
+        p = int(odd[i - 1])
+        if p >= act[0]:
+            exhausted = act <= p
+            failures.extend(act[exhausted].tolist())
+            act = act[~exhausted]
+            if act.size == 0:
+                break
+        hit = primality[act - p]
+        if hit.any():
+            max_scan = (i, int(act[hit.argmax()]))
+            act = act[~hit]
+    return failures, max_scan
+
+
 def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionSweep:
     """Two-prime decompositions for every even n in [n_min, n_max].
 
     Vectorized form of goldbach_decompose's scan loop; per n only the
     existence and depth of the first hit are kept.  Any n whose scan
     exhausts the odd primes below it lands in failures.
+
+    The range is walked in the same ascending blocks of
+    DEFAULT_BLOCK_EVENS evens that verify_range uses, each scanned to
+    completion before the next starts, so working memory is one block's
+    row arrays and their temporaries (about 2 MB) however wide the range.
+    Blocks merge in order: failures are concatenated, and max_scan keeps
+    the deepest first hit, a tie going to the earlier block and hence the
+    least n.
     """
     if n_min % 2 or n_max % 2:
         raise PreconditionError(
@@ -661,33 +699,17 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
         raise PreconditionError(f"need 6 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if n_max > table.limit:
         raise CoverageError(f"n_max={n_max} exceeds table limit {table.limit}")
-    primality = table.primality
-    odd = table.odd_primes
-    act = np.arange(n_min, n_max + 1, 2, dtype=np.int64)
-    count = act.size
     failures: list[int] = []
     max_scan: tuple[int, int] | None = None
-    i = 0
-    while act.size:
-        i += 1
-        if i > odd.size:
-            failures.extend(int(n) for n in act)
-            break
-        p = int(odd[i - 1])
-        if p >= act[0]:
-            exhausted = act <= p
-            failures.extend(int(n) for n in act[exhausted])
-            act = act[~exhausted]
-            if act.size == 0:
-                break
-        hit = primality[act - p]
-        if hit.any():
-            max_scan = (i, int(act[hit][0]))
-            act = act[~hit]
+    for lo, hi in _block_bounds(n_min, n_max, DEFAULT_BLOCK_EVENS):
+        block_failures, block_scan = _decompose_block(table, lo, hi)
+        failures.extend(block_failures)
+        if block_scan and (max_scan is None or block_scan[0] > max_scan[0]):
+            max_scan = block_scan
     return DecompositionSweep(
         n_min=n_min,
         n_max=n_max,
-        count=count,
+        count=(n_max - n_min) // 2 + 1,
         failures=tuple(failures),
         max_scan=max_scan,
     )

@@ -15,14 +15,17 @@ already finished, and lpf[x] = max(s, lpf[x // s]) is a single gather
 (the segmented sieve of Bays & Hudson, BIT 17, 1977).
 
 Tables are uint32, so the supported ceiling is bounded by 2**32 - 1; the
-practical ceiling here is memory (5 bytes per integer resident).
+practical ceiling here is memory (5 bytes per integer resident), so
+build_table estimates its bytes first and refuses a limit that does not
+fit in the memory available to the process.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, log
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +38,10 @@ MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # mmap threshold above the sweep's per-step arrays: with 1 << 18 the
 # [6, 10^7] sweep that follows took 100k more page faults and ~15% longer.
 SEGMENT = 1 << 20
+# Bytes per segment cell held at once while a segment is sieved: the
+# uint32 smallest-factor scratch, x, x // s and the lpf gather, and the
+# bool prime mask.
+_SEGMENT_CELL_BYTES = 17
 
 
 def _simple_primes(n: int) -> np.ndarray:
@@ -47,6 +54,57 @@ def _simple_primes(n: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.flatnonzero(mask)
+
+
+def estimate_table_bytes(limit: int) -> int:
+    """Upper estimate of the bytes build_table(limit) allocates.
+
+    5 bytes per integer for lpf and primality, 8 per prime for the prime
+    list (pi(x) < 1.25506 x / ln x; Rosser & Schoenfeld 1962) and one
+    segment's scratch.
+    """
+    primes = int(1.25506 * limit / log(limit)) + 1
+    return 5 * (limit + 1) + 8 * primes + _SEGMENT_CELL_BYTES * SEGMENT
+
+
+def _read_int(path: Path, key: str | None = None) -> int | None:
+    """The integer in path, or after key in its "key value" lines."""
+    try:
+        for line in path.read_text().splitlines():
+            fields = line.split()
+            if key is None:
+                return int(fields[0])
+            if fields and fields[0] == key:
+                return int(fields[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def available_memory_bytes() -> int | None:
+    """Bytes this process may still allocate, or None if nothing is known.
+
+    The smaller of /proc/meminfo's MemAvailable and, under a cgroup v2
+    memory limit, memory.max less memory.current, whose inactive page
+    cache can be reclaimed and is not counted as used.
+    """
+    figures = []
+    kib = _read_int(Path("/proc/meminfo"), "MemAvailable:")
+    if kib is not None:
+        figures.append(kib * 1024)
+    try:
+        groups = Path("/proc/self/cgroup").read_text().splitlines()
+    except OSError:
+        groups = []
+    for line in groups:
+        if line.startswith("0::"):
+            cgroup = Path("/sys/fs/cgroup") / line[3:].strip().lstrip("/")
+            cap = _read_int(cgroup / "memory.max")  # None when it reads "max"
+            used = _read_int(cgroup / "memory.current")
+            if cap is not None and used is not None:
+                cache = _read_int(cgroup / "memory.stat", "inactive_file") or 0
+                figures.append(cap - used + cache)
+    return min(figures) if figures else None
 
 
 @dataclass(frozen=True)
@@ -126,6 +184,13 @@ def build_table(limit: int) -> PrimeTable:
         raise ConfigurationError(f"limit must be >= {MIN_LIMIT}, got {limit}")
     if limit > MAX_LIMIT:
         raise ConfigurationError(f"limit must be <= {MAX_LIMIT}, got {limit}")
+    need = estimate_table_bytes(limit)
+    available = available_memory_bytes()
+    if available is not None and need > available:
+        raise ConfigurationError(
+            f"a table for limit {limit} needs about {need >> 20} MiB, "
+            f"but only {max(available, 0) >> 20} MiB of memory is available"
+        )
     lpf = np.empty(limit + 1, dtype=np.uint32)
     lpf[:2] = (0, 1)  # a prime x reads lpf[x // x] = 1 below
     primality = np.zeros(limit + 1, dtype=bool)

@@ -31,6 +31,11 @@ def oracle10k() -> BruteOracle:
     return BruteOracle(10_000)
 
 
+@pytest.fixture(scope="session")
+def oracle10m() -> BruteOracle:
+    return BruteOracle(10_000_000)
+
+
 def make_doctored(
     table: PrimeTable,
     *,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from factorwitness import cli
+from factorwitness import cli, sieve
 from factorwitness.errors import (
     AnomalyFoundError,
     ConfigurationError,
@@ -49,6 +49,13 @@ def test_help_exits_zero(capsys):
 def test_limit_below_max_rejected(capsys):
     assert run("verify", "--max", "1000", "--limit", "500") == cli.EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_table_beyond_memory_is_usage_error(monkeypatch, capsys):
+    # The reader is faked, so the refusal comes before any allocation.
+    monkeypatch.setattr(sieve, "available_memory_bytes", lambda: 1 << 30)
+    assert run("verify", "--max", "2000000000") == cli.EXIT_USAGE
+    assert "MiB of memory is available" in capsys.readouterr().err
 
 
 def test_resolve_workers_precedence(monkeypatch):

@@ -1,5 +1,6 @@
 """Range sweeps: aggregation, determinism, checkpointing, derived queries."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import factorwitness
+from factorwitness.bruteforce import trial_is_prime
 from factorwitness.errors import (
     AnomalyFoundError,
     CheckpointMismatchError,
@@ -388,6 +390,84 @@ def test_decompose_range_validation(table1m):
         decompose_range(table1m, 4, 100)
     with pytest.raises(CoverageError):
         decompose_range(table1m, 6, 2_000_000)
+
+
+def _merge_decompositions(a, b):
+    """The merge rule of decompose_range's blocks, for two adjacent halves."""
+    deeper = b.max_scan and (a.max_scan is None or b.max_scan[0] > a.max_scan[0])
+    return (a.count + b.count, a.failures + b.failures, b.max_scan if deeper else a.max_scan)
+
+
+@pytest.mark.parametrize(
+    "fixture, n_max, max_scan",
+    [("table1m", 10**6, (98, 503222)), ("table10m", 10**7, (132, 3807404))],
+    ids=["table1m", "table10m"],
+)
+def test_decompose_range_pinned(request, fixture, n_max, max_scan):
+    sweep = decompose_range(request.getfixturevalue(fixture), 6, n_max)
+    assert sweep.count == (n_max - 6) // 2 + 1
+    assert sweep.failures == ()
+    assert sweep.max_scan == max_scan
+
+
+def test_decompose_range_split_at_block_seams(table1m):
+    # Blocks of [6, 10^6] end at 200_004, 400_004, ...; 503_222 is the
+    # deepest first hit.
+    assert DEFAULT_BLOCK_EVENS == 100_000
+    whole = decompose_range(table1m, 6, 10**6)
+    for x in (200_002, 200_004, 200_006, 400_004, 600_006, 503_220, 503_222):
+        left = decompose_range(table1m, 6, x)
+        right = decompose_range(table1m, x + 2, 10**6)
+        assert _merge_decompositions(left, right) == (
+            whole.count, whole.failures, whole.max_scan
+        ), x
+    # [642662, 850712] is two blocks whose deepest first hits tie at
+    # depth 79, at both endpoints; the earlier block keeps it.
+    assert decompose_range(table1m, 642_662, 850_712).max_scan == (79, 642_662)
+
+
+def test_decompose_range_failures_in_two_blocks(table1m):
+    # Keep only the odd primes below 1000 (every n <= 10^6 has its first
+    # hit by p_98 = 521) and hide every prime in two windows, one in each
+    # of the first two blocks.  Only n within 1000 above a window can
+    # fail; the expected failures are rescanned by trial division.
+    windows = ((99_000, 101_000), (299_000, 301_000))
+    hidden = [q for lo, hi in windows for q in range(lo, hi + 1) if table1m.primality[q]]
+    small = [int(p) for p in table1m._primes if p < 1000]
+    doctored = make_doctored(table1m, not_prime=hidden, primes=small)
+
+    def visible_prime(v):
+        return trial_is_prime(v) and not any(lo <= v <= hi for lo, hi in windows)
+
+    expected = tuple(
+        n
+        for lo, hi in windows
+        for n in range(lo + 4, hi + 1000, 2)
+        if not any(visible_prime(n - p) for p in small[1:] if p < n)
+    )
+    sweep = decompose_range(doctored, 6, 10**6)
+    assert sweep.failures == expected
+    span = 2 * DEFAULT_BLOCK_EVENS
+    assert {(n - 6) // span for n in expected} == {0, 1}
+    assert sweep.count == 499_998
+
+
+def test_top_of_range_matches_oracle(table10m, oracle10m):
+    lo, hi = 10**7 - 2000, 10**7
+    engine = verify_range(table10m, job_for(lo, hi, table10m))
+    brute = oracle10m.summarize(lo, hi)
+    for f in dataclasses.fields(engine):
+        if f.name not in ("elapsed_seconds", "evens_per_second"):
+            assert getattr(engine, f.name) == getattr(brute, f.name), f.name
+
+    best = None
+    for n in range(lo, hi + 1, 2):
+        _, _, i = oracle10m.goldbach_pair(n)
+        assert decompose_range(table10m, n, n).max_scan == (i, n)
+        if best is None or i > best[0]:
+            best = (i, n)
+    sweep = decompose_range(table10m, lo, hi)
+    assert (sweep.count, sweep.failures, sweep.max_scan) == (1001, (), best)
 
 
 def test_bucket_of():

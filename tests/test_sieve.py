@@ -1,9 +1,11 @@
 """Table construction and lookups."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from factorwitness import sieve
 from factorwitness.bruteforce import (
     trial_is_prime,
     trial_largest_factor,
@@ -104,6 +106,41 @@ def test_build_validation():
         build_table(5)
     with pytest.raises(ConfigurationError):
         build_table(3_000_000_000)
+
+
+def test_preflight_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(sieve, "available_memory_bytes", lambda: 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="MiB"):
+            build_table(20_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_preflight_estimate():
+    # 5 B per integer, 8 B per prime, one segment's scratch.
+    assert sieve.estimate_table_bytes(10**8) >= 5 * 10**8 + 8 * 5_761_455
+    assert sieve.estimate_table_bytes(10**8) < 600 << 20
+    assert sieve.estimate_table_bytes(sieve.MAX_LIMIT) > 10**10
+
+
+def test_memory_file_reader(tmp_path):
+    (tmp_path / "memory.max").write_text("max\n")
+    (tmp_path / "memory.current").write_text("1073741824\n")
+    (tmp_path / "memory.stat").write_text("anon 4096\ninactive_file 8192\n")
+    assert sieve._read_int(tmp_path / "memory.max") is None
+    assert sieve._read_int(tmp_path / "memory.current") == 1 << 30
+    assert sieve._read_int(tmp_path / "memory.stat", "inactive_file") == 8192
+    assert sieve._read_int(tmp_path / "memory.stat", "active_file") is None
+    assert sieve._read_int(tmp_path / "missing") is None
+
+
+def test_preflight_admits_ten_million():
+    available = sieve.available_memory_bytes()
+    assert available is None or sieve.estimate_table_bytes(10**7) <= available
 
 
 def _assert_matches_trial_division(table, xs):
