@@ -45,6 +45,7 @@ from .report import (
     parse_records,
     render_proof_trace,
     summary_digest,
+    summary_to_records,
 )
 from .search import (
     DecompositionSweep,
@@ -103,6 +104,7 @@ __all__ = [
     "parse_records",
     "render_proof_trace",
     "summary_digest",
+    "summary_to_records",
     "verify_range",
     "witness_statistics",
     "__version__",

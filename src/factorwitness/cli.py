@@ -20,8 +20,8 @@ Exit codes:
 
 Before allocating, every subcommand's table build compares its estimated
 bytes (5 per integer, 8 per prime, plus segment scratch) with the memory
-available to the process (MemAvailable, or a smaller cgroup v2 limit)
-and refuses with exit 2 if the table would not fit.
+available to the process (MemAvailable, or a smaller cgroup v1 or v2
+limit) and refuses with exit 2 if the table would not fit.
 
 Record streams go to --output (default stdout) and never contain timing,
 so byte-identical reruns are expected; measurements land on stderr.
@@ -66,6 +66,7 @@ from .report import (
     render_proof_trace,
     render_stats,
     summary_digest,
+    summary_to_records,
 )
 from .search import (
     DEFAULT_BLOCK_EVENS,
@@ -210,10 +211,8 @@ def _cmd_verify(args) -> int:
         stop_after_blocks=args.stop_after_blocks,
     )
     wall = time.perf_counter() - t0
-    if args.output in (None, "-"):
-        emit_records(summary, args.format, sys.stdout, include_timing=False)
-    else:
-        emit_records(summary, args.format, args.output, include_timing=False)
+    dest = sys.stdout if args.output in (None, "-") else args.output
+    emit_records(summary, args.format, dest, include_timing=False)
     if args.manifest:
         RunManifest.for_run(__version__, job.identity(), summary).write(args.manifest)
     print(
@@ -322,8 +321,6 @@ def _cmd_selftest(args) -> int:
         ):
             bad += 1
     check("factor tables vs trial division", bad == 0, f"{bad} mismatches")
-
-    from .report import summary_to_records  # local: avoids the csv path entirely
 
     job = RangeJob(n_min=6, n_max=10_000, table_limit=limit, workers=1)
     engine_summary = verify_range(table, job)

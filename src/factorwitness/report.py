@@ -3,9 +3,11 @@
 A record stream is complete iff its last record is the single summary
 record; everything before it is the flat list of noteworthy instances
 (equality cases, anomalies, counterexample candidates) in a canonical
-order.  Parsing reverses emission exactly, and a digest over the
-canonical timing-free NDJSON form lets two runs be compared without
-caring about wall-clock fields or output format.
+order.  Both formats render the records of search.summary_to_records,
+and parsing turns text back into records for search.summary_from_records,
+so it reverses emission exactly.  A digest over the canonical timing-free
+NDJSON form lets two runs be compared without caring about wall-clock
+fields or output format.
 """
 
 from __future__ import annotations
@@ -18,294 +20,114 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .conjecture import DescentTrace, EdgeCaseRecord, Family, LemmaTrace
+from .conjecture import DescentTrace, LemmaTrace
 from .errors import ReportFormatError, ReportWriteError
-from .search import RangeSummary
+from .search import (
+    PARTIAL_MARKER,
+    RECORD_FIELDS,
+    SUMMARY_KINDS,
+    RangeSummary,
+    summary_from_records,
+    summary_to_records,
+    to_record,
+)
 
 NDJSON = "ndjson"
 CSV = "csv"
 FORMATS = (NDJSON, CSV)
 
-_PARTIAL_MARKER = "partial_output"
+# ---------------------------------------------------------------------------
+# CSV cell codec: record values <-> cell text, keyed by column
+# ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = [
-    "record",
-    "n",
-    "k",
-    "i",
-    "factors",
-    "family",
-    "r",
-    "n_min",
-    "n_max",
-    "instances_evaluated",
-    "vacuous_count",
-    "strict_count",
-    "equal_count",
-    "counterexample_count",
-    "anomaly_count",
-    "equality_count",
-    "witness_index_histogram",
-    "max_first_witness_index",
-    "max_witness_ratio",
-    "elapsed_seconds",
-    "evens_per_second",
-]
+_LIST_SEPARATORS = {"factors": ";", "max_first_witness_index": ":", "max_witness_ratio": ":"}
+_MAP_COLUMNS = ("witness_index_histogram", "histogram")
+_FLOAT_COLUMNS = ("elapsed_seconds", "evens_per_second")
+_TEXT_COLUMNS = ("family",)
 
 
-def summary_to_records(summary: RangeSummary, include_timing: bool = True) -> list[dict]:
-    """Flatten a summary into its canonical record list (summary last)."""
-    records: list[dict] = []
-    for rec in summary.equality_cases:
+def _csv_columns(kinds) -> list[str]:
+    columns = ["record"]
+    for kind, fields in RECORD_FIELDS.items():
+        if kind in kinds:
+            columns += [name for name in fields if name not in columns]
+    return columns
+
+
+def _encode_cell(column: str, value) -> str:
+    if value is None:
+        return ""
+    if column in _LIST_SEPARATORS:
+        return _LIST_SEPARATORS[column].join(str(x) for x in value)
+    if column in _MAP_COLUMNS:
+        return ";".join(f"{key}:{c}" for key, c in value.items())
+    if column in _FLOAT_COLUMNS:
+        return repr(value)
+    return str(value)
+
+
+def _decode_cell(column: str, text: str):
+    if column in _MAP_COLUMNS:
+        pieces = (piece.split(":") for piece in text.split(";")) if text else ()
+        return {key: int(c) for key, c in pieces}
+    if text == "":
+        return None
+    if column in _LIST_SEPARATORS:
+        return [int(x) for x in text.split(_LIST_SEPARATORS[column])]
+    if column in _FLOAT_COLUMNS:
+        return float(text)
+    if column in _TEXT_COLUMNS:
+        return text
+    return int(text)
+
+
+def _csv_records(text: str) -> list[dict]:
+    """Records of a CSV stream; empty cells outside a kind's fields are absent."""
+    rows = csv.reader(io.StringIO(text))
+    header = next(rows, [])
+    records = []
+    for cells in rows:
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ReportFormatError(
+                f"CSV line {rows.line_num} has {len(cells)} cells, header has {len(header)}"
+            )
+        fields = RECORD_FIELDS.get(cells[0], ())
         records.append(
-            {
-                "record": "equality_case",
-                "n": rec.n,
-                "k": rec.k,
-                "factors": list(rec.factors),
-                "family": rec.family.value,
-                "r": rec.r,
+            {"record": cells[0]}
+            | {
+                column: _decode_cell(column, cell)
+                for column, cell in zip(header[1:], cells[1:])
+                if cell or column in fields
             }
         )
-    for n, i in summary.anomalies:
-        records.append({"record": "anomaly", "n": n, "i": i})
-    for n, k in summary.counterexamples:
-        records.append({"record": "counterexample", "n": n, "k": k})
-    tail = {
-        "record": "summary",
-        "n_min": summary.n_min,
-        "n_max": summary.n_max,
-        "instances_evaluated": summary.instances_evaluated,
-        "vacuous_count": summary.vacuous_count,
-        "strict_count": summary.strict_count,
-        "equal_count": summary.equal_count,
-        "counterexample_count": summary.counterexample_count,
-        "anomaly_count": summary.anomaly_count,
-        "equality_count": len(summary.equality_cases),
-        "witness_index_histogram": {
-            str(key): c for key, c in sorted(summary.witness_index_histogram.items())
-        },
-        "max_first_witness_index": (
-            list(summary.max_first_witness_index)
-            if summary.max_first_witness_index
-            else None
-        ),
-        "max_witness_ratio": (
-            list(summary.max_witness_ratio) if summary.max_witness_ratio else None
-        ),
-    }
-    if include_timing:
-        tail["elapsed_seconds"] = summary.elapsed_seconds
-        tail["evens_per_second"] = summary.evens_per_second
-    records.append(tail)
     return records
 
 
-def _records_from_summary_dict(tail: dict, body: list[dict]) -> RangeSummary:
-    equality = []
-    anomalies = []
-    cex = []
-    for rec in body:
-        kind = rec.get("record")
-        if kind == "equality_case":
-            equality.append(
-                EdgeCaseRecord(
-                    n=int(rec["n"]),
-                    k=int(rec["k"]),
-                    factors=tuple(int(f) for f in rec["factors"]),
-                    family=Family(rec["family"]),
-                    r=None if rec["r"] is None else int(rec["r"]),
-                )
-            )
-        elif kind == "anomaly":
-            anomalies.append((int(rec["n"]), int(rec["i"])))
-        elif kind == "counterexample":
-            cex.append((int(rec["n"]), int(rec["k"])))
-        else:
-            raise ReportFormatError(f"unknown record type: {kind!r}")
-    for name, have, want in (
-        ("equality_count", len(equality), tail["equality_count"]),
-        ("anomaly_count", len(anomalies), tail["anomaly_count"]),
-        ("counterexample_count", len(cex), tail["counterexample_count"]),
-    ):
-        if have != want:
-            raise ReportFormatError(
-                f"summary claims {name}={want} but stream holds {have}"
-            )
-    fwi = tail["max_first_witness_index"]
-    ratio = tail["max_witness_ratio"]
-    return RangeSummary(
-        n_min=int(tail["n_min"]),
-        n_max=int(tail["n_max"]),
-        instances_evaluated=int(tail["instances_evaluated"]),
-        vacuous_count=int(tail["vacuous_count"]),
-        strict_count=int(tail["strict_count"]),
-        equal_count=int(tail["equal_count"]),
-        counterexamples=tuple(sorted(cex)),
-        anomalies=tuple(sorted(anomalies)),
-        equality_cases=tuple(sorted(equality, key=lambda r: (r.n, r.k))),
-        witness_index_histogram={
-            int(key): int(c) for key, c in tail["witness_index_histogram"].items()
-        },
-        max_first_witness_index=None if fwi is None else tuple(int(x) for x in fwi),
-        max_witness_ratio=None if ratio is None else tuple(int(x) for x in ratio),
-        elapsed_seconds=float(tail.get("elapsed_seconds", 0.0)),
-        evens_per_second=float(tail.get("evens_per_second", 0.0)),
-    )
-
-
 # ---------------------------------------------------------------------------
-# NDJSON
+# public render / emit / parse / digest
 # ---------------------------------------------------------------------------
 
 
-def _ndjson_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"), ensure_ascii=True) + "\n"
-
-
-def _parse_ndjson(text: str) -> RangeSummary:
-    lines = [line for line in text.split("\n") if line.strip()]
-    if not lines:
-        raise ReportFormatError("empty record stream")
-    try:
-        records = [json.loads(line) for line in lines]
-    except json.JSONDecodeError as exc:
-        raise ReportFormatError(f"bad NDJSON line: {exc}") from exc
-    for rec in records:
-        if rec.get("record") == _PARTIAL_MARKER:
-            raise ReportFormatError("stream is marked partial; rerun the sweep")
-    if records[-1].get("record") != "summary":
-        raise ReportFormatError("incomplete stream: summary record missing or not last")
-    body, tail = records[:-1], records[-1]
-    if any(rec.get("record") == "summary" for rec in body):
-        raise ReportFormatError("multiple summary records in one stream")
-    return _records_from_summary_dict(tail, body)
-
-
-# ---------------------------------------------------------------------------
-# CSV
-# ---------------------------------------------------------------------------
-
-
-def _csv_cell_hist(hist: dict) -> str:
-    return ";".join(f"{key}:{c}" for key, c in sorted((int(k), v) for k, v in hist.items()))
-
-
-def _csv_rows(records: list[dict]) -> list[dict]:
-    rows = []
-    for rec in records:
-        row = {col: "" for col in _CSV_COLUMNS}
-        row["record"] = rec["record"]
-        if rec["record"] == "equality_case":
-            row["n"] = rec["n"]
-            row["k"] = rec["k"]
-            row["factors"] = ";".join(str(f) for f in rec["factors"])
-            row["family"] = rec["family"]
-            row["r"] = "" if rec["r"] is None else rec["r"]
-        elif rec["record"] == "anomaly":
-            row["n"] = rec["n"]
-            row["i"] = rec["i"]
-        elif rec["record"] == "counterexample":
-            row["n"] = rec["n"]
-            row["k"] = rec["k"]
-        else:
-            for key, value in rec.items():
-                if key in ("record", "witness_index_histogram"):
-                    continue
-                if key in ("max_first_witness_index", "max_witness_ratio"):
-                    row[key] = "" if value is None else ":".join(str(x) for x in value)
-                elif key in ("elapsed_seconds", "evens_per_second"):
-                    row[key] = repr(value)
-                else:
-                    row[key] = value
-            row["witness_index_histogram"] = _csv_cell_hist(
-                rec["witness_index_histogram"]
-            )
-        rows.append(row)
-    return rows
-
-
-def _parse_csv(text: str) -> RangeSummary:
-    reader = csv.DictReader(io.StringIO(text))
-    body = []
-    tail = None
-    for row in reader:
-        kind = row.get("record")
-        if kind == _PARTIAL_MARKER:
-            raise ReportFormatError("stream is marked partial; rerun the sweep")
-        if tail is not None:
-            raise ReportFormatError("records found after the summary row")
-        if kind == "equality_case":
-            body.append(
-                {
-                    "record": kind,
-                    "n": int(row["n"]),
-                    "k": int(row["k"]),
-                    "factors": [int(f) for f in row["factors"].split(";")],
-                    "family": row["family"],
-                    "r": None if row["r"] == "" else int(row["r"]),
-                }
-            )
-        elif kind == "anomaly":
-            body.append({"record": kind, "n": int(row["n"]), "i": int(row["i"])})
-        elif kind == "counterexample":
-            body.append({"record": kind, "n": int(row["n"]), "k": int(row["k"])})
-        elif kind == "summary":
-            hist = {}
-            if row["witness_index_histogram"]:
-                for piece in row["witness_index_histogram"].split(";"):
-                    key, _, c = piece.partition(":")
-                    hist[key] = int(c)
-            tail = {
-                "record": "summary",
-                "n_min": int(row["n_min"]),
-                "n_max": int(row["n_max"]),
-                "instances_evaluated": int(row["instances_evaluated"]),
-                "vacuous_count": int(row["vacuous_count"]),
-                "strict_count": int(row["strict_count"]),
-                "equal_count": int(row["equal_count"]),
-                "counterexample_count": int(row["counterexample_count"]),
-                "anomaly_count": int(row["anomaly_count"]),
-                "equality_count": int(row["equality_count"]),
-                "witness_index_histogram": hist,
-                "max_first_witness_index": (
-                    None
-                    if row["max_first_witness_index"] == ""
-                    else [int(x) for x in row["max_first_witness_index"].split(":")]
-                ),
-                "max_witness_ratio": (
-                    None
-                    if row["max_witness_ratio"] == ""
-                    else [int(x) for x in row["max_witness_ratio"].split(":")]
-                ),
-            }
-            if row["elapsed_seconds"]:
-                tail["elapsed_seconds"] = float(row["elapsed_seconds"])
-                tail["evens_per_second"] = float(row["evens_per_second"])
-        else:
-            raise ReportFormatError(f"unknown record type: {kind!r}")
-    if tail is None:
-        raise ReportFormatError("incomplete stream: summary record missing or not last")
-    return _records_from_summary_dict(tail, body)
-
-
-# ---------------------------------------------------------------------------
-# public emit / parse / digest
-# ---------------------------------------------------------------------------
+def _render(records: list[dict], fmt: str, kinds) -> str:
+    if fmt == NDJSON:
+        return "".join(
+            json.dumps(rec, separators=(",", ":"), ensure_ascii=True) + "\n" for rec in records
+        )
+    if fmt == CSV:
+        columns = _csv_columns(kinds)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_encode_cell(c, rec.get(c)) for c in columns] for rec in records)
+        return buf.getvalue()
+    raise ReportFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
 def render_records(summary: RangeSummary, fmt: str = NDJSON, include_timing: bool = True) -> str:
     """The full record stream as one string."""
-    records = summary_to_records(summary, include_timing=include_timing)
-    if fmt == NDJSON:
-        return "".join(_ndjson_line(rec) for rec in records)
-    if fmt == CSV:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(_csv_rows(records))
-        return buf.getvalue()
-    raise ReportFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _render(summary_to_records(summary, include_timing), fmt, SUMMARY_KINDS)
 
 
 def emit_records(summary: RangeSummary, fmt, dest, include_timing: bool = True) -> int:
@@ -315,8 +137,8 @@ def emit_records(summary: RangeSummary, fmt, dest, include_timing: bool = True) 
     marker record is appended if at all possible and ReportWriteError is
     raised; a stream without its trailing summary record never parses.
     """
-    text = render_records(summary, fmt, include_timing=include_timing)
-    count = len(summary_to_records(summary, include_timing=include_timing))
+    records = summary_to_records(summary, include_timing)
+    text = _render(records, fmt, SUMMARY_KINDS)
     own = isinstance(dest, (str, bytes, os.PathLike))
     if own:
         try:
@@ -333,10 +155,9 @@ def emit_records(summary: RangeSummary, fmt, dest, include_timing: bool = True) 
             fh.flush()
     except OSError as exc:
         try:
-            if fmt == NDJSON:
-                fh.write(_ndjson_line({"record": _PARTIAL_MARKER}))
-            else:
-                fh.write(f"{_PARTIAL_MARKER}{',' * (len(_CSV_COLUMNS) - 1)}\n")
+            # the marker's own line, without a CSV header
+            marker = _render([{"record": PARTIAL_MARKER}], fmt, SUMMARY_KINDS)
+            fh.write(marker.splitlines(keepends=True)[-1])
             fh.flush()
         except OSError:
             pass
@@ -347,28 +168,35 @@ def emit_records(summary: RangeSummary, fmt, dest, include_timing: bool = True) 
                 except OSError:
                     pass
         raise ReportWriteError(f"failed writing {fmt} records: {exc}") from exc
-    return count
+    return len(records)
 
 
 def parse_records(src, fmt: str = NDJSON) -> RangeSummary:
-    """Parse a record stream (path, file object, or string) back."""
-    if isinstance(src, (str, bytes, os.PathLike)) and (
-        not isinstance(src, str) or (src != "" and "\n" not in src)
-    ):
+    """Parse a record stream back into its summary.
+
+    src is the stream itself as a str, a path (os.PathLike or bytes), or
+    a text file object.  Malformed streams raise ReportFormatError.
+    """
+    if isinstance(src, str):
+        text = src
+    elif isinstance(src, (bytes, os.PathLike)):
         try:
             with open(src, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ReportWriteError(f"cannot read records from {src!r}: {exc}") from exc
-    elif hasattr(src, "read"):
-        text = src.read()
     else:
-        text = src
-    if fmt == NDJSON:
-        return _parse_ndjson(text)
-    if fmt == CSV:
-        return _parse_csv(text)
-    raise ReportFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        text = src.read()
+    try:
+        if fmt == NDJSON:
+            records = [json.loads(line) for line in text.split("\n") if line.strip()]
+        elif fmt == CSV:
+            records = _csv_records(text)
+        else:
+            raise ReportFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    except (ValueError, csv.Error) as exc:
+        raise ReportFormatError(f"bad {fmt} stream: {exc}") from exc
+    return summary_from_records(records)
 
 
 def canonical_bytes(summary: RangeSummary) -> bytes:
@@ -382,89 +210,12 @@ def summary_digest(summary: RangeSummary) -> str:
 
 def render_edge_cases(cases, fmt: str = NDJSON) -> str:
     """Record stream for a bare equality-case enumeration (no summary)."""
-    records = [
-        {
-            "record": "equality_case",
-            "n": rec.n,
-            "k": rec.k,
-            "factors": list(rec.factors),
-            "family": rec.family.value,
-            "r": rec.r,
-        }
-        for rec in cases
-    ]
-    if fmt == NDJSON:
-        return "".join(_ndjson_line(rec) for rec in records)
-    if fmt == CSV:
-        buf = io.StringIO()
-        cols = ["record", "n", "k", "factors", "family", "r"]
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(
-                {
-                    "record": rec["record"],
-                    "n": rec["n"],
-                    "k": rec["k"],
-                    "factors": ";".join(str(f) for f in rec["factors"]),
-                    "family": rec["family"],
-                    "r": "" if rec["r"] is None else rec["r"],
-                }
-            )
-        return buf.getvalue()
-    raise ReportFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _render([to_record("equality_case", rec) for rec in cases], fmt, ("equality_case",))
 
 
 def render_stats(stats, fmt: str = NDJSON) -> str:
     """Record stream for a witness-index statistics query."""
-    record = {
-        "record": "witness_stats",
-        "n_max": stats.n_max,
-        "witnessed_count": stats.witnessed_count,
-        "histogram": {str(key): c for key, c in sorted(stats.histogram.items())},
-        "max_first_witness_index": (
-            None
-            if stats.max_first_witness_index is None
-            else list(stats.max_first_witness_index)
-        ),
-        "max_witness_ratio": (
-            None if stats.max_witness_ratio is None else list(stats.max_witness_ratio)
-        ),
-    }
-    if fmt == NDJSON:
-        return _ndjson_line(record)
-    if fmt == CSV:
-        buf = io.StringIO()
-        cols = [
-            "record",
-            "n_max",
-            "witnessed_count",
-            "histogram",
-            "max_first_witness_index",
-            "max_witness_ratio",
-        ]
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(
-            {
-                "record": record["record"],
-                "n_max": record["n_max"],
-                "witnessed_count": record["witnessed_count"],
-                "histogram": _csv_cell_hist(record["histogram"]),
-                "max_first_witness_index": (
-                    ""
-                    if record["max_first_witness_index"] is None
-                    else ":".join(str(x) for x in record["max_first_witness_index"])
-                ),
-                "max_witness_ratio": (
-                    ""
-                    if record["max_witness_ratio"] is None
-                    else ":".join(str(x) for x in record["max_witness_ratio"])
-                ),
-            }
-        )
-        return buf.getvalue()
-    raise ReportFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _render([to_record("witness_stats", stats)], fmt, ("witness_stats",))
 
 
 # ---------------------------------------------------------------------------

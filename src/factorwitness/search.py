@@ -21,7 +21,8 @@ minimal until its value drops below the threshold; the few rows whose
 candidate dies are rescanned in one batched matrix pass.
 
 Work is split into fixed-size blocks (also the checkpoint granularity).
-Blocks are merged strictly in ascending order whatever the worker count,
+Each block yields a RangeSummary of its own range, and blocks are merged
+(merge_summaries) strictly in ascending order whatever the worker count,
 so summaries and their digests are worker-count independent.
 """
 
@@ -31,7 +32,8 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
@@ -44,13 +46,14 @@ from .errors import (
     CoverageError,
     EngineError,
     PreconditionError,
+    ReportFormatError,
     SweepInterrupted,
 )
 from .sieve import PrimeTable
 
 DEFAULT_BLOCK_EVENS = 100_000
 HIST_EXACT_MAX = 64
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,10 @@ class RangeSummary:
         return len(self.anomalies)
 
     @property
+    def equality_count(self) -> int:
+        return len(self.equality_cases)
+
+    @property
     def clean(self) -> bool:
         return not self.counterexamples and not self.anomalies
 
@@ -169,24 +176,163 @@ def bucket_of(index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# block sweep
+# record schema
 # ---------------------------------------------------------------------------
 
+# The fields of each record kind after its "record" key, in emission
+# order.  An equality case, a summary and witness stats take each field
+# from the attribute of that name.  A CSV header is "record" plus the
+# fields of the kinds it can hold, in this table's order.
+TIMING_FIELDS = ("elapsed_seconds", "evens_per_second")  # optional
+RECORD_FIELDS = {
+    "counterexample": ("n", "k"),
+    "anomaly": ("n", "i"),
+    "equality_case": ("n", "k", "factors", "family", "r"),
+    "summary": (
+        "n_min", "n_max", "instances_evaluated", "vacuous_count", "strict_count",
+        "equal_count", "counterexample_count", "anomaly_count", "equality_count",
+        "witness_index_histogram", "max_first_witness_index", "max_witness_ratio",
+        *TIMING_FIELDS,
+    ),
+    "witness_stats": (
+        "n_max", "witnessed_count", "histogram", "max_first_witness_index",
+        "max_witness_ratio",
+    ),
+}
+SUMMARY_KINDS = ("equality_case", "anomaly", "counterexample", "summary")
+PARTIAL_MARKER = "partial_output"
 
-@dataclass
-class _BlockResult:
-    lo: int
-    hi: int
-    instances: int = 0
-    vacuous: int = 0
-    strict: int = 0
-    equal: int = 0
-    equality_pairs: list = field(default_factory=list)  # (n, k)
-    cex_pairs: list = field(default_factory=list)
-    anomaly_pairs: list = field(default_factory=list)
-    hist: dict = field(default_factory=dict)
-    best_fwi: tuple | None = None  # (value, n, k)
-    best_ratio: tuple | None = None  # (num, den, n, k)
+
+def _plain(value):
+    """A field value as JSON data.
+
+    Tuples become lists, maps get sorted string keys, enums their value.
+    """
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return {str(key): c for key, c in sorted(value.items())}
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+def to_record(kind: str, source) -> dict:
+    """The kind record of source, reading each field as an attribute."""
+    return {
+        "record": kind,
+        **{name: _plain(getattr(source, name)) for name in RECORD_FIELDS[kind]},
+    }
+
+
+def summary_to_records(summary: RangeSummary, include_timing: bool = True) -> list[dict]:
+    """Flatten a summary into its canonical record list (summary last).
+
+    This is the only serialized form of a summary: record streams in
+    either format, digests, manifests and checkpoints are all built from it.
+    """
+    records = [to_record("equality_case", rec) for rec in summary.equality_cases]
+    for kind, pairs in (
+        ("anomaly", summary.anomalies),
+        ("counterexample", summary.counterexamples),
+    ):
+        records += [{"record": kind, **dict(zip(RECORD_FIELDS[kind], pair))} for pair in pairs]
+    tail = to_record("summary", summary)
+    if not include_timing:
+        for name in TIMING_FIELDS:
+            del tail[name]
+    return records + [tail]
+
+
+def summary_from_records(records: list) -> RangeSummary:
+    """Rebuild the summary of a record list; the inverse of summary_to_records.
+
+    Refuses, with ReportFormatError, a list holding the partial-output
+    marker, one without a single summary record at its end, unknown kinds
+    or fields, counts that disagree with the records, and malformed values.
+    """
+    try:
+        return _summary_from_records(records)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ReportFormatError(f"malformed record: {exc!r}") from exc
+
+
+def _int(value) -> int:
+    """value itself if it is an int; a float, string or bool is refused."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _summary_from_records(records: list) -> RangeSummary:
+    for rec in records:
+        if not isinstance(rec, dict):
+            raise ReportFormatError(f"record is not an object: {rec!r}")
+        kind = rec.get("record")
+        if kind == PARTIAL_MARKER:
+            raise ReportFormatError("stream is marked partial; rerun the sweep")
+        if kind not in SUMMARY_KINDS:
+            raise ReportFormatError(f"unknown record type: {kind!r}")
+        extra = rec.keys() - {"record", *RECORD_FIELDS[kind]}
+        if extra:
+            raise ReportFormatError(f"{kind} record has unknown fields {sorted(extra)}")
+    if not records or records[-1]["record"] != "summary":
+        raise ReportFormatError("incomplete stream: summary record missing or not last")
+    *body, tail = records
+    equality, anomalies, cex = [], [], []
+    for rec in body:
+        kind = rec["record"]
+        if kind == "equality_case":
+            r = rec["r"]
+            equality.append(
+                EdgeCaseRecord(
+                    n=_int(rec["n"]),
+                    k=_int(rec["k"]),
+                    factors=tuple(_int(f) for f in rec["factors"]),
+                    family=Family(rec["family"]),
+                    r=None if r is None else _int(r),
+                )
+            )
+        elif kind == "anomaly":
+            anomalies.append((_int(rec["n"]), _int(rec["i"])))
+        elif kind == "counterexample":
+            cex.append((_int(rec["n"]), _int(rec["k"])))
+        else:
+            raise ReportFormatError("multiple summary records in one stream")
+    for name, have in (
+        ("equality_count", len(equality)),
+        ("anomaly_count", len(anomalies)),
+        ("counterexample_count", len(cex)),
+    ):
+        if have != tail[name]:
+            raise ReportFormatError(
+                f"summary claims {name}={tail[name]} but stream holds {have}"
+            )
+    fwi = tail["max_first_witness_index"]
+    ratio = tail["max_witness_ratio"]
+    return RangeSummary(
+        n_min=_int(tail["n_min"]),
+        n_max=_int(tail["n_max"]),
+        instances_evaluated=_int(tail["instances_evaluated"]),
+        vacuous_count=_int(tail["vacuous_count"]),
+        strict_count=_int(tail["strict_count"]),
+        equal_count=_int(tail["equal_count"]),
+        counterexamples=tuple(sorted(cex)),
+        anomalies=tuple(sorted(anomalies)),
+        equality_cases=tuple(sorted(equality, key=lambda r: (r.n, r.k))),
+        witness_index_histogram={
+            int(key): _int(c) for key, c in tail["witness_index_histogram"].items()
+        },
+        max_first_witness_index=None if fwi is None else tuple(_int(x) for x in fwi),
+        max_witness_ratio=None if ratio is None else tuple(_int(x) for x in ratio),
+        elapsed_seconds=float(tail.get("elapsed_seconds") or 0.0),
+        evens_per_second=float(tail.get("evens_per_second") or 0.0),
+    )
+
+
+# ---------------------------------------------------------------------------
+# block sweep
+# ---------------------------------------------------------------------------
 
 
 def _better_fwi(a, b):
@@ -212,9 +358,21 @@ def _better_ratio(a, b):
     return a if (a[2], a[3]) <= (b[2], b[3]) else b
 
 
-def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _BlockResult:
-    """Evaluate every instance of every even n in [lo, hi]."""
-    res = _BlockResult(lo=lo, hi=hi)
+# A swept block: its summary without equality cases, and their (n, k).
+_Block = tuple[RangeSummary, list[tuple[int, int]]]
+
+
+def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _Block:
+    """Evaluate every instance of every even n in [lo, hi].
+
+    Returns the block's summary, without equality cases, and the (n, k)
+    pairs of those cases, which the merging process classifies.
+    """
+    instances = vacuous = strict = equal = 0
+    equality_pairs: list[tuple[int, int]] = []
+    cex_pairs: list[tuple[int, int]] = []
+    anomaly_pairs: list[tuple[int, int]] = []
+    best_fwi = best_ratio = None
     primality = table.primality
     lpf = table.lpf
     odd = table.odd_primes
@@ -245,16 +403,16 @@ def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _BlockResult:
             wit_val = wit_val[keep]
             if n_act.size == 0:
                 break
-        res.instances += n_act.size
+        instances += n_act.size
 
         v = n_act - p
         is_prime_hit = primality[v]
         is_unit = v == 1
         hits = int(np.count_nonzero(is_prime_hit))
-        res.vacuous += hits
+        vacuous += hits
         if is_unit.any():
             for n in n_act[is_unit]:
-                res.anomaly_pairs.append((int(n), i))
+                anomaly_pairs.append((int(n), i))
 
         survive = ~(is_prime_hit | is_unit)
         n_act = n_act[survive]
@@ -269,15 +427,15 @@ def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _BlockResult:
 
         gt = run_max > p
         eq = run_max == p
-        res.strict += int(np.count_nonzero(gt))
+        strict += int(np.count_nonzero(gt))
         if eq.any():
             for n in n_act[eq]:
-                res.equality_pairs.append((int(n), i))
-            res.equal += int(np.count_nonzero(eq))
+                equality_pairs.append((int(n), i))
+            equal += int(np.count_nonzero(eq))
         lt = ~(gt | eq)
         if lt.any():
             for n in n_act[lt]:
-                res.cex_pairs.append((int(n), i))
+                cex_pairs.append((int(n), i))
 
         # First-witness-index candidates.  The threshold p only grows, so
         # a live candidate stays the least qualifying position until its
@@ -318,112 +476,34 @@ def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _BlockResult:
                 hist_large[key] = hist_large.get(key, 0) + 1
             step_max = int(wp.max())
             n_at_max = int(n_act[witnessed][wp == step_max][0])
-            res.best_fwi = _better_fwi(res.best_fwi, (step_max, n_at_max, i))
-            res.best_ratio = _better_ratio(res.best_ratio, (step_max, i, n_at_max, i))
+            best_fwi = _better_fwi(best_fwi, (step_max, n_at_max, i))
+            best_ratio = _better_ratio(best_ratio, (step_max, i, n_at_max, i))
 
     hist = {ix: int(c) for ix, c in enumerate(hist_small) if c}
     for key in sorted(hist_large):
         hist[key] = hist_large[key]
-    res.hist = hist
-    classified = (
-        res.vacuous
-        + res.strict
-        + res.equal
-        + len(res.cex_pairs)
-        + len(res.anomaly_pairs)
-    )
-    if classified != res.instances:
+    classified = vacuous + strict + equal + len(cex_pairs) + len(anomaly_pairs)
+    if classified != instances:
         raise EngineError(
-            f"block [{lo}, {hi}]: {classified} outcomes for {res.instances} instances"
+            f"block [{lo}, {hi}]: {classified} outcomes for {instances} instances"
         )
-    return res
-
-
-# ---------------------------------------------------------------------------
-# aggregation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Aggregate:
-    instances: int = 0
-    vacuous: int = 0
-    strict: int = 0
-    equal: int = 0
-    equality: list = field(default_factory=list)  # EdgeCaseRecord
-    cex: list = field(default_factory=list)
-    anomalies: list = field(default_factory=list)
-    hist: dict = field(default_factory=dict)
-    best_fwi: tuple | None = None
-    best_ratio: tuple | None = None
-
-    def absorb(self, table: PrimeTable, block: _BlockResult) -> None:
-        self.instances += block.instances
-        self.vacuous += block.vacuous
-        self.strict += block.strict
-        self.equal += block.equal
-        for n, k in block.equality_pairs:
-            self.equality.append(classify_equality(table, make_instance(table, n, k)))
-        self.cex.extend(block.cex_pairs)
-        self.anomalies.extend(block.anomaly_pairs)
-        for key, c in block.hist.items():
-            self.hist[key] = self.hist.get(key, 0) + c
-        self.best_fwi = _better_fwi(self.best_fwi, block.best_fwi)
-        self.best_ratio = _better_ratio(self.best_ratio, block.best_ratio)
-
-    def to_state(self) -> dict:
-        return {
-            "instances": self.instances,
-            "vacuous": self.vacuous,
-            "strict": self.strict,
-            "equal": self.equal,
-            "equality": [
-                [r.n, r.k, list(r.factors), r.family.value, r.r] for r in self.equality
-            ],
-            "cex": [list(pair) for pair in self.cex],
-            "anomalies": [list(pair) for pair in self.anomalies],
-            "hist": {str(key): c for key, c in self.hist.items()},
-            "best_fwi": list(self.best_fwi) if self.best_fwi else None,
-            "best_ratio": list(self.best_ratio) if self.best_ratio else None,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "_Aggregate":
-        agg = cls(
-            instances=state["instances"],
-            vacuous=state["vacuous"],
-            strict=state["strict"],
-            equal=state["equal"],
-        )
-        agg.equality = [
-            EdgeCaseRecord(n=n, k=k, factors=tuple(fs), family=Family(fam), r=r)
-            for n, k, fs, fam, r in state["equality"]
-        ]
-        agg.cex = [tuple(pair) for pair in state["cex"]]
-        agg.anomalies = [tuple(pair) for pair in state["anomalies"]]
-        agg.hist = {int(key): c for key, c in state["hist"].items()}
-        agg.best_fwi = tuple(state["best_fwi"]) if state["best_fwi"] else None
-        agg.best_ratio = tuple(state["best_ratio"]) if state["best_ratio"] else None
-        return agg
-
-    def finalize(self, job: RangeJob, elapsed: float) -> RangeSummary:
-        evens = (job.n_max - job.n_min) // 2 + 1
-        return RangeSummary(
-            n_min=job.n_min,
-            n_max=job.n_max,
-            instances_evaluated=self.instances,
-            vacuous_count=self.vacuous,
-            strict_count=self.strict,
-            equal_count=self.equal,
-            counterexamples=tuple(sorted(self.cex)),
-            anomalies=tuple(sorted(self.anomalies)),
-            equality_cases=tuple(sorted(self.equality, key=lambda r: (r.n, r.k))),
-            witness_index_histogram=dict(sorted(self.hist.items())),
-            max_first_witness_index=self.best_fwi,
-            max_witness_ratio=self.best_ratio,
-            elapsed_seconds=elapsed,
-            evens_per_second=evens / elapsed if elapsed > 0 else float("inf"),
-        )
+    summary = RangeSummary(
+        n_min=lo,
+        n_max=hi,
+        instances_evaluated=instances,
+        vacuous_count=vacuous,
+        strict_count=strict,
+        equal_count=equal,
+        counterexamples=tuple(sorted(cex_pairs)),
+        anomalies=tuple(sorted(anomaly_pairs)),
+        equality_cases=(),
+        witness_index_histogram=hist,
+        max_first_witness_index=best_fwi,
+        max_witness_ratio=best_ratio,
+        elapsed_seconds=0.0,
+        evens_per_second=0.0,
+    )
+    return summary, equality_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -431,44 +511,54 @@ class _Aggregate:
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_save(path, job: RangeJob, blocks_done: int, agg: _Aggregate, elapsed: float) -> None:
-    """Persist sweep progress atomically (write temp file, then rename)."""
+def checkpoint_save(path, job: RangeJob, blocks_done: int, agg: RangeSummary, elapsed: float) -> None:
+    """Persist sweep progress atomically (write temp file, then rename).
+
+    agg, the summary of the blocks done so far, is stored as its records.
+    """
     state = {
         "format_version": CHECKPOINT_VERSION,
         "job": job.identity(),
         "blocks_done": blocks_done,
         "elapsed": elapsed,
-        "aggregate": agg.to_state(),
+        "records": summary_to_records(agg, include_timing=False),
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
-        fh.write("\n")
+        fh.write(json.dumps(state) + "\n")
     os.replace(tmp, path)
 
 
-def checkpoint_resume(path, job: RangeJob) -> tuple[int, _Aggregate, float]:
-    """Load progress for job; reject checkpoints from any other job."""
+def checkpoint_resume(path, job: RangeJob) -> tuple[int, RangeSummary, float]:
+    """Load progress for job; reject checkpoints from any other job.
+
+    A checkpoint that cannot be read or decoded, or whose records do not
+    cover exactly its blocks_done blocks of the job, is refused the same way.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             state = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        version = state.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointMismatchError(
+                f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+            )
+        if state.get("job") != job.identity():
+            raise CheckpointMismatchError(
+                f"{path}: checkpoint belongs to job {state.get('job')}, "
+                f"current job is {job.identity()}"
+            )
+        agg = summary_from_records(state["records"])
+        done, elapsed = _int(state["blocks_done"]), float(state["elapsed"])
+    except (AttributeError, KeyError, OSError, ReportFormatError, TypeError, ValueError) as exc:
         raise CheckpointMismatchError(f"{path}: unreadable checkpoint: {exc}") from exc
-    version = state.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    covered = min(job.n_min + 2 * job.checkpoint_interval * done - 2, job.n_max)
+    if done < 1 or (agg.n_min, agg.n_max) != (job.n_min, covered):
         raise CheckpointMismatchError(
-            f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+            f"{path}: records cover [{agg.n_min}, {agg.n_max}], "
+            f"not the job's first {done} block(s)"
         )
-    if state.get("job") != job.identity():
-        raise CheckpointMismatchError(
-            f"{path}: checkpoint belongs to job {state.get('job')}, "
-            f"current job is {job.identity()}"
-        )
-    return (
-        int(state["blocks_done"]),
-        _Aggregate.from_state(state["aggregate"]),
-        float(state["elapsed"]),
-    )
+    return done, agg, elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +568,7 @@ def checkpoint_resume(path, job: RangeJob) -> tuple[int, _Aggregate, float]:
 _SHARED_TABLE: PrimeTable | None = None
 
 
-def _pool_sweep(bounds: tuple[int, int]) -> _BlockResult:
+def _pool_sweep(bounds: tuple[int, int]) -> _Block:
     return _sweep_block(_SHARED_TABLE, bounds[0], bounds[1])
 
 
@@ -519,7 +609,7 @@ def verify_range(
         raise ConfigurationError("stop_after_blocks requires a checkpoint path")
 
     bounds = _block_bounds(job.n_min, job.n_max, job.checkpoint_interval)
-    agg = _Aggregate()
+    agg: RangeSummary | None = None
     done = 0
     elapsed_prior = 0.0
     if checkpoint_path and os.path.exists(checkpoint_path):
@@ -535,17 +625,20 @@ def verify_range(
     def elapsed_now() -> float:
         return elapsed_prior + (time.perf_counter() - t0)
 
-    def merge(block: _BlockResult) -> None:
-        nonlocal done, merged_this_run
-        agg.absorb(table, block)
+    def merge(block: _Block) -> None:
+        nonlocal agg, done, merged_this_run
+        part, pairs = block
+        cases = [classify_equality(table, make_instance(table, n, k)) for n, k in sorted(pairs)]
+        part = replace(part, equality_cases=tuple(cases))
+        agg = part if agg is None else merge_summaries(agg, part)
         done += 1
         merged_this_run += 1
         if checkpoint_path:
             checkpoint_save(checkpoint_path, job, done, agg, elapsed_now())
-        if fail_fast and (agg.cex or agg.anomalies):
-            if agg.cex:
-                raise CounterexampleFoundError(sorted(agg.cex))
-            raise AnomalyFoundError(sorted(agg.anomalies))
+        if fail_fast and not agg.clean:
+            if agg.counterexamples:
+                raise CounterexampleFoundError(agg.counterexamples)
+            raise AnomalyFoundError(agg.anomalies)
         if (
             stop_after_blocks is not None
             and merged_this_run >= stop_after_blocks
@@ -568,7 +661,13 @@ def verify_range(
         finally:
             _SHARED_TABLE = None
 
-    summary = agg.finalize(job, elapsed_now())
+    elapsed = elapsed_now()
+    evens = (job.n_max - job.n_min) // 2 + 1
+    summary = replace(
+        agg,
+        elapsed_seconds=elapsed,
+        evens_per_second=evens / elapsed if elapsed > 0 else float("inf"),
+    )
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.unlink(checkpoint_path)
     return summary

@@ -81,12 +81,16 @@ def _read_int(path: Path, key: str | None = None) -> int | None:
     return None
 
 
+# (limit file, usage file, memory.stat key of reclaimable page cache)
+_CGROUP_V2_FILES = ("memory.max", "memory.current", "inactive_file")
+_CGROUP_V1_FILES = ("memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
+
+
 def available_memory_bytes() -> int | None:
     """Bytes this process may still allocate, or None if nothing is known.
 
-    The smaller of /proc/meminfo's MemAvailable and, under a cgroup v2
-    memory limit, memory.max less memory.current, whose inactive page
-    cache can be reclaimed and is not counted as used.
+    The smaller of /proc/meminfo's MemAvailable and what the process's
+    memory cgroup (v1 or v2) still allows.
     """
     figures = []
     kib = _read_int(Path("/proc/meminfo"), "MemAvailable:")
@@ -96,15 +100,36 @@ def available_memory_bytes() -> int | None:
         groups = Path("/proc/self/cgroup").read_text().splitlines()
     except OSError:
         groups = []
-    for line in groups:
-        if line.startswith("0::"):
-            cgroup = Path("/sys/fs/cgroup") / line[3:].strip().lstrip("/")
-            cap = _read_int(cgroup / "memory.max")  # None when it reads "max"
-            used = _read_int(cgroup / "memory.current")
-            if cap is not None and used is not None:
-                cache = _read_int(cgroup / "memory.stat", "inactive_file") or 0
-                figures.append(cap - used + cache)
+    figures += _cgroup_headroom(groups, Path("/sys/fs/cgroup"))
     return min(figures) if figures else None
+
+
+def _cgroup_headroom(groups: list[str], root: Path) -> list[int]:
+    """Bytes left under each memory limit named by /proc/self/cgroup lines.
+
+    A v2 line ("0::/path") reads memory.max less memory.current under
+    root/path; a v1 line ("N:memory:/path") reads memory.limit_in_bytes
+    less memory.usage_in_bytes under root/memory/path.  Inactive page
+    cache can be reclaimed, so it is not counted as used.  A v2 group
+    without a limit ("max") adds nothing; an unlimited v1 group reads as
+    a limit near 2**63 and so never decides the minimum.
+    """
+    figures = []
+    for line in groups:
+        controllers, _, path = line.partition(":")[2].partition(":")
+        path = path.strip().lstrip("/")
+        if controllers == "":
+            group, (cap_file, used_file, cache_key) = root / path, _CGROUP_V2_FILES
+        elif "memory" in controllers.split(","):
+            group, (cap_file, used_file, cache_key) = root / "memory" / path, _CGROUP_V1_FILES
+        else:
+            continue
+        cap = _read_int(group / cap_file)  # None when it reads "max"
+        used = _read_int(group / used_file)
+        if cap is not None and used is not None:
+            cache = _read_int(group / "memory.stat", cache_key) or 0
+            figures.append(cap - used + cache)
+    return figures
 
 
 @dataclass(frozen=True)

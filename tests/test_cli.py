@@ -1,5 +1,6 @@
 """Exit codes, argument handling, and end-to-end command flows."""
 
+import hashlib
 import json
 
 import pytest
@@ -152,6 +153,29 @@ def test_verify_checkpoint_stop_and_resume(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda records: records.pop(0),  # an equality case
+        lambda records: records[-1].pop("n_max"),
+    ],
+    ids=["record-dropped", "key-missing"],
+)
+def test_verify_corrupt_checkpoint_is_usage_error(tmp_path, capsys, corrupt):
+    ck = tmp_path / "ck.json"
+    argv = ["verify", "--max", "20000", "--workers", "1",
+            "--checkpoint", str(ck), "--checkpoint-interval", "1000"]
+    assert run(*argv, "--stop-after-blocks", "9") == cli.EXIT_OK
+    state = json.loads(ck.read_text())
+    assert state["records"][0]["record"] == "equality_case"
+    corrupt(state["records"])
+    ck.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert run(*argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unreadable checkpoint" in err and "Traceback" not in err
+
+
 def test_verify_checkpoint_mismatch(tmp_path, capsys):
     ck = tmp_path / "ck.json"
     run(
@@ -223,6 +247,25 @@ def test_stats_output(capsys):
     assert rec["histogram"] == {"1": 36, "2": 1}
     assert rec["max_first_witness_index"] == [2, 30, 2]
     assert rec["max_witness_ratio"] == [1, 1, 12, 1]
+
+
+# First 16 hex digits of the sha256 of each stream, pinned so that the
+# NDJSON and CSV projections of the record schema cannot drift.
+STREAM_HASHES = {
+    "verify --max 20000 --workers 1": "de2b16454546dec8",
+    "verify --max 20000 --workers 1 --format csv": "19465bee4b06484e",
+    "edge-cases --max 10000": "67fd84458a84b52b",
+    "edge-cases --max 10000 --format csv": "f3b2e1ac191dea8d",
+    "stats --max 10000": "4d4a25aa0d41c94f",
+    "stats --max 10000 --format csv": "e9500bff8726244c",
+}
+
+
+@pytest.mark.parametrize("argv", list(STREAM_HASHES))
+def test_stream_bytes_pinned(argv, capsys):
+    assert run(*argv.split()) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == STREAM_HASHES[argv]
 
 
 def test_goldbach_output(capsys):

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +220,101 @@ def test_render_stats_shapes(table1m):
     lines = render_stats(stats, CSV).splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("witness_stats,100,37,")
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda lines: ['{"record":"summary"}'],
+        lambda lines: ["[1, 2]"] + lines,
+        lambda lines: ["3"] + lines,
+        lambda lines: [lines[0].replace('"k":', '"kk":')] + lines[1:],
+        lambda lines: [lines[0].replace('"family":"', '"family":"x')] + lines[1:],
+        lambda lines: [lines[0].replace('"factors":[', '"factors":7,"x":[')] + lines[1:],
+        lambda lines: lines[:-1] + [lines[-1].replace('"n_min":6', '"n_min":"six"')],
+        lambda lines: lines[:-1] + [lines[-1].replace('"equality_count":', '"equality_count":"')],
+        lambda lines: lines[:-1] + ['{"record":"witness_stats"}', lines[-1]],
+        lambda lines: lines[:-1] + [lines[-1].replace('"n_min":6', '"n_min":6.5')],
+        lambda lines: [lines[0].replace('"n":12', '"n":"12"')] + lines[1:],
+    ],
+    ids=[
+        "summary-fields-missing",
+        "line-is-a-list",
+        "line-is-a-number",
+        "unknown-field",
+        "unknown-family",
+        "factors-not-a-list",
+        "count-not-a-number",
+        "count-is-a-string",
+        "record-of-another-stream",
+        "float-for-an-integer",
+        "string-for-an-integer",
+    ],
+)
+def test_parse_rejects_malformed_ndjson(summary, mangle):
+    lines = render_records(summary, NDJSON).splitlines()
+    with pytest.raises(ReportFormatError):
+        parse_records("\n".join(mangle(lines)) + "\n", NDJSON)
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda rows: [row[:12] + row[13:] for row in rows],  # equal_count column gone
+        lambda rows: [rows[0]] + [rows[1][:4] + ["3;x"] + rows[1][5:]] + rows[2:],
+        lambda rows: [rows[0]] + [rows[1][:2] + ["twelve"] + rows[1][3:]] + rows[2:],
+        lambda rows: rows[:-1] + [rows[-1][:16] + ["1:2:3"] + rows[-1][17:]],
+        lambda rows: rows[:-1] + [rows[-1][:16] + ["1"] + rows[-1][17:]],
+        lambda rows: [rows[0]] + [rows[1] + ["extra"]] + rows[2:],
+        lambda rows: [rows[0]] + [rows[1][:3] + ["7"] + rows[1][4:]] + rows[2:],
+        lambda rows: [rows[0]] + [["mystery"] + rows[1][1:]] + rows[2:],
+        lambda rows: rows[:1] + rows[2:],
+        lambda rows: rows[:1],
+    ],
+    ids=[
+        "summary-column-missing",
+        "bad-factors-cell",
+        "bad-integer-cell",
+        "bad-histogram-piece",
+        "histogram-piece-without-count",
+        "row-too-long",
+        "cell-outside-the-kind",
+        "unknown-kind",
+        "record-dropped",
+        "header-only",
+    ],
+)
+def test_parse_rejects_malformed_csv(summary, mangle):
+    text = render_records(summary, CSV)
+    rows = [line.split(",") for line in text.splitlines()]
+    assert rows[0][12] == "equal_count"
+    assert rows[0][4] == "factors" and rows[0][16] == "witness_index_histogram"
+    assert rows[1][0] == "equality_case"
+    assert parse_records(text, CSV) == summary
+    mangled = "\n".join(",".join(row) for row in mangle(rows)) + "\n"
+    with pytest.raises(ReportFormatError):
+        parse_records(mangled, CSV)
+
+
+def test_parse_takes_a_str_as_stream_text(table1m, tmp_path):
+    # [100, 110] has no equality cases: its stream is the summary alone.
+    bare = verify_range(table1m, RangeJob(n_min=100, n_max=110, table_limit=110))
+    text = render_records(bare, NDJSON)
+    assert text.count("\n") == 1
+    assert parse_records(text.rstrip("\n"), NDJSON) == bare
+    path = tmp_path / "bare.ndjson"
+    path.write_text(text)
+    assert parse_records(path, NDJSON) == bare
+    assert parse_records(bytes(path), NDJSON) == bare
+    with pytest.raises(ReportFormatError):
+        parse_records(str(path), NDJSON)
+
+
+def test_readme_library_imports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(from factorwitness import \(.*?\))\n", readme, re.S)
+    names = re.findall(r"\w+", block.group(1).split("(", 1)[1])
+    assert "summary_to_records" in names
+    namespace = {}
+    exec(block.group(1), namespace)
+    assert all(name in namespace for name in names)

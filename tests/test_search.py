@@ -233,6 +233,63 @@ def test_checkpoint_rejects_corruption(table1m, tmp_path):
         verify_range(table1m, job, checkpoint_path=ck)
 
 
+def _drop_equality_record(state):
+    kinds = [rec["record"] for rec in state["records"]]
+    del state["records"][kinds.index("equality_case")]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _drop_equality_record,
+        lambda state: state["records"][-1].pop("strict_count"),
+        lambda state: state["records"][-1].update(witness_index_histogram=[1, 2]),
+        lambda state: state["records"].insert(0, ["not", "an", "object"]),
+        lambda state: state.pop("blocks_done"),
+        lambda state: state.update(blocks_done=3),  # records cover 2 blocks
+        lambda state: state.update(blocks_done=0),
+        lambda state: state.update(blocks_done=2.5),
+        lambda state: state.update(format_version=1),
+        lambda state: state.update(records=[]),
+    ],
+    ids=[
+        "equality-record-dropped",
+        "summary-key-missing",
+        "histogram-not-a-map",
+        "record-not-an-object",
+        "blocks-done-missing",
+        "blocks-done-ahead",
+        "blocks-done-zero",
+        "blocks-done-not-an-integer",
+        "version-1",
+        "no-records",
+    ],
+)
+def test_checkpoint_refuses_corrupt_records(table1m, tmp_path, corrupt):
+    ck = tmp_path / "sweep.ckpt"
+    job = job_for(6, 20_000, table1m, checkpoint_interval=4_000)
+    with pytest.raises(SweepInterrupted):
+        verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=2)
+    state = json.loads(ck.read_text())
+    assert state["format_version"] == 2
+    assert sum(rec["record"] == "equality_case" for rec in state["records"]) == 8
+    corrupt(state)
+    ck.write_text(json.dumps(state))
+    with pytest.raises(CheckpointMismatchError):
+        verify_range(table1m, job, checkpoint_path=ck)
+
+
+def test_checkpoint_holds_the_partial_summary(table1m, tmp_path):
+    ck = tmp_path / "sweep.ckpt"
+    job = job_for(6, 20_000, table1m, checkpoint_interval=1_000)
+    with pytest.raises(SweepInterrupted):
+        verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=4)
+    part = verify_range(table1m, job_for(6, 8_004, table1m, checkpoint_interval=1_000))
+    assert json.loads(ck.read_text())["records"] == summary_to_records(
+        part, include_timing=False
+    )
+
+
 def test_stop_requires_checkpoint_path(table1m):
     job = job_for(6, 20_000, table1m, checkpoint_interval=1_000)
     with pytest.raises(ConfigurationError):

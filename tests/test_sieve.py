@@ -138,6 +138,26 @@ def test_memory_file_reader(tmp_path):
     assert sieve._read_int(tmp_path / "missing") is None
 
 
+def test_cgroup_headroom_reads_v1_and_v2(tmp_path):
+    v1 = tmp_path / "memory" / "box"
+    v1.mkdir(parents=True)
+    (v1 / "memory.limit_in_bytes").write_text(f"{4 << 30}\n")
+    (v1 / "memory.usage_in_bytes").write_text(f"{3 << 30}\n")
+    (v1 / "memory.stat").write_text("inactive_file 1\ntotal_inactive_file 4096\n")
+    v2 = tmp_path / "job"
+    v2.mkdir()
+    (v2 / "memory.max").write_text(f"{2 << 30}\n")
+    (v2 / "memory.current").write_text(f"{1 << 30}\n")
+    (v2 / "memory.stat").write_text("total_inactive_file 1\ninactive_file 8192\n")
+    groups = ["5:cpu,cpuacct:/job", "4:memory:/box", "1:name=systemd:/", "0::/job"]
+    headroom = sieve._cgroup_headroom(groups, tmp_path)
+    assert headroom == [(1 << 30) + 4096, (1 << 30) + 8192]
+    assert sieve._cgroup_headroom(["7:cpuset,memory:/box"], tmp_path) == [(1 << 30) + 4096]
+    (v2 / "memory.max").write_text("max\n")  # no v2 limit
+    assert sieve._cgroup_headroom(["0::/job"], tmp_path) == []
+    assert sieve._cgroup_headroom(["4:memory:/missing"], tmp_path) == []
+
+
 def test_preflight_admits_ten_million():
     available = sieve.available_memory_bytes()
     assert available is None or sieve.estimate_table_bytes(10**7) <= available
