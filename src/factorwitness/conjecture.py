@@ -220,6 +220,21 @@ def _power_of_3_exponent(x: int) -> int | None:
     return r if x == 1 else None
 
 
+def equality_family(n: int, k: int) -> tuple[Family, int | None]:
+    """The family of an equality case (n, k) and its exponent r, else None.
+
+    A pure function of (n, k): record decoders re-derive it to check the
+    tag a record carries.
+    """
+    if (n, k) == (30, 2):
+        return Family.KNOWN_30_2, None
+    if k == 1:
+        r = _power_of_3_exponent(n - 3)
+        if r is not None and r >= 2:
+            return Family.POWER_OF_3_PLUS_3, r
+    return Family.NOVEL, None
+
+
 def classify_equality(table: PrimeTable, inst: Instance) -> EdgeCaseRecord:
     """Tag an equality-case instance with its family.
 
@@ -230,15 +245,7 @@ def classify_equality(table: PrimeTable, inst: Instance) -> EdgeCaseRecord:
         raise PreconditionError(
             f"(n={inst.n}, k={inst.k}) is not an equality case"
         )
-    if (inst.n, inst.k) == (30, 2):
-        family, r = Family.KNOWN_30_2, None
-    elif inst.k == 1:
-        r = _power_of_3_exponent(inst.n - 3)
-        family = Family.POWER_OF_3_PLUS_3 if r is not None and r >= 2 else Family.NOVEL
-        if family is Family.NOVEL:
-            r = None
-    else:
-        family, r = Family.NOVEL, None
+    family, r = equality_family(inst.n, inst.k)
     return EdgeCaseRecord(
         n=inst.n, k=inst.k, factors=tuple(factors), family=family, r=r
     )

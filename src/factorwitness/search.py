@@ -1,24 +1,39 @@
 """Exhaustive range verification with checkpointing and worker pools.
 
-The sweep walks all even n in [n_min, n_max] in lockstep over the odd
-prime index i.  A block of consecutive even values is held as compacted
-numpy arrays; at step i every still-active n evaluates its instance
-(n, k=i) simultaneously:
+An even n evaluates the instances k = 1 .. i*, where i* = i*(n), its
+first prime hit, is the least index with n - p_i prime: every nonvacuous
+instance plus the one vacuous instance that makes every larger k vacuous.
+Each block of consecutive even n is swept in two phases.
 
-    v = n - p_i        (vectorized)
-    prime v   -> instance VACUOUS, row leaves the block
-    v == 1    -> instance ANOMALY_UNIT, row leaves the block
-    composite -> f_i = lpf(v), running max M_i = max(M_{i-1}, f_i),
-                 classify by M_i vs p_i, row stays
+Phase 1, the first-hit scan (_first_hits), advances the block's rows in
+lockstep over i and reads primality only: at step i every row still
+alive tests n - p_i, and the rows that hit leave.  decompose_range is a
+projection of this scan (the deepest hit, and the rows that never hit);
+the sweep scatters i* per row from it.
 
-A row therefore evaluates exactly the instances k = 1 .. i_star(n), where
-i_star is the least index with n - p_i prime: every nonvacuous instance
-plus the single vacuous instance that certifies all larger k vacuous.
+Phase 2 classifies each row from i* and one gather f1 = lpf(n - 3).
 
-First-witness-index tracking rides along as a (position, value) candidate
-pair per row.  The threshold p_i only ever grows, so a candidate stays
-minimal until its value drops below the threshold; the few rows whose
-candidate dies are rescanned in one batched matrix pass.
+  Easy rows.  If i* == 1 or f1 > p_{i*-1}, every k < i* is a strict
+  witness with first witness index 1, since lpf(n - p_1) = f1 > p_{i*-1}
+  >= p_k.  Such a row adds i* - 1 strict instances to histogram bucket 1
+  and one vacuous instance, and the easy rows' extremes are (1, n0, 1)
+  and (1, 1, n0, 1) for the least easy n0 with i* >= 2.
+
+  Hard rows, the rest (9,519 of the 4,999,998 rows of [6, 10^7]), take one
+  matrix pass: F_j = lpf(n - p_j) for j < i*, the running max
+  M = cummax(F) classifies (n, k) by M_k against p_k (strict, equal or
+  counterexample candidate), and the first witness index, the least j
+  with F_j >= p_k, is the least j with M_j >= p_k, found by one
+  searchsorted over the rows' M laid end to end.
+
+A row with a hit holds no unit anomaly: n - p_{i*} is an odd prime, so
+p_{i*} <= n - 3 < n - 1.  Only a row whose scan runs out of odd primes
+below n without a hit, which takes a doctored table, can hit n - p_i = 1
+(at its last instance); such a row takes the matrix over its instances.
+Hit rows still get a vectorised unit check, so a table that calls 1
+prime breaks the outcome count instead of passing unseen.  Two engine
+invariants are checked on every block: the first witness indices agree
+with the classifier, and the outcomes add up to the instances.
 
 Work is split into fixed-size blocks (also the checkpoint granularity).
 Each block yields a RangeSummary of its own range, and blocks are merged
@@ -37,7 +52,13 @@ from enum import Enum
 
 import numpy as np
 
-from .conjecture import EdgeCaseRecord, Family, classify_equality, make_instance
+from .conjecture import (
+    EdgeCaseRecord,
+    Family,
+    classify_equality,
+    equality_family,
+    make_instance,
+)
 from .errors import (
     AnomalyFoundError,
     CheckpointMismatchError,
@@ -249,7 +270,9 @@ def summary_from_records(records: list) -> RangeSummary:
 
     Refuses, with ReportFormatError, a list holding the partial-output
     marker, one without a single summary record at its end, unknown kinds
-    or fields, counts that disagree with the records, and malformed values.
+    or fields, counts that disagree with the records or with each other,
+    an equality case whose family tag its (n, k) contradicts, and
+    malformed values.
     """
     try:
         return _summary_from_records(records)
@@ -283,16 +306,20 @@ def _summary_from_records(records: list) -> RangeSummary:
     for rec in body:
         kind = rec["record"]
         if kind == "equality_case":
-            r = rec["r"]
-            equality.append(
-                EdgeCaseRecord(
-                    n=_int(rec["n"]),
-                    k=_int(rec["k"]),
-                    factors=tuple(_int(f) for f in rec["factors"]),
-                    family=Family(rec["family"]),
-                    r=None if r is None else _int(r),
-                )
+            case = EdgeCaseRecord(
+                n=_int(rec["n"]),
+                k=_int(rec["k"]),
+                factors=tuple(_int(f) for f in rec["factors"]),
+                family=Family(rec["family"]),
+                r=None if rec["r"] is None else _int(rec["r"]),
             )
+            family, r = equality_family(case.n, case.k)
+            if (case.family, case.r) != (family, r):
+                raise ReportFormatError(
+                    f"equality case ({case.n}, {case.k}) is tagged "
+                    f"{case.family.value} with r={case.r}, not {family.value} with r={r}"
+                )
+            equality.append(case)
         elif kind == "anomaly":
             anomalies.append((_int(rec["n"]), _int(rec["i"])))
         elif kind == "counterexample":
@@ -310,7 +337,7 @@ def _summary_from_records(records: list) -> RangeSummary:
             )
     fwi = tail["max_first_witness_index"]
     ratio = tail["max_witness_ratio"]
-    return RangeSummary(
+    summary = RangeSummary(
         n_min=_int(tail["n_min"]),
         n_max=_int(tail["n_max"]),
         instances_evaluated=_int(tail["instances_evaluated"]),
@@ -328,6 +355,26 @@ def _summary_from_records(records: list) -> RangeSummary:
         elapsed_seconds=float(tail.get("elapsed_seconds") or 0.0),
         evens_per_second=float(tail.get("evens_per_second") or 0.0),
     )
+    outcomes = (
+        summary.vacuous_count + summary.strict_count + summary.equal_count
+        + len(cex) + len(anomalies)
+    )
+    if summary.instances_evaluated != outcomes:
+        raise ReportFormatError(
+            f"summary claims {summary.instances_evaluated} instances "
+            f"but its outcomes add up to {outcomes}"
+        )
+    if summary.equal_count != len(equality):
+        raise ReportFormatError(
+            f"summary claims equal_count={summary.equal_count} "
+            f"but {len(equality)} equality cases"
+        )
+    witnessed = summary.strict_count + summary.equal_count
+    if sum(summary.witness_index_histogram.values()) != witnessed:
+        raise ReportFormatError(
+            f"summary histogram does not add up to its {witnessed} witnessed instances"
+        )
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +405,40 @@ def _better_ratio(a, b):
     return a if (a[2], a[3]) <= (b[2], b[3]) else b
 
 
+def _first_hits(table: PrimeTable, lo: int, hi: int):
+    """Phase 1: scan every even n in [lo, hi] for its first prime hit.
+
+    The rows advance in lockstep over the odd prime index i and read
+    primality only.  Each step at which some row hits yields (i, act,
+    hit): act is the ascending int64 array of rows alive at step i and
+    hit marks those with n - p_i prime, which then leave.  Rows that run
+    out of odd primes below them, or of the table's, are yielded once as
+    (i, rows, None), having evaluated i - 1 instances without a hit.
+    act is not modified after it is yielded.
+    """
+    primality = table.primality
+    odd = table.odd_primes
+    act = np.arange(lo, hi + 1, 2, dtype=np.int64)
+    i = 0
+    while act.size:
+        i += 1
+        if i > odd.size:
+            yield i, act, None
+            return
+        p = int(odd[i - 1])
+        if p >= act[0]:
+            spent = act <= p
+            yield i, act[spent], None
+            act = act[~spent]
+            if act.size == 0:
+                return
+        hit = primality[act - p]
+        if hit.any():
+            yield i, act, hit
+            # compress copies the survivors faster than act[~hit] does.
+            act = np.compress(~hit, act)
+
+
 # A swept block: its summary without equality cases, and their (n, k).
 _Block = tuple[RangeSummary, list[tuple[int, int]]]
 
@@ -368,120 +449,46 @@ def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _Block:
     Returns the block's summary, without equality cases, and the (n, k)
     pairs of those cases, which the merging process classifies.
     """
-    instances = vacuous = strict = equal = 0
+    odd = table.odd_primes
+    n = np.arange(lo, hi + 1, 2, dtype=np.int64)
+    # i* of each row with a hit, minus the instance count of one without.
+    first = np.zeros(n.size, dtype=np.int64)
+    for i, act, hit in _first_hits(table, lo, hi):
+        if hit is None:
+            first[(act - lo) >> 1] = 1 - i
+        else:
+            first[(np.compress(hit, act) - lo) >> 1] = i
+
+    steps = np.abs(first)  # instances of each row
+    found = first > 0
+    unit = n - odd[steps - 1] == 1
+    f1 = table.lpf[n - 3]
+    easy = found & ((steps == 1) | (f1 > odd[np.maximum(steps - 2, 0)]))
+    instances = int(steps.sum())
+    vacuous = int(np.count_nonzero(found))
+    strict = int(steps[easy].sum()) - int(np.count_nonzero(easy))
+    hist = {1: strict} if strict else {}
+    best_fwi = best_ratio = None
+    multi = easy & (steps > 1)
+    if multi.any():
+        n0 = lo + 2 * int(multi.argmax())
+        best_fwi, best_ratio = (1, n0, 1), (1, 1, n0, 1)
+    anomaly_pairs = list(zip(n[unit].tolist(), steps[unit].tolist()))
+
+    rest = steps - (found | unit)  # instances left to classify
+    rows = np.flatnonzero(~easy & (rest > 0))
     equality_pairs: list[tuple[int, int]] = []
     cex_pairs: list[tuple[int, int]] = []
-    anomaly_pairs: list[tuple[int, int]] = []
-    best_fwi = best_ratio = None
-    primality = table.primality
-    lpf = table.lpf
-    odd = table.odd_primes
+    if rows.size:
+        hard = _classify_hard_rows(table, n[rows], rest[rows], lo, hi)
+        strict += hard.strict
+        equality_pairs, cex_pairs = hard.equality_pairs, hard.cex_pairs
+        for key, count in hard.hist.items():
+            hist[key] = hist.get(key, 0) + count
+        best_fwi = _better_fwi(best_fwi, hard.best_fwi)
+        best_ratio = _better_ratio(best_ratio, hard.best_ratio)
 
-    n_act = np.arange(lo, hi + 1, 2, dtype=np.int64)
-    run_max = np.zeros(n_act.size, dtype=np.int64)
-    wit_pos = np.zeros(n_act.size, dtype=np.int64)
-    wit_val = np.zeros(n_act.size, dtype=np.int64)
-    hist_small = np.zeros(HIST_EXACT_MAX + 1, dtype=np.int64)
-    hist_large: dict[int, int] = {}
-
-    i = 0
-    while n_act.size:
-        i += 1
-        if i > odd.size:
-            # Every odd prime below every remaining n has been scanned
-            # (the table covers the whole block), so no instance remains.
-            break
-        p = int(odd[i - 1])
-        if p >= n_act[0]:
-            # Rows with n <= p have no instance at k = i (p_k < n fails);
-            # they ran out of valid k without ever dying, i.e. every one
-            # of their instances was a counterexample candidate.
-            keep = n_act > p
-            n_act = n_act[keep]
-            run_max = run_max[keep]
-            wit_pos = wit_pos[keep]
-            wit_val = wit_val[keep]
-            if n_act.size == 0:
-                break
-        instances += n_act.size
-
-        v = n_act - p
-        is_prime_hit = primality[v]
-        is_unit = v == 1
-        hits = int(np.count_nonzero(is_prime_hit))
-        vacuous += hits
-        if is_unit.any():
-            for n in n_act[is_unit]:
-                anomaly_pairs.append((int(n), i))
-
-        survive = ~(is_prime_hit | is_unit)
-        n_act = n_act[survive]
-        run_max = run_max[survive]
-        wit_pos = wit_pos[survive]
-        wit_val = wit_val[survive]
-        if n_act.size == 0:
-            continue
-
-        f = lpf[v[survive]].astype(np.int64)
-        run_max = np.maximum(run_max, f)
-
-        gt = run_max > p
-        eq = run_max == p
-        strict += int(np.count_nonzero(gt))
-        if eq.any():
-            for n in n_act[eq]:
-                equality_pairs.append((int(n), i))
-            equal += int(np.count_nonzero(eq))
-        lt = ~(gt | eq)
-        if lt.any():
-            for n in n_act[lt]:
-                cex_pairs.append((int(n), i))
-
-        # First-witness-index candidates.  The threshold p only grows, so
-        # a live candidate stays the least qualifying position until its
-        # value falls below p; those few rows get a batched rescan.
-        has = wit_pos > 0
-        died = has & (wit_val < p)
-        fresh = ~has & (f >= p)
-        wit_pos[fresh] = i
-        wit_val[fresh] = f[fresh]
-        if died.any():
-            rows = np.flatnonzero(died)
-            vm = n_act[rows, None] - odd[None, :i]
-            fm = lpf[vm].astype(np.int64)
-            mm = np.maximum.accumulate(fm, axis=1)
-            passing = mm >= p
-            cnt = passing.sum(axis=1)
-            pos = np.where(cnt > 0, i - cnt + 1, 0)
-            wit_pos[rows] = pos
-            val = np.zeros(rows.size, dtype=np.int64)
-            found = cnt > 0
-            val[found] = mm[np.flatnonzero(found), pos[found] - 1]
-            wit_val[rows] = val
-
-        witnessed = wit_pos > 0
-        if not np.array_equal(witnessed, gt | eq):
-            raise EngineError(
-                f"block [{lo}, {hi}], k={i}: first-witness candidates disagree "
-                "with the classifier"
-            )
-        if witnessed.any():
-            wp = wit_pos[witnessed]
-            small = wp <= HIST_EXACT_MAX
-            if small.any():
-                b = np.bincount(wp[small])
-                hist_small[: b.size] += b
-            for value in wp[~small]:
-                key = bucket_of(int(value))
-                hist_large[key] = hist_large.get(key, 0) + 1
-            step_max = int(wp.max())
-            n_at_max = int(n_act[witnessed][wp == step_max][0])
-            best_fwi = _better_fwi(best_fwi, (step_max, n_at_max, i))
-            best_ratio = _better_ratio(best_ratio, (step_max, i, n_at_max, i))
-
-    hist = {ix: int(c) for ix, c in enumerate(hist_small) if c}
-    for key in sorted(hist_large):
-        hist[key] = hist_large[key]
+    equal = len(equality_pairs)
     classified = vacuous + strict + equal + len(cex_pairs) + len(anomaly_pairs)
     if classified != instances:
         raise EngineError(
@@ -497,13 +504,83 @@ def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _Block:
         counterexamples=tuple(sorted(cex_pairs)),
         anomalies=tuple(sorted(anomaly_pairs)),
         equality_cases=(),
-        witness_index_histogram=hist,
+        witness_index_histogram=dict(sorted(hist.items())),
         max_first_witness_index=best_fwi,
         max_witness_ratio=best_ratio,
         elapsed_seconds=0.0,
         evens_per_second=0.0,
     )
     return summary, equality_pairs
+
+
+@dataclass(frozen=True)
+class _HardRows:
+    """The outcomes of the hard rows of a block, in summary terms."""
+
+    strict: int
+    equality_pairs: list[tuple[int, int]]
+    cex_pairs: list[tuple[int, int]]
+    hist: dict[int, int]
+    best_fwi: tuple[int, int, int] | None
+    best_ratio: tuple[int, int, int, int] | None
+
+
+def _classify_hard_rows(
+    table: PrimeTable, n: np.ndarray, count: np.ndarray, lo: int, hi: int
+) -> _HardRows:
+    """Phase 2 for rows the easy-row lemma does not settle.
+
+    Row r holds instances k = 1 .. count[r], all nonvacuous and free of
+    units, and n ascends, so the row-major order of the cells is the
+    (n, k) order that breaks ties between extremes.
+    """
+    odd = table.odd_primes
+    width = int(count.max())
+    p = odd[:width].astype(np.int64)
+    r, col = np.nonzero(np.arange(width) < count[:, None])  # col = k - 1
+    pk = p[col]
+    f = np.zeros((n.size, width), dtype=np.int64)
+    f[r, col] = table.lpf[n[r] - pk]
+    run_max = np.maximum.accumulate(f, axis=1)
+    m = run_max[r, col]
+    gt, eq = m > pk, m == pk
+    # The first witness index of (n, k), the least j with lpf(n - p_j) >= p_k,
+    # is the least j with M_j >= p_k, as M is nondecreasing.  Row r is
+    # offset by r * (limit + 1), above any lpf value, so the rows laid end
+    # to end stay sorted and one search answers every cell.
+    span = table.limit + 1
+    flat = (run_max + np.arange(n.size)[:, None] * span).ravel()
+    pos = np.searchsorted(flat, pk + r * span) - r * width
+    witnessed = (pos >= 0) & (pos <= col)
+    if not np.array_equal(witnessed, gt | eq):
+        raise EngineError(
+            f"block [{lo}, {hi}]: first witness indices disagree with the classifier"
+        )
+    fwi = pos[witnessed] + 1
+    hist: dict[int, int] = {}
+    best_fwi = best_ratio = None
+    if fwi.size:
+        small = fwi[fwi <= HIST_EXACT_MAX]
+        hist = {ix: int(c) for ix, c in enumerate(np.bincount(small)) if c}
+        for value in fwi[fwi > HIST_EXACT_MAX].tolist():
+            key = bucket_of(value)
+            hist[key] = hist.get(key, 0) + 1
+        wn, wk = n[r[witnessed]], col[witnessed] + 1
+        # The first maximum is the least (n, k); equal fractions of
+        # integers divide to equal doubles.
+        j = int(fwi.argmax())
+        best_fwi = (int(fwi[j]), int(wn[j]), int(wk[j]))
+        j = int((fwi / wk).argmax())
+        best_ratio = (int(fwi[j]), int(wk[j]), int(wn[j]), int(wk[j]))
+    lt = ~(gt | eq)
+    return _HardRows(
+        strict=int(np.count_nonzero(gt)),
+        equality_pairs=list(zip(n[r[eq]].tolist(), (col[eq] + 1).tolist())),
+        cex_pairs=list(zip(n[r[lt]].tolist(), (col[lt] + 1).tolist())),
+        hist=hist,
+        best_fwi=best_fwi,
+        best_ratio=best_ratio,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -746,39 +823,11 @@ def witness_statistics(table: PrimeTable, n_max: int, workers: int = 1) -> Witne
     )
 
 
-def _decompose_block(
-    table: PrimeTable, lo: int, hi: int
-) -> tuple[list[int], tuple[int, int] | None]:
-    """Failures and (deepest first-hit index, least such n) of [lo, hi]."""
-    primality = table.primality
-    odd = table.odd_primes
-    act = np.arange(lo, hi + 1, 2, dtype=np.int64)
-    failures: list[int] = []
-    max_scan = None
-    i = 0
-    while act.size:
-        i += 1
-        if i > odd.size:
-            failures.extend(act.tolist())
-            break
-        p = int(odd[i - 1])
-        if p >= act[0]:
-            exhausted = act <= p
-            failures.extend(act[exhausted].tolist())
-            act = act[~exhausted]
-            if act.size == 0:
-                break
-        hit = primality[act - p]
-        if hit.any():
-            max_scan = (i, int(act[hit.argmax()]))
-            act = act[~hit]
-    return failures, max_scan
-
-
 def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionSweep:
     """Two-prime decompositions for every even n in [n_min, n_max].
 
-    Vectorized form of goldbach_decompose's scan loop; per n only the
+    A projection of the sweep's first-hit scan (_first_hits), the
+    vectorized form of goldbach_decompose's loop: per n only the
     existence and depth of the first hit are kept.  Any n whose scan
     exhausts the odd primes below it lands in failures.
 
@@ -801,10 +850,11 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     failures: list[int] = []
     max_scan: tuple[int, int] | None = None
     for lo, hi in _block_bounds(n_min, n_max, DEFAULT_BLOCK_EVENS):
-        block_failures, block_scan = _decompose_block(table, lo, hi)
-        failures.extend(block_failures)
-        if block_scan and (max_scan is None or block_scan[0] > max_scan[0]):
-            max_scan = block_scan
+        for i, act, hit in _first_hits(table, lo, hi):
+            if hit is None:
+                failures.extend(act.tolist())
+            elif max_scan is None or i > max_scan[0]:
+                max_scan = (i, int(act[hit.argmax()]))
     return DecompositionSweep(
         n_min=n_min,
         n_max=n_max,

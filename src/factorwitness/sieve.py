@@ -35,8 +35,9 @@ MIN_LIMIT = 6
 MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # Cells per sieve segment once the doubling start is past.  Its 4 MiB
 # scratch arrays, freed after each segment, also lift glibc's dynamic
-# mmap threshold above the sweep's per-step arrays: with 1 << 18 the
-# [6, 10^7] sweep that follows took 100k more page faults and ~15% longer.
+# mmap threshold above the first-hit scan's per-step row arrays: with
+# 1 << 18 the [6, 10^7] sweep that follows took 76k more page faults and
+# ~25% longer (3 runs each, 2-vCPU Xeon VM).
 SEGMENT = 1 << 20
 # Bytes per segment cell held at once while a segment is sieved: the
 # uint32 smallest-factor scratch, x, x // s and the lpf gather, and the

@@ -176,6 +176,32 @@ def test_verify_corrupt_checkpoint_is_usage_error(tmp_path, capsys, corrupt):
     assert "unreadable checkpoint" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "falsify",
+    [
+        lambda records: records[-1].update(vacuous_count=997),
+        lambda records: records[0].update(family="novel", r=None),  # (12, 1)
+    ],
+    ids=["vacuous-count-997", "family-relabelled"],
+)
+def test_verify_checkpoint_with_a_false_summary_is_usage_error(tmp_path, capsys, falsify):
+    # 998 evens per block: the checkpoint after one block holds [6, 2000].
+    ck = tmp_path / "ck.json"
+    argv = ["verify", "--max", "20000", "--workers", "1",
+            "--checkpoint", str(ck), "--checkpoint-interval", "998"]
+    assert run(*argv, "--stop-after-blocks", "1") == cli.EXIT_OK
+    state = json.loads(ck.read_text())
+    tail = state["records"][-1]
+    assert (tail["n_max"], tail["vacuous_count"]) == (2000, 998)
+    assert (state["records"][0]["n"], state["records"][0]["k"]) == (12, 1)
+    falsify(state["records"])
+    ck.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert run(*argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unreadable checkpoint" in err and "Traceback" not in err
+
+
 def test_verify_checkpoint_mismatch(tmp_path, capsys):
     ck = tmp_path / "ck.json"
     run(

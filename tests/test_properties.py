@@ -1,5 +1,7 @@
 """Property-based cross-checks between the engine and the oracle."""
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from factorwitness.bruteforce import trial_smallest_factor
@@ -84,6 +86,23 @@ def test_split_then_merge_is_identity(table1m, lo_h, span_h, cut_h):
     left = verify_range(table1m, RangeJob(n_min=lo, n_max=cut, table_limit=cut))
     right = verify_range(table1m, RangeJob(n_min=cut + 2, n_max=hi, table_limit=hi))
     assert canonical_bytes(merge_summaries(left, right)) == canonical_bytes(whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ends_h=st.lists(st.integers(min_value=3, max_value=5_000), min_size=2, max_size=2),
+    evens_per_block=st.integers(min_value=1, max_value=300),
+)
+def test_sweep_matches_oracle_on_random_windows(table1m, oracle10k, ends_h, evens_per_block):
+    # Small random blocks put hard rows (those the easy-row lemma does
+    # not settle) on block seams as well as inside blocks.
+    lo, hi = 2 * min(ends_h), 2 * max(ends_h)
+    job = RangeJob(n_min=lo, n_max=hi, table_limit=hi, checkpoint_interval=evens_per_block)
+    engine = verify_range(table1m, job)
+    brute = oracle10k.summarize(lo, hi)
+    for f in dataclasses.fields(engine):
+        if f.name not in ("elapsed_seconds", "evens_per_second"):
+            assert getattr(engine, f.name) == getattr(brute, f.name), f.name
 
 
 @settings(max_examples=25, deadline=None)

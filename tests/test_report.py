@@ -296,6 +296,38 @@ def test_parse_rejects_malformed_csv(summary, mangle):
         parse_records(mangled, CSV)
 
 
+def _relabel_first_case(records):
+    # (12, 1) is 3**2 + 3; claim it is a novel case without an exponent.
+    records[0].update(family="novel", r=None)
+
+
+def _bump_histogram(records):
+    records[-1]["witness_index_histogram"]["2"] += 1
+
+
+# Each keeps the stream's shape and its record counts, so only the
+# summary's arithmetic or the family rule can refuse it.
+FALSE_SUMMARIES = {
+    "vacuous-count-997": lambda records: records[-1].update(vacuous_count=997),
+    "equal-count-off": lambda records: records[-1].update(
+        equal_count=7, strict_count=2039
+    ),
+    "histogram-off": _bump_histogram,
+    "family-relabelled": _relabel_first_case,
+}
+
+
+@pytest.mark.parametrize("falsify", FALSE_SUMMARIES.values(), ids=FALSE_SUMMARIES.keys())
+def test_parse_rejects_a_false_summary(summary, falsify):
+    assert (summary.n_min, summary.n_max, summary.vacuous_count) == (6, 2_000, 998)
+    records = [json.loads(line) for line in render_records(summary, NDJSON).splitlines()]
+    assert (records[0]["n"], records[0]["k"]) == (12, 1)
+    falsify(records)
+    text = "".join(json.dumps(rec) + "\n" for rec in records)
+    with pytest.raises(ReportFormatError):
+        parse_records(text, NDJSON)
+
+
 def test_parse_takes_a_str_as_stream_text(table1m, tmp_path):
     # [100, 110] has no equality cases: its stream is the summary alone.
     bare = verify_range(table1m, RangeJob(n_min=100, n_max=110, table_limit=110))

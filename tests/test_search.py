@@ -5,12 +5,20 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import factorwitness
 from factorwitness.bruteforce import trial_is_prime
+from factorwitness.conjecture import (
+    OutcomeKind,
+    evaluate_instance,
+    first_witness_index,
+    make_instance,
+)
 from factorwitness.errors import (
     AnomalyFoundError,
     CheckpointMismatchError,
@@ -147,12 +155,22 @@ CANONICAL = {
         "225d9abb5eb2c50b0f0b2d4f4f70766e4896b3256b5231a6809d2a869995bbd7",
         37_323_350,
     ),
+    # 16 equality cases; max_first_witness_index (5, 780622, 43).
+    100_000_000: (
+        "5370fac573ec2c1fcdeef11c4e508291ee486f6e665fd98efaf03250b7ee9f26",
+        436_023_790,
+    ),
 }
 
 
-@pytest.mark.parametrize("fixture", ["table1m", "table10m"])
+@pytest.mark.parametrize("fixture", ["table1m", "table10m", "table100m"])
 def test_canonical_digest(request, fixture):
-    table = request.getfixturevalue(fixture)
+    if fixture == "table100m":
+        # Built here rather than as a session fixture, so that its
+        # ~480 MiB are freed when the test ends.
+        table = build_table(100_000_000)
+    else:
+        table = request.getfixturevalue(fixture)
     s = verify_range(table, job_for(6, table.limit, table))
     assert (summary_digest(s), s.instances_evaluated) == CANONICAL[table.limit]
 
@@ -330,6 +348,57 @@ def test_sweep_records_counterexamples_and_anomalies(sick_table):
     assert s.instances_evaluated == 7
 
 
+def scalar_sweep(table, lo, hi):
+    """The summary fields of a sweep of [lo, hi], one instance at a time."""
+    counts = Counter()
+    pairs = {kind: [] for kind in OutcomeKind}
+    hist = Counter()
+    best_fwi = best_ratio = None
+    for n in range(lo, hi + 1, 2):
+        for k in range(1, table.count_odd_primes_below(n) + 1):
+            inst = make_instance(table, n, k)
+            out = evaluate_instance(table, inst)
+            counts[out.kind] += 1
+            pairs[out.kind].append((n, k))
+            if out.is_witness:
+                # The walk ascends in (n, k), so ties keep the least pair.
+                fwi = first_witness_index(table, inst)
+                hist[bucket_of(fwi)] += 1
+                if best_fwi is None or fwi > best_fwi[0]:
+                    best_fwi = (fwi, n, k)
+                if best_ratio is None or Fraction(fwi, k) > Fraction(*best_ratio[:2]):
+                    best_ratio = (fwi, k, n, k)
+            if out.kind in (OutcomeKind.VACUOUS, OutcomeKind.ANOMALY_UNIT):
+                break
+    return {
+        "instances_evaluated": sum(counts.values()),
+        "vacuous_count": counts[OutcomeKind.VACUOUS],
+        "strict_count": counts[OutcomeKind.WITNESS_STRICT],
+        "equal_count": counts[OutcomeKind.WITNESS_EQUAL],
+        "counterexamples": tuple(pairs[OutcomeKind.COUNTEREXAMPLE_CANDIDATE]),
+        "anomalies": tuple(pairs[OutcomeKind.ANOMALY_UNIT]),
+        "equality_pairs": pairs[OutcomeKind.WITNESS_EQUAL],
+        "witness_index_histogram": dict(hist),
+        "max_first_witness_index": best_fwi,
+        "max_witness_ratio": best_ratio,
+    }
+
+
+@pytest.mark.parametrize("evens_per_block", [5, 28])
+def test_no_hit_row_inside_a_block_of_easy_rows(sick_table, evens_per_block):
+    # Under sick_table, 6 and 20 never hit (6 - 5 = 1 is a unit as
+    # well), 12, 16, 18 and 30 are hard, and every other row of [6, 60]
+    # is easy (i* == 1 or lpf(n - 3) > p_{i*-1}).  Blocks of 5 and 28
+    # evens put n = 20 inside [16, 24] and [6, 60].
+    s = verify_range(
+        sick_table, job_for(6, 60, sick_table, checkpoint_interval=evens_per_block)
+    )
+    want = scalar_sweep(sick_table, 6, 60)
+    assert want["anomalies"] == ((6, 2), (20, 7))
+    assert [(r.n, r.k) for r in s.equality_cases] == want.pop("equality_pairs")
+    assert {name: getattr(s, name) for name in want} == want
+
+
 def test_fail_fast_raises_counterexample(sick_table):
     with pytest.raises(CounterexampleFoundError) as info:
         verify_range(sick_table, job_for(6, 100, sick_table), fail_fast=True)
@@ -350,22 +419,20 @@ def test_fail_fast_raises_anomaly(table1m):
 # checks are not asserts.
 _INVARIANT_PROBE = """
 import dataclasses
-import numpy as np
 from factorwitness.errors import EngineError
 from factorwitness.search import _sweep_block
 from factorwitness.sieve import build_table
 
 table = build_table(2_000)
 
-class SplitLpf(np.ndarray):
-    # Answers the batched first-witness rescan (a 2-D gather) with zeros
-    # while the per-step gather stays honest.
-    def __getitem__(self, idx):
-        out = np.asarray(super().__getitem__(idx))
-        return np.zeros_like(out) if np.ndim(idx) == 2 else out
-
+# An lpf entry above the table's limit, which no honest table holds,
+# lifts the running max of the hard row n = 30 (30 - 5 = 25) past the
+# row offsets of the first-witness search, so the search and the
+# classifier part ways on the next hard row.
+lpf = table.lpf.copy()
+lpf[25] = 10**6
 try:
-    _sweep_block(dataclasses.replace(table, lpf=table.lpf.view(SplitLpf)), 6, 2_000)
+    _sweep_block(dataclasses.replace(table, lpf=lpf), 6, 2_000)
 except EngineError as exc:
     print("classifier:", exc)
 
