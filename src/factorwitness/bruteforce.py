@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .conjecture import EdgeCaseRecord, Family, InstanceOutcome, OutcomeKind
 from .errors import CoverageError, PreconditionError
-from .search import HIST_EXACT_MAX, RangeSummary, WitnessStats
+from .search import RangeSummary, WitnessStats
 
 
 def trial_is_prime(x: int) -> bool:
@@ -58,15 +58,6 @@ def trial_largest_factor(x: int) -> int:
             x //= d
         d += 2
     return x if x > 1 else largest
-
-
-def _bucket(index: int) -> int:
-    if index <= HIST_EXACT_MAX:
-        return index
-    b = HIST_EXACT_MAX
-    while b < index:
-        b *= 2
-    return b
 
 
 class BruteOracle:
@@ -218,7 +209,7 @@ class BruteOracle:
                 fwi = next(
                     ix for ix, factor in enumerate(factors, start=1) if factor >= pk
                 )
-                hist[_bucket(fwi)] = hist.get(_bucket(fwi), 0) + 1
+                hist[fwi] = hist.get(fwi, 0) + 1
                 # Ties keep the first candidate, which in this (n, k)
                 # ascending walk is the lexicographically least pair.
                 if best_fwi is None or fwi > best_fwi[0]:

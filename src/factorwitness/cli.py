@@ -11,17 +11,20 @@ Subcommands:
 Exit codes:
   0  success (including a clean sweep, and a requested early stop)
   1  internal failure or failed selftest
-  2  bad arguments, mismatched checkpoint, or invalid configuration,
-     including a prime table too large for the available memory
-  3  prime table too small for the request
+  2  bad arguments (including lemma's k with p_k >= n), mismatched
+     checkpoint, or invalid configuration, including a prime table too
+     large for the available memory
   4  I/O failure (unwritable output, ...)
   5  counterexample candidate found
   6  unit anomaly found (some n - p_i equal to 1)
 
-Before allocating, every subcommand's table build compares its estimated
-bytes (5 per integer, 8 per prime, plus segment scratch) with the memory
-available to the process (MemAvailable, or a smaller cgroup v1 or v2
-limit) and refuses with exit 2 if the table would not fit.
+Every subcommand sizes its prime table by its request: the largest n it
+uses (selftest by its own --limit).  Before allocating, the table build
+compares its estimated bytes (5 per integer, 8 per prime, plus segment
+scratch) with the memory available to the process (MemAvailable, or a
+smaller cgroup v1 or v2 limit) and refuses with exit 2 if the table
+would not fit.  An engine error the arguments cannot cause, such as a
+table too small for its request, is internal and exits 1.
 
 Record streams go to --output (default stdout) and never contain timing,
 so byte-identical reruns are expected; measurements land on stderr.
@@ -50,7 +53,6 @@ from .errors import (
     CheckpointMismatchError,
     ConfigurationError,
     CounterexampleFoundError,
-    CoverageError,
     EngineError,
     GoldbachCounterexampleError,
     PreconditionError,
@@ -80,7 +82,6 @@ from .sieve import build_table
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-EXIT_COVERAGE = 3
 EXIT_IO = 4
 EXIT_COUNTEREXAMPLE = 5
 EXIT_ANOMALY = 6
@@ -127,13 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_format=True):
-        p.add_argument("--limit", type=int, default=None,
-                       help="prime table ceiling (default: the largest n used)")
-        if needs_format:
-            p.add_argument("--format", choices=FORMATS, default=NDJSON)
-            p.add_argument("--output", metavar="PATH", default="-",
-                           help="record stream destination (default: stdout)")
+    def add_common(p):
+        p.add_argument("--format", choices=FORMATS, default=NDJSON)
+        p.add_argument("--output", metavar="PATH", default="-",
+                       help="record stream destination (default: stdout)")
 
     p = sub.add_parser("verify", help="sweep all even n in [--min, --max]")
     p.add_argument("--min", type=_even, default=6)
@@ -167,13 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("goldbach", help="decompose one even n into two primes")
     p.add_argument("--n", type=_even, required=True)
-    add_common(p, needs_format=False)
     p.set_defaults(func=_cmd_goldbach)
 
     p = sub.add_parser("lemma", help="run the constructive step for (n, k)")
     p.add_argument("--n", type=_even, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_common(p, needs_format=False)
     p.set_defaults(func=_cmd_lemma)
 
     p = sub.add_parser("selftest", help="cross-check against brute-force reference code")
@@ -192,13 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    limit = args.limit if args.limit is not None else args.max
     workers = _resolve_workers(args.workers)
-    table = build_table(limit)
+    table = build_table(args.max)
     job = RangeJob(
         n_min=args.min,
         n_max=args.max,
-        table_limit=limit,
+        table_limit=args.max,
         workers=workers,
         checkpoint_interval=args.checkpoint_interval,
     )
@@ -231,9 +226,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_edge_cases(args) -> int:
-    limit = args.limit if args.limit is not None else max(args.max, 6)
     workers = _resolve_workers(args.workers)
-    table = build_table(limit)
+    table = build_table(max(args.max, 6))
     cases = enumerate_edge_cases(table, args.max, workers=workers)
     _write_out(args.output, render_edge_cases(cases, args.format))
     print(f"{len(cases)} equality case(s) with n <= {args.max}", file=sys.stderr)
@@ -241,9 +235,8 @@ def _cmd_edge_cases(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    limit = args.limit if args.limit is not None else max(args.max, 6)
     workers = _resolve_workers(args.workers)
-    table = build_table(limit)
+    table = build_table(max(args.max, 6))
     stats = witness_statistics(table, args.max, workers=workers)
     _write_out(args.output, render_stats(stats, args.format))
     print(
@@ -254,16 +247,20 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_goldbach(args) -> int:
-    limit = args.limit if args.limit is not None else args.n
-    table = build_table(limit)
+    table = build_table(args.n)
     trace = goldbach_decompose(table, args.n, verify=True)
     sys.stdout.write(render_proof_trace(trace))
     return EXIT_OK
 
 
 def _cmd_lemma(args) -> int:
-    limit = args.limit if args.limit is not None else args.n
-    table = build_table(limit)
+    table = build_table(args.n)
+    below = table.count_odd_primes_below(args.n)
+    if args.k > below:
+        raise PreconditionError(
+            f"instance needs p_k < n, but only {below} odd prime(s) lie below "
+            f"{args.n}, got k={args.k}"
+        )
     inst = make_instance(table, args.n, args.k)
     outcome = evaluate_instance(table, inst)
     if outcome.kind is OutcomeKind.VACUOUS:
@@ -366,9 +363,6 @@ def run(argv=None) -> int:
     except (ConfigurationError, PreconditionError, CheckpointMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CoverageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COVERAGE
     except (ReportWriteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

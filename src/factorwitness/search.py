@@ -15,7 +15,7 @@ Phase 2 classifies each row from i* and one gather f1 = lpf(n - 3).
 
   Easy rows.  If i* == 1 or f1 > p_{i*-1}, every k < i* is a strict
   witness with first witness index 1, since lpf(n - p_1) = f1 > p_{i*-1}
-  >= p_k.  Such a row adds i* - 1 strict instances to histogram bucket 1
+  >= p_k.  Such a row adds i* - 1 strict instances to histogram key 1
   and one vacuous instance, and the easy rows' extremes are (1, n0, 1)
   and (1, 1, n0, 1) for the least easy n0 with i* >= 2.
 
@@ -73,7 +73,6 @@ from .errors import (
 from .sieve import PrimeTable
 
 DEFAULT_BLOCK_EVENS = 100_000
-HIST_EXACT_MAX = 64
 CHECKPOINT_VERSION = 2
 
 
@@ -129,10 +128,10 @@ class RangeSummary:
 
     Extremes: max_first_witness_index is (value, n, k) and
     max_witness_ratio is (fwi, k, n, k) holding the exact fraction fwi/k;
-    ties prefer the lexicographically least (n, k).  The histogram keys
-    first-witness-index values exactly up to 64 and by power-of-two upper
-    bound beyond.  elapsed_seconds and evens_per_second are measurements,
-    not results; canonical serialization drops them.
+    ties prefer the lexicographically least (n, k).  The histogram maps
+    each first witness index, exactly, to its count.  elapsed_seconds and
+    evens_per_second are measurements, not results; canonical
+    serialization drops them.
     """
 
     n_min: int
@@ -187,13 +186,6 @@ class DecompositionSweep:
     count: int
     failures: tuple[int, ...]
     max_scan: tuple[int, int] | None  # (deepest first-hit index, least such n)
-
-
-def bucket_of(index: int) -> int:
-    """Histogram bucket for a first-witness-index value."""
-    if index <= HIST_EXACT_MAX:
-        return index
-    return 1 << (index - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +552,7 @@ def _classify_hard_rows(
     hist: dict[int, int] = {}
     best_fwi = best_ratio = None
     if fwi.size:
-        small = fwi[fwi <= HIST_EXACT_MAX]
-        hist = {ix: int(c) for ix, c in enumerate(np.bincount(small)) if c}
-        for value in fwi[fwi > HIST_EXACT_MAX].tolist():
-            key = bucket_of(value)
-            hist[key] = hist.get(key, 0) + 1
+        hist = {ix: int(c) for ix, c in enumerate(np.bincount(fwi)) if c}
         wn, wk = n[r[witnessed]], col[witnessed] + 1
         # The first maximum is the least (n, k); equal fractions of
         # integers divide to equal doubles.

@@ -10,9 +10,11 @@ Each segment [lo, hi) is sieved into a segment-local smallest-factor
 array by writing each base prime over its multiples in *descending* prime
 order, so the last write at any composite is its smallest prime factor
 s.  A cell no base prime reached is prime.  Segments keep hi <= 2*lo, so
-the quotient x // s of a composite lies below lo, in a segment that is
-already finished, and lpf[x] = max(s, lpf[x // s]) is a single gather
-(the segmented sieve of Bays & Hudson, BIT 17, 1977).
+the base primes p with p*p < hi lie below lo and are read from the
+primality of segments already finished; no second sieve is needed.  For
+the same reason the quotient x // s of a composite lies below lo, and
+lpf[x] = max(s, lpf[x // s]) is a single gather (the segmented sieve of
+Bays & Hudson, BIT 17, 1977).
 
 Tables are uint32, so the supported ceiling is bounded by 2**32 - 1; the
 practical ceiling here is memory (5 bytes per integer resident), so
@@ -22,7 +24,6 @@ fit in the memory available to the process.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import isqrt, log
 from pathlib import Path
@@ -43,18 +44,6 @@ SEGMENT = 1 << 20
 # uint32 smallest-factor scratch, x, x // s and the lpf gather, and the
 # bool prime mask.
 _SEGMENT_CELL_BYTES = 17
-
-
-def _simple_primes(n: int) -> np.ndarray:
-    """Primes <= n by a plain dense sieve; only used for the base primes."""
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask)
 
 
 def estimate_table_bytes(limit: int) -> int:
@@ -220,15 +209,13 @@ def build_table(limit: int) -> PrimeTable:
     lpf = np.empty(limit + 1, dtype=np.uint32)
     lpf[:2] = (0, 1)  # a prime x reads lpf[x // x] = 1 below
     primality = np.zeros(limit + 1, dtype=bool)
-    base = [int(p) for p in _simple_primes(isqrt(limit))]
-    squares = [p * p for p in base]
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + SEGMENT, limit + 1)
         spf_seg = np.zeros(hi - lo, dtype=np.uint32)
         # Descending: the smallest prime writes last and wins.  Starting
         # at p*p leaves each base prime itself unwritten, hence prime.
-        for p in reversed(base[: bisect_left(squares, hi)]):
+        for p in np.flatnonzero(primality[: isqrt(hi - 1) + 1])[::-1].tolist():
             start = max(p * p, -(-lo // p) * p)
             spf_seg[start - lo :: p] = p
         x = np.arange(lo, hi, dtype=np.uint32)

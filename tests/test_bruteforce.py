@@ -9,7 +9,6 @@ import pytest
 
 from factorwitness.bruteforce import (
     BruteOracle,
-    _bucket,
     trial_is_prime,
     trial_largest_factor,
     trial_smallest_factor,
@@ -38,14 +37,6 @@ def test_trial_factors():
     assert trial_largest_factor(999_983) == 999_983
     with pytest.raises(PreconditionError):
         trial_largest_factor(1)
-
-
-def test_bucket_boundaries():
-    assert _bucket(1) == 1
-    assert _bucket(64) == 64
-    assert _bucket(65) == 128
-    assert _bucket(128) == 128
-    assert _bucket(129) == 256
 
 
 def test_oracle_prime_counts(oracle10k):

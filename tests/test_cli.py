@@ -48,8 +48,9 @@ def test_help_exits_zero(capsys):
 
 
 def test_limit_below_max_rejected(capsys):
+    # Tables are sized by the request; --limit is an unknown option.
     assert run("verify", "--max", "1000", "--limit", "500") == cli.EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    assert "unrecognized arguments: --limit" in capsys.readouterr().err
 
 
 def test_table_beyond_memory_is_usage_error(monkeypatch, capsys):
@@ -300,11 +301,6 @@ def test_goldbach_output(capsys):
     assert "98 = 19 + 79" in out
 
 
-def test_goldbach_coverage_error(capsys):
-    assert run("goldbach", "--n", "98", "--limit", "50") == cli.EXIT_COVERAGE
-    capsys.readouterr()
-
-
 def test_lemma_witness_output(capsys):
     assert run("lemma", "--n", "30", "--k", "2") == 0
     out = capsys.readouterr().out
@@ -317,15 +313,26 @@ def test_lemma_vacuous_output(capsys):
     assert "vacuous" in capsys.readouterr().out
 
 
+def _assert_lemma_refused(k, capsys):
+    # Only 9 odd primes lie below 30: no instance (30, k) for k > 9.
+    assert run("lemma", "--n", "30", "--k", str(k)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: instance needs p_k < n" in err
+    assert "Traceback" not in err
+
+
 def test_lemma_invalid_k(capsys):
-    # p_20 = 73 >= 30: no such instance
-    assert run("lemma", "--n", "30", "--k", "20", "--limit", "1000") == cli.EXIT_USAGE
-    capsys.readouterr()
+    _assert_lemma_refused(20, capsys)  # p_20 = 73 >= 30
 
 
 def test_lemma_k_beyond_table(capsys):
-    assert run("lemma", "--n", "30", "--k", "1000000") == cli.EXIT_COVERAGE
-    capsys.readouterr()
+    # Beyond every odd prime the table holds: still a usage error.
+    _assert_lemma_refused(1_000_000, capsys)
+
+
+def test_edge_cases_below_six(capsys):
+    assert run("edge-cases", "--max", "5") == cli.EXIT_OK
+    assert "0 equality case(s)" in capsys.readouterr().err
 
 
 def test_selftest(capsys):

@@ -13,7 +13,7 @@ from factorwitness.conjecture import (
     make_instance,
 )
 from factorwitness.report import CSV, NDJSON, canonical_bytes, parse_records, render_records
-from factorwitness.search import RangeJob, bucket_of, merge_summaries, verify_range
+from factorwitness.search import RangeJob, merge_summaries, verify_range
 
 even_n = st.integers(min_value=3, max_value=5_000).map(lambda h: 2 * h)
 values = st.integers(min_value=2, max_value=1_000_000)
@@ -114,17 +114,6 @@ def test_emit_parse_round_trip(table1m, hi_h, fmt):
     hi = 2 * hi_h
     summary = verify_range(table1m, RangeJob(n_min=6, n_max=hi, table_limit=hi))
     assert parse_records(render_records(summary, fmt), fmt) == summary
-
-
-@given(i=st.integers(min_value=1, max_value=10_000_000))
-def test_bucket_is_tight_power_of_two(i):
-    b = bucket_of(i)
-    if i <= 64:
-        assert b == i
-    else:
-        assert b >= i
-        assert b & (b - 1) == 0  # power of two
-        assert b // 2 < i  # minimal such power
 
 
 @given(n=even_n, k=st.integers(min_value=1, max_value=40))

@@ -32,7 +32,6 @@ from factorwitness.report import canonical_bytes, summary_digest, summary_to_rec
 from factorwitness.search import (
     DEFAULT_BLOCK_EVENS,
     RangeJob,
-    bucket_of,
     decompose_range,
     enumerate_edge_cases,
     merge_summaries,
@@ -363,7 +362,7 @@ def scalar_sweep(table, lo, hi):
             if out.is_witness:
                 # The walk ascends in (n, k), so ties keep the least pair.
                 fwi = first_witness_index(table, inst)
-                hist[bucket_of(fwi)] += 1
+                hist[fwi] += 1
                 if best_fwi is None or fwi > best_fwi[0]:
                     best_fwi = (fwi, n, k)
                 if best_ratio is None or Fraction(fwi, k) > Fraction(*best_ratio[:2]):
@@ -592,14 +591,6 @@ def test_top_of_range_matches_oracle(table10m, oracle10m):
             best = (i, n)
     sweep = decompose_range(table10m, lo, hi)
     assert (sweep.count, sweep.failures, sweep.max_scan) == (1001, (), best)
-
-
-def test_bucket_of():
-    assert [bucket_of(i) for i in (1, 2, 64)] == [1, 2, 64]
-    assert bucket_of(65) == 128
-    assert bucket_of(128) == 128
-    assert bucket_of(129) == 256
-    assert bucket_of(1_000) == 1_024
 
 
 def test_exhaustion_of_prime_list_is_clean():
