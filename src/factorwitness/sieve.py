@@ -6,15 +6,18 @@ single segmented sieve pass produces, for every x in [2, limit]:
   * lpf[x] -- the largest prime factor of x (x itself when x is prime),
   * primality[x] -- whether x is prime.
 
-Each segment [lo, hi) is sieved into a segment-local smallest-factor
-array by writing each base prime over its multiples in *descending* prime
-order, so the last write at any composite is its smallest prime factor
-s.  A cell no base prime reached is prime.  Segments keep hi <= 2*lo, so
-the base primes p with p*p < hi lie below lo and are read from the
-primality of segments already finished; no second sieve is needed.  For
-the same reason the quotient x // s of a composite lies below lo, and
-lpf[x] = max(s, lpf[x // s]) is a single gather (the segmented sieve of
-Bays & Hudson, BIT 17, 1977).
+Each segment [lo, hi) keeps hi <= 2*lo, so everything a segment reads
+lies below lo, in segments already finished (the segmented sieve of
+Bays & Hudson, BIT 17, 1977).  Only the odd cells are sieved, the
+wheel of 2 (Pritchard, Acta Inf. 17, 1982): a segment-local
+smallest-factor array holds one cell per odd x, and each odd base prime
+p (p*p < hi, read from the finished primality) writes its odd multiples
+with stride p in cells, 2p in x, in *descending* prime order, so the
+last write at any odd composite is its smallest prime factor s.  A cell
+no base prime reached is prime, and an odd composite takes
+lpf[x] = max(s, lpf[x // s]), a single gather.  Each even x takes
+lpf[x] = max(2, lpf[x // 2]), one contiguous read with no gather and no
+division.
 
 Tables are uint32, so the supported ceiling is bounded by 2**32 - 1; the
 practical ceiling here is memory (5 bytes per integer resident), so
@@ -34,15 +37,18 @@ from .errors import ConfigurationError, CoverageError, OutOfRangeError, Precondi
 
 MIN_LIMIT = 6
 MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
-# Cells per sieve segment once the doubling start is past.  Its 4 MiB
-# scratch arrays, freed after each segment, also lift glibc's dynamic
-# mmap threshold above the first-hit scan's per-step row arrays: with
-# 1 << 18 the [6, 10^7] sweep that follows took 76k more page faults and
-# ~25% longer (3 runs each, 2-vCPU Xeon VM).
+# Odd cells per sieve segment once the doubling start is past (2 * SEGMENT
+# integers).  Its 4 MiB uint32 scratch arrays, freed after each segment,
+# also lift glibc's dynamic mmap threshold above the first-hit scan's
+# per-step row arrays.  The 1-worker [6, 10^7] verify_range after
+# build_table(10**7) took 1,224 minor faults and 0.51-0.64 s (a sieve of
+# every integer, 2^20 per segment: 19 faults, 0.57-0.67 s); with
+# SEGMENT = 1 << 19 (2 MiB scratch) it took 52,316 faults and 0.72-0.82 s
+# (5 processes each, getrusage around verify_range, 2-vCPU Xeon VM).
 SEGMENT = 1 << 20
-# Bytes per segment cell held at once while a segment is sieved: the
-# uint32 smallest-factor scratch, x, x // s and the lpf gather, and the
-# bool prime mask.
+# Bytes per odd cell held at once while a segment is sieved: the uint32
+# x, smallest-factor scratch, x // s and lpf gather, and the bool prime
+# mask.
 _SEGMENT_CELL_BYTES = 17
 
 
@@ -193,6 +199,26 @@ class PrimeTable:
         return int(np.searchsorted(self._primes, x, side="right"))
 
 
+def _sieve_segment(lpf: np.ndarray, primality: np.ndarray, lo: int, hi: int) -> None:
+    """Fill lpf and primality over [lo, hi), reading only cells below lo.
+
+    Needs lo even and hi <= 2*lo.  Odd x sits in scratch cell (x - lo) // 2.
+    The scratch arrays are freed on return, before the next segment or the
+    prime list is allocated.
+    """
+    x = np.arange(lo + 1, hi, 2, dtype=np.uint32)
+    spf_seg = x.copy()
+    # Descending: the smallest prime writes last and wins.  Starting at
+    # p*p leaves each base prime itself unwritten, hence prime, with
+    # x // x = 1 and lpf[1] = 1 below.
+    for p in (np.flatnonzero(primality[3 : isqrt(hi - 1) + 1])[::-1] + 3).tolist():
+        start = max(p * p, (-(-lo // p) | 1) * p)  # odd multiples only
+        spf_seg[(start - lo) // 2 :: p] = p
+    primality[lo + 1 : hi : 2] = spf_seg == x
+    np.maximum(spf_seg, lpf[x // spf_seg], out=lpf[lo + 1 : hi : 2])
+    np.maximum(lpf[lo // 2 : (hi + 1) // 2], 2, out=lpf[lo:hi:2])
+
+
 def build_table(limit: int) -> PrimeTable:
     """Sieve [2, limit] in one segmented pass and return the table set."""
     if limit < MIN_LIMIT:
@@ -207,22 +233,13 @@ def build_table(limit: int) -> PrimeTable:
             f"but only {max(available, 0) >> 20} MiB of memory is available"
         )
     lpf = np.empty(limit + 1, dtype=np.uint32)
-    lpf[:2] = (0, 1)  # a prime x reads lpf[x // x] = 1 below
+    lpf[:2] = (0, 1)  # primes and x = 2 read lpf[1] below
     primality = np.zeros(limit + 1, dtype=bool)
-    lo = 2
+    primality[2] = True
+    lo = 2  # every start is even: a power of two or a multiple of 2 * SEGMENT
     while lo <= limit:
-        hi = min(2 * lo, lo + SEGMENT, limit + 1)
-        spf_seg = np.zeros(hi - lo, dtype=np.uint32)
-        # Descending: the smallest prime writes last and wins.  Starting
-        # at p*p leaves each base prime itself unwritten, hence prime.
-        for p in np.flatnonzero(primality[: isqrt(hi - 1) + 1])[::-1].tolist():
-            start = max(p * p, -(-lo // p) * p)
-            spf_seg[start - lo :: p] = p
-        x = np.arange(lo, hi, dtype=np.uint32)
-        prime = spf_seg == 0
-        primality[lo:hi] = prime
-        spf_seg[prime] = x[prime]
-        np.maximum(spf_seg, lpf[x // spf_seg], out=lpf[lo:hi])
+        hi = min(2 * lo, lo + 2 * SEGMENT, limit + 1)
+        _sieve_segment(lpf, primality, lo, hi)
         lo = hi
     primes = np.flatnonzero(primality)
     return PrimeTable(

@@ -1,5 +1,6 @@
 """Table construction and lookups."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -127,6 +128,16 @@ def test_preflight_estimate():
     assert sieve.estimate_table_bytes(sieve.MAX_LIMIT) > 10**10
 
 
+def test_preflight_estimate_bounds_the_build():
+    tracemalloc.start()
+    try:
+        build_table(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sieve.estimate_table_bytes(10**6)
+
+
 def test_memory_file_reader(tmp_path):
     (tmp_path / "memory.max").write_text("max\n")
     (tmp_path / "memory.current").write_text("1073741824\n")
@@ -178,11 +189,31 @@ def test_tables_match_trial_division_exhaustively():
 
 
 def test_tables_match_trial_division_at_segment_seams(table10m):
-    # Segments start at every power of two up to SEGMENT and at every
-    # multiple of SEGMENT beyond it; check a window around each start.
-    starts = [1 << j for j in range(SEGMENT.bit_length())]
-    starts += range(2 * SEGMENT, table10m.limit + 1, SEGMENT)
+    # Segments [lo, hi) follow build_table's rule; check a window around
+    # every start (the first covers x = 2, 3, 4) and the last cells.
+    limit = table10m.limit
+    starts, lo = [], 2
+    while lo <= limit:
+        starts.append(lo)
+        lo = min(2 * lo, lo + 2 * SEGMENT, limit + 1)
+    assert starts[-1] > 2 * SEGMENT  # past the doubling starts
     for s in starts:
-        lo, hi = max(2, s - 64), min(table10m.limit, s + 64)
+        lo, hi = max(2, s - 64), min(limit, s + 64)
         _assert_matches_trial_division(table10m, range(lo, hi + 1))
-    _assert_matches_trial_division(table10m, range(table10m.limit - 64, table10m.limit + 1))
+    _assert_matches_trial_division(table10m, range(limit - 64, limit + 1))
+
+
+# sha256 prefixes of lpf.tobytes() and primality.tobytes(); the 10^8
+# table gives 03189530b5ea0de6 / 356d699f2beeb631.
+PINNED_TABLE_BYTES = {
+    "table1m": ("b4d3078b5f86878f", "1d8537de67d9eab4"),
+    "table10m": ("6976b4a993421c9e", "ab158d028a45c741"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLE_BYTES))
+def test_table_bytes_pinned(name, request):
+    table = request.getfixturevalue(name)
+    arrays = (table.lpf, table.primality)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
+    assert digests == PINNED_TABLE_BYTES[name]
