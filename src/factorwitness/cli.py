@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help=f"worker processes (default: ${WORKERS_ENV} or CPU count)")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
-                   help="save progress here after every block; resume if present")
+                   help="save progress here after every span of blocks and on a stop; "
+                        "resume if present")
     p.add_argument("--checkpoint-interval", type=int, default=DEFAULT_BLOCK_EVENS,
                    metavar="EVENS", help="even values per block (default %(default)s)")
     p.add_argument("--fail-fast", action="store_true",

@@ -35,16 +35,21 @@ prime breaks the outcome count instead of passing unseen.  Two engine
 invariants are checked on every block: the first witness indices agree
 with the classifier, and the outcomes add up to the instances.
 
-Work is split into fixed-size blocks (also the checkpoint granularity).
-Each block yields a RangeSummary of its own range, and blocks are merged
+Work is split into blocks of checkpoint_interval evens, the unit of
+checkpoint identity and resume, and consecutive blocks are grouped into
+spans of at least DEFAULT_BLOCK_EVENS evens, the unit of scanning: one
+task, serial or pooled, runs phase 1 once over a span and phase 2 on each
+of its blocks, so small blocks do not repeat the scan's depth tail.  Each
+block yields a RangeSummary of its own range, and blocks are merged
 (merge_summaries) strictly in ascending order whatever the worker count,
-so summaries and their digests are worker-count independent.
+so summaries and their digests are worker-count independent.  The
+checkpoint is saved once per merged span and before any raise, so a
+requested stop or a fail-fast error still leaves the exact block merged.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, replace
@@ -435,22 +440,15 @@ def _first_hits(table: PrimeTable, lo: int, hi: int):
 _Block = tuple[RangeSummary, list[tuple[int, int]]]
 
 
-def _sweep_block(table: PrimeTable, lo: int, hi: int) -> _Block:
+def _sweep_block(table: PrimeTable, lo: int, hi: int, first: np.ndarray) -> _Block:
     """Evaluate every instance of every even n in [lo, hi].
 
-    Returns the block's summary, without equality cases, and the (n, k)
-    pairs of those cases, which the merging process classifies.
+    first holds the block's rows of phase 1, from _sweep_run.  Returns the
+    block's summary, without equality cases, and the (n, k) pairs of
+    those cases, which the merging process classifies.
     """
     odd = table.odd_primes
     n = np.arange(lo, hi + 1, 2, dtype=np.int64)
-    # i* of each row with a hit, minus the instance count of one without.
-    first = np.zeros(n.size, dtype=np.int64)
-    for i, act, hit in _first_hits(table, lo, hi):
-        if hit is None:
-            first[(act - lo) >> 1] = 1 - i
-        else:
-            first[(np.compress(hit, act) - lo) >> 1] = i
-
     steps = np.abs(first)  # instances of each row
     found = first > 0
     unit = n - odd[steps - 1] == 1
@@ -633,8 +631,29 @@ def checkpoint_resume(path, job: RangeJob) -> tuple[int, RangeSummary, float]:
 _SHARED_TABLE: PrimeTable | None = None
 
 
-def _pool_sweep(bounds: tuple[int, int]) -> _Block:
-    return _sweep_block(_SHARED_TABLE, bounds[0], bounds[1])
+def _sweep_run(table: PrimeTable, bounds: list[tuple[int, int]]) -> list[_Block]:
+    """Sweep a span of consecutive blocks, one _Block per block.
+
+    Phase 1 runs once over the whole span, and phase 2 on each block's
+    slice of its rows.
+    """
+    lo0, hi0 = bounds[0][0], bounds[-1][1]
+    # i* of each row with a hit, minus the instance count of one without.
+    first = np.zeros((hi0 - lo0) // 2 + 1, dtype=np.int64)
+    for i, act, hit in _first_hits(table, lo0, hi0):
+        if hit is None:
+            first[(act - lo0) >> 1] = 1 - i
+        else:
+            first[(np.compress(hit, act) - lo0) >> 1] = i
+    return [
+        _sweep_block(table, lo, hi, first[(lo - lo0) >> 1 : ((hi - lo0) >> 1) + 1])
+        for lo, hi in bounds
+    ]
+
+
+def _pool_sweep(bounds: list[tuple[int, int]]) -> list[_Block]:
+    # Looks _sweep_run up in the forked worker's copy of this module.
+    return _sweep_run(_SHARED_TABLE, bounds)
 
 
 def _block_bounds(n_min: int, n_max: int, evens_per_block: int) -> list[tuple[int, int]]:
@@ -659,12 +678,14 @@ def verify_range(
 ) -> RangeSummary:
     """Run (or resume) the sweep described by job and return its summary.
 
-    checkpoint_path: progress is saved there after every merged block and
-    an existing file resumes the sweep (after validating it matches job).
+    checkpoint_path: progress is saved there after every merged span of
+    blocks and before any error or stop is raised, and an existing file
+    resumes the sweep (after validating it matches job).
     fail_fast: raise as soon as a merged block contains a counterexample
     candidate or unit anomaly instead of sweeping to the end.
     stop_after_blocks: merge this many new blocks, checkpoint, then raise
     SweepInterrupted; exists so interruption can be exercised on demand.
+    A worker that dies raises EngineError.
     """
     if table.limit < job.table_limit:
         raise CoverageError(
@@ -686,44 +707,69 @@ def verify_range(
 
     t0 = time.perf_counter()
     merged_this_run = 0
+    saved = done
 
     def elapsed_now() -> float:
         return elapsed_prior + (time.perf_counter() - t0)
 
-    def merge(block: _Block) -> None:
-        nonlocal agg, done, merged_this_run
-        part, pairs = block
-        cases = [classify_equality(table, make_instance(table, n, k)) for n, k in sorted(pairs)]
-        part = replace(part, equality_cases=tuple(cases))
-        agg = part if agg is None else merge_summaries(agg, part)
-        done += 1
-        merged_this_run += 1
-        if checkpoint_path:
+    def save() -> None:
+        nonlocal saved
+        if checkpoint_path and saved != done:
             checkpoint_save(checkpoint_path, job, done, agg, elapsed_now())
-        if fail_fast and not agg.clean:
-            if agg.counterexamples:
-                raise CounterexampleFoundError(agg.counterexamples)
-            raise AnomalyFoundError(agg.anomalies)
-        if (
-            stop_after_blocks is not None
-            and merged_this_run >= stop_after_blocks
-            and done < len(bounds)
-        ):
-            raise SweepInterrupted(checkpoint_path, done)
+            saved = done
+
+    def merge(blocks: list[_Block]) -> None:
+        """Merge one span's blocks in order, then save; a raise saves first."""
+        nonlocal agg, done, merged_this_run
+        try:
+            for part, pairs in blocks:
+                cases = [
+                    classify_equality(table, make_instance(table, n, k))
+                    for n, k in sorted(pairs)
+                ]
+                part = replace(part, equality_cases=tuple(cases))
+                agg = part if agg is None else merge_summaries(agg, part)
+                done += 1
+                merged_this_run += 1
+                if fail_fast and not agg.clean:
+                    if agg.counterexamples:
+                        raise CounterexampleFoundError(agg.counterexamples)
+                    raise AnomalyFoundError(agg.anomalies)
+                if (
+                    stop_after_blocks is not None
+                    and merged_this_run >= stop_after_blocks
+                    and done < len(bounds)
+                ):
+                    raise SweepInterrupted(checkpoint_path, done)
+        finally:
+            save()
 
     todo = bounds[done:]
-    if job.workers == 1 or len(todo) <= 1:
-        for lo, hi in todo:
-            merge(_sweep_block(table, lo, hi))
+    per_span = -(-DEFAULT_BLOCK_EVENS // job.checkpoint_interval)
+    spans = [todo[j : j + per_span] for j in range(0, len(todo), per_span)]
+    if job.workers == 1 or len(spans) <= 1:
+        for span in spans:
+            merge(_sweep_run(table, span))
     else:
+        # Imported here: these modules add ~1.3 MiB of resident memory,
+        # which a serial sweep would pay for nothing.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         global _SHARED_TABLE
         _SHARED_TABLE = table
-        ctx = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(
+            min(job.workers, len(spans)), mp_context=multiprocessing.get_context("fork")
+        )
         try:
-            with ctx.Pool(processes=job.workers) as pool:
-                for block in pool.imap(_pool_sweep, todo, chunksize=1):
-                    merge(block)
+            for blocks in pool.map(_pool_sweep, spans):
+                merge(blocks)
+        except BrokenProcessPool as exc:
+            raise EngineError(f"a sweep worker died: {exc}") from exc
         finally:
+            # After an early exit, spans not yet started are dropped.
+            pool.shutdown(cancel_futures=True)
             _SHARED_TABLE = None
 
     elapsed = elapsed_now()

@@ -56,8 +56,8 @@ def estimate_table_bytes(limit: int) -> int:
     """Upper estimate of the bytes build_table(limit) allocates.
 
     5 bytes per integer for lpf and primality, 8 per prime for the prime
-    list (pi(x) < 1.25506 x / ln x; Rosser & Schoenfeld 1962) and one
-    segment's scratch.
+    list (pi(x) < 1.25506 x / ln x; Rosser & Schoenfeld 1962), which
+    takes 4, and one segment's scratch.
     """
     primes = int(1.25506 * limit / log(limit)) + 1
     return 5 * (limit + 1) + 8 * primes + _SEGMENT_CELL_BYTES * SEGMENT
@@ -241,7 +241,17 @@ def build_table(limit: int) -> PrimeTable:
         hi = min(2 * lo, lo + 2 * SEGMENT, limit + 1)
         _sieve_segment(lpf, primality, lo, hi)
         lo = hi
-    primes = np.flatnonzero(primality)
+    # uint32, filled from the odd cells a segment's width at a time:
+    # np.flatnonzero over the whole table would allocate an int64 list
+    # (46 MB at 10^8) while lpf and primality are resident, and would
+    # read the even cells too.
+    primes = np.empty(np.count_nonzero(primality), dtype=np.uint32)
+    primes[0] = 2
+    at = 1
+    for lo in range(0, limit + 1, 2 * SEGMENT):
+        chunk = np.flatnonzero(primality[lo + 1 : lo + 2 * SEGMENT : 2])
+        primes[at : at + chunk.size] = 2 * chunk + (lo + 1)
+        at += chunk.size
     return PrimeTable(
         limit=limit,
         lpf=lpf,

@@ -2,17 +2,20 @@
 
 import hashlib
 import json
+import os
+import signal
+import time
 
 import pytest
 
-from factorwitness import cli, sieve
+from factorwitness import cli, search, sieve
 from factorwitness.errors import (
     AnomalyFoundError,
     ConfigurationError,
     CounterexampleFoundError,
     ProofViolationError,
 )
-from factorwitness.report import parse_records
+from factorwitness.report import parse_records, summary_digest
 
 
 def run(*argv):
@@ -246,6 +249,45 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_range", boom)
     assert run("verify", "--max", "100") == cli.EXIT_FAILURE
     assert "internal error" in capsys.readouterr().err
+
+
+def test_killed_worker_exits_one_and_leaves_a_resumable_checkpoint(
+    monkeypatch, tmp_path, capsys
+):
+    # [6, 10^6] in blocks of 10^4 evens makes 5 spans of 10 blocks.  The
+    # forked worker that takes any span but the first waits until the
+    # first span is merged and checkpointed, then SIGKILLs itself.
+    ck = tmp_path / "ck.json"
+    parent = os.getpid()
+    sweep_run = search._sweep_run
+
+    def dies_after_first_span(table, bounds):
+        if bounds[0][0] != 6 and os.getpid() != parent:
+            deadline = time.monotonic() + 60
+            while not ck.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sweep_run(table, bounds)
+
+    monkeypatch.setattr(search, "_sweep_run", dies_after_first_span)
+    code = run(
+        "verify", "--max", "1000000", "--workers", "2",
+        "--checkpoint", str(ck), "--checkpoint-interval", "10000",
+        "--output", str(tmp_path / "out.ndjson"),
+    )
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_FAILURE
+    assert "sweep worker died" in err and "Traceback" not in err
+    monkeypatch.undo()
+
+    job = search.RangeJob(
+        n_min=6, n_max=10**6, table_limit=10**6, checkpoint_interval=10_000
+    )
+    assert search.checkpoint_resume(ck, job)[0] == 10
+    summary = search.verify_range(sieve.build_table(10**6), job, checkpoint_path=ck)
+    assert summary_digest(summary) == (
+        "528e467fde3190c5db61358c89de683a93261a5fca80523521e510a5dd43f387"
+    )
 
 
 # -- other subcommands --------------------------------------------------------

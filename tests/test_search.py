@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import factorwitness
+from factorwitness import search
 from factorwitness.bruteforce import trial_is_prime
 from factorwitness.conjecture import (
     OutcomeKind,
@@ -32,6 +33,7 @@ from factorwitness.report import canonical_bytes, summary_digest, summary_to_rec
 from factorwitness.search import (
     DEFAULT_BLOCK_EVENS,
     RangeJob,
+    checkpoint_resume,
     decompose_range,
     enumerate_edge_cases,
     merge_summaries,
@@ -321,6 +323,88 @@ def test_stop_beyond_end_completes(table1m, tmp_path):
     assert not ck.exists()
 
 
+# -- spans: consecutive blocks scanned as one task -----------------------------
+
+
+@pytest.mark.parametrize(
+    "interval, n_max, span_evens",
+    [
+        (1, 4_000, 300),  # 7 spans of 300 one-even blocks, the last of 198
+        (7, 250_000, None),  # spans of 14,286 blocks, the second partial
+        (30_000, 10**6, None),  # spans of 4 blocks, the last partial
+        (DEFAULT_BLOCK_EVENS, 10**6, None),  # one block per span
+        (2 * DEFAULT_BLOCK_EVENS, 10**6, None),
+    ],
+)
+def test_span_size_is_invisible(table1m, monkeypatch, interval, n_max, span_evens):
+    ref = canonical_bytes(verify_range(table1m, job_for(6, n_max, table1m)))
+    if span_evens:
+        monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", span_evens)
+    s = verify_range(table1m, job_for(6, n_max, table1m, checkpoint_interval=interval))
+    assert canonical_bytes(s) == ref
+    if n_max == 10**6:
+        assert summary_digest(s) == CANONICAL[n_max][0]
+
+
+def test_checkpoint_once_per_span_and_on_stop(table1m, tmp_path, monkeypatch):
+    # 15 blocks of 10^4 evens make spans of 10 and 5 blocks; the stop
+    # after 13 blocks falls inside the second span.
+    ck = tmp_path / "sweep.ckpt"
+    job = job_for(6, 300_000, table1m, checkpoint_interval=10_000)
+    ref = verify_range(table1m, job)
+    saves = []
+    save = search.checkpoint_save
+
+    def counted_save(path, job, done, *rest):
+        saves.append(done)
+        save(path, job, done, *rest)
+
+    monkeypatch.setattr(search, "checkpoint_save", counted_save)
+    with pytest.raises(SweepInterrupted) as info:
+        verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=13)
+    assert info.value.blocks_done == 13
+    assert saves == [10, 13]
+    part = verify_range(table1m, job_for(6, 260_004, table1m, checkpoint_interval=10_000))
+    assert json.loads(ck.read_text())["records"] == summary_to_records(
+        part, include_timing=False
+    )
+    resumed = verify_range(table1m, job, checkpoint_path=ck)
+    assert saves == [10, 13, 15]
+    assert canonical_bytes(resumed) == canonical_bytes(ref)
+
+
+def test_fail_fast_checkpoints_the_failing_block(table1m, tmp_path):
+    # n = 450,106 lies in block 46 of 60 (5,000 evens each), the sixth
+    # block of the third span of 20.  Its first hit n - 3 is hidden and
+    # given largest factor 2, so its instance k = 1 is a counterexample.
+    n = 450_106
+    doctored = make_doctored(table1m, not_prime=(n - 3,), lpf_overrides={n - 3: 2})
+    ck = tmp_path / "sweep.ckpt"
+    job = job_for(6, 600_000, doctored, checkpoint_interval=5_000)
+    with pytest.raises(CounterexampleFoundError) as info:
+        verify_range(doctored, job, checkpoint_path=ck, fail_fast=True)
+    assert min(info.value.pairs) == (n, 1)
+    done, agg, _ = checkpoint_resume(ck, job)
+    assert (done, agg.n_max) == (46, 460_004)
+    part = verify_range(doctored, job_for(6, 460_004, doctored, checkpoint_interval=5_000))
+    assert summary_to_records(agg, include_timing=False) == summary_to_records(
+        part, include_timing=False
+    )
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_over_many_spans(table1m, tmp_path, workers):
+    # 50 blocks of 10^4 evens make 5 spans, more than either pool has workers.
+    job = job_for(6, 10**6, table1m, checkpoint_interval=10_000, workers=workers)
+    assert summary_digest(verify_range(table1m, job)) == CANONICAL[10**6][0]
+    ck = tmp_path / "sweep.ckpt"
+    with pytest.raises(SweepInterrupted):
+        verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=23)
+    assert checkpoint_resume(ck, job)[0] == 23
+    resumed = verify_range(table1m, job, checkpoint_path=ck)
+    assert summary_digest(resumed) == CANONICAL[10**6][0]
+
+
 # -- failure surfacing --------------------------------------------------------
 
 
@@ -419,7 +503,7 @@ def test_fail_fast_raises_anomaly(table1m):
 _INVARIANT_PROBE = """
 import dataclasses
 from factorwitness.errors import EngineError
-from factorwitness.search import _sweep_block
+from factorwitness.search import _sweep_run
 from factorwitness.sieve import build_table
 
 table = build_table(2_000)
@@ -431,7 +515,7 @@ table = build_table(2_000)
 lpf = table.lpf.copy()
 lpf[25] = 10**6
 try:
-    _sweep_block(dataclasses.replace(table, lpf=lpf), 6, 2_000)
+    _sweep_run(dataclasses.replace(table, lpf=lpf), [(6, 2_000)])
 except EngineError as exc:
     print("classifier:", exc)
 
@@ -440,7 +524,7 @@ except EngineError as exc:
 primality = table.primality.copy()
 primality[[1, 3, 5]] = (True, False, False)
 try:
-    _sweep_block(dataclasses.replace(table, primality=primality), 8, 8)
+    _sweep_run(dataclasses.replace(table, primality=primality), [(8, 8)])
 except EngineError as exc:
     print("conservation:", exc)
 """

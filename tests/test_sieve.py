@@ -4,6 +4,7 @@ import hashlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from factorwitness import sieve
@@ -38,6 +39,19 @@ def test_small_prime_list(table1m):
     assert table1m.is_prime(2)
     assert not table1m.is_prime(4)
     assert table1m.is_prime(999_983)
+
+
+@pytest.mark.parametrize(
+    "fixture, limit",
+    [(None, 6), (None, 7), (None, 4 * SEGMENT), (None, 4 * SEGMENT + 1), ("table10m", None)],
+)
+def test_prime_list_is_the_primality_mask(request, fixture, limit):
+    # The uint32 list is filled from the odd cells of one chunk of
+    # 2 * SEGMENT cells at a time: a limit of 4 * SEGMENT leaves a last
+    # chunk with one even cell only, one more gives it an odd cell.
+    table = request.getfixturevalue(fixture) if fixture else build_table(limit)
+    assert table._primes.dtype == np.uint32
+    assert np.array_equal(table._primes, np.flatnonzero(table.primality))
 
 
 def test_factor_tables_against_trial_division(table1m):
