@@ -5,11 +5,12 @@ first prime hit, is the least index with n - p_i prime: every nonvacuous
 instance plus the one vacuous instance that makes every larger k vacuous.
 Each block of consecutive even n is swept in two phases.
 
-Phase 1, the first-hit scan (_first_hits), advances the block's rows in
-lockstep over i and reads primality only: at step i every row still
-alive tests n - p_i, and the rows that hit leave.  decompose_range is a
-projection of this scan (the deepest hit, and the rows that never hit);
-the sweep scatters i* per row from it.
+Phase 1, the first-hit scan (_first_hits), reads primality only and
+returns i* per row.  Its head advances every row in lockstep over the
+first odd primes, each step two ufuncs over a slice of one contiguous
+window of odd cells, until few rows are alive; its tail gathers the
+survivors' cells several primes at a time.  decompose_range reads the
+deepest hit and the rows that never hit from the same array.
 
 Phase 2 classifies each row from i* and one gather f1 = lpf(n - 3).
 
@@ -402,38 +403,97 @@ def _better_ratio(a, b):
     return a if (a[2], a[3]) <= (b[2], b[3]) else b
 
 
-def _first_hits(table: PrimeTable, lo: int, hi: int):
-    """Phase 1: scan every even n in [lo, hi] for its first prime hit.
+# Phase 1 costs on the 2-vCPU Xeon VM of perfbench/README.md, per 10^5
+# rows at n ~ 5 * 10^6: a head step, two uint8 ufuncs over contiguous
+# slices, takes ~7 us whether its rows are alive or not (a step on the
+# stride-2 view of primality takes ~130 us); one prime of the tail, an
+# index array, a gather and a compress, ~5 ns per live row (~480 us per
+# 10^5); a tail chunk ~5 us per call plus ~5 ns per cell.
+#
+# The head spans the first HEAD_PRIMES odd primes at most, so depth fits
+# in uint8 and the window overhangs the rows by (p_64 - 3) / 2 = 155
+# cells.  Up to 10^8 fewer than 1 row in 800 outlives p_64 = 313, so the
+# stop rule below ends the head first everywhere but at small n.
+HEAD_PRIMES = 64
+# A head step costs what the tail pays for about rows / 70 live rows, so
+# the head runs while more than rows / HEAD_MIN_ALIVE rows are alive.
+# For 10^5-row blocks near 5 * 10^7 and 10^8, stopping below 1/8, 1/32,
+# 1/64, 1/128 and 1/256 of the rows took 2.10, 1.46, 1.29, 1.15 and
+# 1.15 ms per block (medians of 30).  Counting the live rows costs about
+# a step, so the count is taken every HEAD_CHECK_STEPS steps.
+HEAD_MIN_ALIVE = 128
+HEAD_CHECK_STEPS = 4
+# A tail chunk of 4096 cells, ~20 us of gathering, keeps the per-call
+# cost to about a fifth while few cells lie past their row's hit: chunks
+# of 2048, 4096 and 8192 cells took 1.25, 1.15 and 1.19 ms per block.
+TAIL_CELLS = 4096
 
-    The rows advance in lockstep over the odd prime index i and read
-    primality only.  Each step at which some row hits yields (i, act,
-    hit): act is the ascending int64 array of rows alive at step i and
-    hit marks those with n - p_i prime, which then leave.  Rows that run
-    out of odd primes below them, or of the table's, are yielded once as
-    (i, rows, None), having evaluated i - 1 instances without a hit.
-    act is not modified after it is yielded.
+
+def _first_hits(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
+    """Phase 1: the first prime hit of every even n in [lo, hi].
+
+    Returns first, one int64 per row: i* for a row with a hit, and 1 - i
+    for a row that ran out of odd primes below it, or of the table's,
+    after evaluating i - 1 instances without a hit.
     """
     primality = table.primality
     odd = table.odd_primes
-    act = np.arange(lo, hi + 1, 2, dtype=np.int64)
+    rows = (hi - lo) // 2 + 1
+    # Head: every row advances in lockstep over the first h odd primes,
+    # those below lo among the first HEAD_PRIMES.  For consecutive even n,
+    # n - p is a stride-2 run of odd values, so the odd cells the head
+    # reads are inverted once into a contiguous window, of which step j
+    # reads the slice starting at (p_h - p_j) / 2.  depth counts the
+    # steps a row survived: a row that hit at step j has depth j - 1.
+    h = int(np.searchsorted(odd[:HEAD_PRIMES], lo))
+    alive = np.ones(rows, dtype=np.uint8)
+    depth = np.zeros(rows, dtype=np.uint8)  # steps survived, <= HEAD_PRIMES
     i = 0
+    if h:
+        top = int(odd[h - 1])
+        composite = (~primality[lo - top : hi - 2 : 2]).view(np.uint8)
+        while i < h:
+            c = (top - int(odd[i])) >> 1
+            np.bitwise_and(alive, composite[c : c + rows], out=alive)
+            np.add(depth, alive, out=depth)
+            i += 1
+            if i % HEAD_CHECK_STEPS == 0 and np.count_nonzero(alive) * HEAD_MIN_ALIVE < rows:
+                break
+    first = depth.astype(np.int64)
+    first += 1
+    act = lo + 2 * np.flatnonzero(alive)
+    # Tail: the survivors take up to TAIL_CELLS cells of primes at once,
+    # one 2-D gather whose argmax is each row's first hit in the chunk.
+    # One prime at a time where that is a single prime, or where the
+    # chunk reaches the least live n and some rows run out of primes
+    # below them (only at small n).
     while act.size:
+        if i == odd.size:
+            first[(act - lo) >> 1] = -i
+            break
+        w = min(max(TAIL_CELLS // act.size, 1), odd.size - i)
+        ps = odd[i : i + w]
+        if w > 1 and ps[-1] < act[0]:
+            cells = primality[act[:, None] - ps]
+            pos = cells.argmax(axis=1)
+            hit = cells[np.arange(act.size), pos]
+            first[(act[hit] - lo) >> 1] = i + 1 + pos[hit]
+            act = act[~hit]
+            i += w
+            continue
+        p = int(odd[i])
         i += 1
-        if i > odd.size:
-            yield i, act, None
-            return
-        p = int(odd[i - 1])
         if p >= act[0]:
             spent = act <= p
-            yield i, act[spent], None
+            first[(act[spent] - lo) >> 1] = 1 - i
             act = act[~spent]
             if act.size == 0:
-                return
+                break
         hit = primality[act - p]
-        if hit.any():
-            yield i, act, hit
-            # compress copies the survivors faster than act[~hit] does.
-            act = np.compress(~hit, act)
+        first[(act[hit] - lo) >> 1] = i
+        # compress copies the survivors faster than act[~hit] does.
+        act = np.compress(~hit, act)
+    return first
 
 
 # A swept block: its summary without equality cases, and their (n, k).
@@ -638,13 +698,7 @@ def _sweep_run(table: PrimeTable, bounds: list[tuple[int, int]]) -> list[_Block]
     slice of its rows.
     """
     lo0, hi0 = bounds[0][0], bounds[-1][1]
-    # i* of each row with a hit, minus the instance count of one without.
-    first = np.zeros((hi0 - lo0) // 2 + 1, dtype=np.int64)
-    for i, act, hit in _first_hits(table, lo0, hi0):
-        if hit is None:
-            first[(act - lo0) >> 1] = 1 - i
-        else:
-            first[(np.compress(hit, act) - lo0) >> 1] = i
+    first = _first_hits(table, lo0, hi0)
     return [
         _sweep_block(table, lo, hi, first[(lo - lo0) >> 1 : ((hi - lo0) >> 1) + 1])
         for lo, hi in bounds
@@ -863,15 +917,16 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     A projection of the sweep's first-hit scan (_first_hits), the
     vectorized form of goldbach_decompose's loop: per n only the
     existence and depth of the first hit are kept.  Any n whose scan
-    exhausts the odd primes below it lands in failures.
+    exhausts the odd primes below it (first <= 0) lands in failures.
 
     The range is walked in the same ascending blocks of
     DEFAULT_BLOCK_EVENS evens that verify_range uses, each scanned to
     completion before the next starts, so working memory is one block's
-    row arrays and their temporaries (about 2 MB) however wide the range.
-    Blocks merge in order: failures are concatenated, and max_scan keeps
-    the deepest first hit, a tie going to the earlier block and hence the
-    least n.
+    arrays, however wide the range: a tracemalloc peak of 1.2 MiB per
+    block at 10^7, and 2.5 MiB for the block at n = 6, whose head stops
+    after two primes.  Blocks merge in order: failures are concatenated,
+    and max_scan keeps the deepest first hit, the least n within a block
+    (argmax) and the earlier block on a tie.
     """
     if n_min % 2 or n_max % 2:
         raise PreconditionError(
@@ -884,11 +939,11 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     failures: list[int] = []
     max_scan: tuple[int, int] | None = None
     for lo, hi in _block_bounds(n_min, n_max, DEFAULT_BLOCK_EVENS):
-        for i, act, hit in _first_hits(table, lo, hi):
-            if hit is None:
-                failures.extend(act.tolist())
-            elif max_scan is None or i > max_scan[0]:
-                max_scan = (i, int(act[hit.argmax()]))
+        first = _first_hits(table, lo, hi)
+        failures.extend((lo + 2 * np.flatnonzero(first <= 0)).tolist())
+        j = int(first.argmax())  # the least n of the block's deepest hit
+        if first[j] > 0 and (max_scan is None or first[j] > max_scan[0]):
+            max_scan = (int(first[j]), lo + 2 * j)
     return DecompositionSweep(
         n_min=n_min,
         n_max=n_max,

@@ -146,6 +146,17 @@ class PrimeTable:
         if x < 2 or x > self.limit:
             raise OutOfRangeError(f"{x} outside table domain [2, {self.limit}]")
 
+    def _needle(self, x: int) -> np.uint32:
+        """x clamped to [0, limit + 1] as a search key for the prime lists.
+
+        A Python int key makes np.searchsorted convert the whole uint32
+        list to int64 on every call (11-70 ms for the odd primes of a 10^8
+        table under numpy 2.4); a uint32 key searches the list in place
+        (under 0.05 ms).  No prime lies outside
+        [2, limit], so the clamp changes no count.
+        """
+        return np.uint32(min(max(int(x), 0), self.limit + 1))
+
     def is_prime(self, x: int) -> bool:
         self._check(x)
         return bool(self.primality[x])
@@ -171,7 +182,7 @@ class PrimeTable:
         self._check(p)
         if not self.primality[p]:
             raise PreconditionError(f"next_prime needs a prime argument, got {p}")
-        j = int(np.searchsorted(self._primes, p, side="right"))
+        j = int(np.searchsorted(self._primes, self._needle(p), side="right"))
         if j >= self._primes.size:
             raise CoverageError(f"no prime above {p} within limit {self.limit}")
         return int(self._primes[j])
@@ -189,14 +200,14 @@ class PrimeTable:
 
     def count_odd_primes_below(self, n: int) -> int:
         """Number of odd primes strictly less than n."""
-        return int(np.searchsorted(self.odd_primes, n, side="left"))
+        return int(np.searchsorted(self.odd_primes, self._needle(n), side="left"))
 
     def prime_count(self, x: int | None = None) -> int:
         """pi(x): number of primes <= x (defaults to the full table)."""
         if x is None:
             return int(self._primes.size)
         self._check(x)
-        return int(np.searchsorted(self._primes, x, side="right"))
+        return int(np.searchsorted(self._primes, self._needle(x), side="right"))
 
 
 def _sieve_segment(lpf: np.ndarray, primality: np.ndarray, lo: int, hi: int) -> None:

@@ -72,3 +72,22 @@ def make_doctored(
         odd_primes=all_primes[1:],
         _primes=all_primes,
     )
+
+
+def scalar_first_hits(table: PrimeTable, lo: int, hi: int) -> list[int]:
+    """search._first_hits of [lo, hi], one row at a time.
+
+    Row n scans the odd primes below n as goldbach_decompose does and
+    records i* = i, or minus the instance count when no n - p_i is prime.
+    """
+    odd = table.odd_primes.tolist()
+    out = []
+    for n in range(lo, hi + 1, 2):
+        scanned = table.count_odd_primes_below(n)
+        first = -scanned
+        for i in range(scanned):
+            if table.primality[n - odd[i]]:
+                first = i + 1
+                break
+        out.append(first)
+    return out

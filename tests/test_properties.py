@@ -13,7 +13,9 @@ from factorwitness.conjecture import (
     make_instance,
 )
 from factorwitness.report import CSV, NDJSON, canonical_bytes, parse_records, render_records
-from factorwitness.search import RangeJob, merge_summaries, verify_range
+from factorwitness.search import RangeJob, _first_hits, merge_summaries, verify_range
+
+from conftest import scalar_first_hits
 
 even_n = st.integers(min_value=3, max_value=5_000).map(lambda h: 2 * h)
 values = st.integers(min_value=2, max_value=1_000_000)
@@ -69,6 +71,19 @@ def test_constructed_prime_lands_in_open_interval(table1m, n, k):
 def test_goldbach_matches_oracle(table1m, oracle10k, n):
     tr = goldbach_decompose(table1m, n, verify=True)
     assert (tr.p, tr.q, tr.i) == oracle10k.goldbach_pair(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lo_h=st.integers(min_value=3, max_value=499_999),
+    rows=st.integers(min_value=1, max_value=3_000),
+)
+def test_first_hits_match_scalar_scan(table1m, lo_h, rows):
+    # Windows of [6, 10^6]: a small lo cuts the head short and sends its
+    # rows through the tail's single steps; elsewhere the tail chunks.
+    lo = 2 * lo_h
+    hi = min(lo + 2 * (rows - 1), table1m.limit)
+    assert _first_hits(table1m, lo, hi).tolist() == scalar_first_hits(table1m, lo, hi)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import factorwitness
@@ -32,7 +33,10 @@ from factorwitness.errors import (
 from factorwitness.report import canonical_bytes, summary_digest, summary_to_records
 from factorwitness.search import (
     DEFAULT_BLOCK_EVENS,
+    HEAD_PRIMES,
+    TAIL_CELLS,
     RangeJob,
+    _first_hits,
     checkpoint_resume,
     decompose_range,
     enumerate_edge_cases,
@@ -42,7 +46,7 @@ from factorwitness.search import (
 )
 from factorwitness.sieve import build_table
 
-from conftest import make_doctored
+from conftest import make_doctored, scalar_first_hits
 
 
 def job_for(n_min, n_max, table, **kw):
@@ -597,6 +601,43 @@ def test_decompose_range_validation(table1m):
         decompose_range(table1m, 4, 100)
     with pytest.raises(CoverageError):
         decompose_range(table1m, 6, 2_000_000)
+
+
+# -- the first-hit scan -------------------------------------------------------
+
+
+def test_first_hits_match_scalar_scan_on_every_small_range():
+    # Every [lo, hi] up to 400: the head is cut short where p_64 = 313 >=
+    # lo, and rows with n <= p run out of odd primes below them.
+    table = build_table(400)
+    want = scalar_first_hits(table, 6, 400)
+    for lo in range(6, 401, 2):
+        for hi in range(lo, 401, 2):
+            got = _first_hits(table, lo, hi)
+            assert got.tolist() == want[(lo - 6) // 2 : (hi - 6) // 2 + 1], (lo, hi)
+
+
+def test_first_hits_match_scalar_scan_across_the_head(table1m, table10m):
+    p_head = int(table1m.odd_primes[HEAD_PRIMES - 1])
+    assert p_head == 313
+    for lo, hi in ((300, 330), (p_head - 1, p_head + 1), (p_head + 1, 5_000), (6, 20_000)):
+        assert _first_hits(table1m, lo, hi).tolist() == scalar_first_hits(table1m, lo, hi)
+    top = (10**7 - 2 * DEFAULT_BLOCK_EVENS + 2, 10**7)
+    assert _first_hits(table10m, *top).tolist() == scalar_first_hits(table10m, *top)
+
+
+def test_first_hits_rows_outlive_the_primes_inside_a_tail_chunk(table1m):
+    # Only the 167 odd primes below 1000 are scanned, and every prime of
+    # [99_000, 101_000] is hidden, so about 500 rows stay alive after the
+    # head: too few for single-prime steps, so they run out of primes
+    # inside a chunk of several.
+    hidden = [q for q in range(99_000, 101_001) if table1m.primality[q]]
+    small = [int(p) for p in table1m._primes if p < 1000]
+    doctored = make_doctored(table1m, not_prime=hidden, primes=small)
+    got = _first_hits(doctored, 98_000, 103_000)
+    assert got.tolist() == scalar_first_hits(doctored, 98_000, 103_000)
+    assert set(got[got <= 0].tolist()) == {-167}
+    assert 400 <= np.count_nonzero(got <= 0) < TAIL_CELLS // 2
 
 
 def _merge_decompositions(a, b):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ def test_count_odd_primes_below(table1m):
     assert table1m.count_odd_primes_below(4) == 1
     assert table1m.count_odd_primes_below(30) == 9
     assert table1m.count_odd_primes_below(98) == 24
+
+
+def test_prime_list_searches_match_bisect(table1m):
+    # The uint32 search key is clamped to [0, limit + 1]: values far
+    # outside the table, 2**40 included, must neither wrap nor raise.
+    primes = table1m._primes.tolist()
+    limit = table1m.limit
+    for x in (0, 2, 3, 7919, limit, limit + 1, 2**40):
+        assert table1m.count_odd_primes_below(x) == max(bisect_left(primes, x) - 1, 0), x
+        if 2 <= x <= limit:
+            assert table1m.prime_count(x) == bisect_right(primes, x), x
+    for p in (2, 3, 7919):
+        assert table1m.next_prime(p) == primes[bisect_right(primes, p)], p
 
 
 def test_domain_bounds(table1m):
