@@ -438,6 +438,13 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     """
     primality = table.primality
     odd = table.odd_primes
+    # The head below spans only the odd primes under lo, so a span that
+    # starts at or below p_64 = 313 (the first span of a sweep from small
+    # n) would send most of its rows to the tail.  Its rows from 314 on,
+    # which have all HEAD_PRIMES primes below them, are scanned apart.
+    if odd.size >= HEAD_PRIMES and lo <= odd[HEAD_PRIMES - 1] < hi:
+        split = int(odd[HEAD_PRIMES - 1]) + 1
+        return np.concatenate((_first_hits(table, lo, split - 2), _first_hits(table, split, hi)))
     rows = (hi - lo) // 2 + 1
     # Head: every row advances in lockstep over the first h odd primes,
     # those below lo among the first HEAD_PRIMES.  For consecutive even n,
@@ -923,10 +930,10 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     DEFAULT_BLOCK_EVENS evens that verify_range uses, each scanned to
     completion before the next starts, so working memory is one block's
     arrays, however wide the range: a tracemalloc peak of 1.2 MiB per
-    block at 10^7, and 2.5 MiB for the block at n = 6, whose head stops
-    after two primes.  Blocks merge in order: failures are concatenated,
-    and max_scan keeps the deepest first hit, the least n within a block
-    (argmax) and the earlier block on a tie.
+    block at 10^7, and 1.5 MiB for the block at n = 6, which _first_hits
+    scans in two pieces and joins.  Blocks merge in order: failures are
+    concatenated, and max_scan keeps the deepest first hit, the least n
+    within a block (argmax) and the earlier block on a tie.
     """
     if n_min % 2 or n_max % 2:
         raise PreconditionError(

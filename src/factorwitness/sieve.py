@@ -9,15 +9,15 @@ single segmented sieve pass produces, for every x in [2, limit]:
 Each segment [lo, hi) keeps hi <= 2*lo, so everything a segment reads
 lies below lo, in segments already finished (the segmented sieve of
 Bays & Hudson, BIT 17, 1977).  Only the odd cells are sieved, the
-wheel of 2 (Pritchard, Acta Inf. 17, 1982): a segment-local
-smallest-factor array holds one cell per odd x, and each odd base prime
-p (p*p < hi, read from the finished primality) writes its odd multiples
-with stride p in cells, 2p in x, in *descending* prime order, so the
-last write at any odd composite is its smallest prime factor s.  A cell
-no base prime reached is prime, and an odd composite takes
-lpf[x] = max(s, lpf[x // s]), a single gather.  Each even x takes
-lpf[x] = max(2, lpf[x // 2]), one contiguous read with no gather and no
-division.
+wheel of 2 (Pritchard, Acta Inf. 17, 1982).  Each odd cell starts as x
+itself.  Each odd base prime p (p*p < hi, read from the finished
+primality) then strikes its odd multiples x = p*m >= p*p with
+lpf[x] = max(p, lpf[m]), one strided ufunc per prime: that identity
+holds for every prime p dividing x, not only the smallest, and
+m <= x/3 < lo is already final, so every write is the cell's exact value
+and the primes strike in any order.  A cell no base prime struck still
+holds x and is prime.  Each even x takes lpf[x] = max(2, lpf[x // 2]),
+one contiguous read.  No step divides or gathers.
 
 Tables are uint32, so the supported ceiling is bounded by 2**32 - 1; the
 practical ceiling here is memory (5 bytes per integer resident), so
@@ -38,18 +38,17 @@ from .errors import ConfigurationError, CoverageError, OutOfRangeError, Precondi
 MIN_LIMIT = 6
 MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # Odd cells per sieve segment once the doubling start is past (2 * SEGMENT
-# integers).  Its 4 MiB uint32 scratch arrays, freed after each segment,
-# also lift glibc's dynamic mmap threshold above the first-hit scan's
+# integers).  Its 4 MiB uint32 scratch x, freed after each segment, also
+# lifts glibc's dynamic mmap threshold above the first-hit scan's
 # per-step row arrays.  The 1-worker [6, 10^7] verify_range after
-# build_table(10**7) took 1,224 minor faults and 0.51-0.64 s (a sieve of
-# every integer, 2^20 per segment: 19 faults, 0.57-0.67 s); with
-# SEGMENT = 1 << 19 (2 MiB scratch) it took 52,316 faults and 0.72-0.82 s
+# build_table(10**7) took 427 minor faults and 0.20-0.27 s; with
+# SEGMENT = 1 << 19 (2 MiB scratch) it took 51,924 faults and 0.28-0.39 s
 # (5 processes each, getrusage around verify_range, 2-vCPU Xeon VM).
 SEGMENT = 1 << 20
 # Bytes per odd cell held at once while a segment is sieved: the uint32
-# x, smallest-factor scratch, x // s and lpf gather, and the bool prime
-# mask.
-_SEGMENT_CELL_BYTES = 17
+# x, plus one for the base-prime list (tracemalloc reads 4.02 per cell
+# at 10^7; at MAX_LIMIT the list holds 4,647 primes and peaks at 0.22 MB).
+_SEGMENT_CELL_BYTES = 5
 
 
 def estimate_table_bytes(limit: int) -> int:
@@ -213,20 +212,22 @@ class PrimeTable:
 def _sieve_segment(lpf: np.ndarray, primality: np.ndarray, lo: int, hi: int) -> None:
     """Fill lpf and primality over [lo, hi), reading only cells below lo.
 
-    Needs lo even and hi <= 2*lo.  Odd x sits in scratch cell (x - lo) // 2.
-    The scratch arrays are freed on return, before the next segment or the
-    prime list is allocated.
+    Needs lo even and hi <= 2*lo.  The scratch x is freed on return,
+    before the next segment or the prime list is allocated.
     """
     x = np.arange(lo + 1, hi, 2, dtype=np.uint32)
-    spf_seg = x.copy()
-    # Descending: the smallest prime writes last and wins.  Starting at
-    # p*p leaves each base prime itself unwritten, hence prime, with
-    # x // x = 1 and lpf[1] = 1 below.
-    for p in (np.flatnonzero(primality[3 : isqrt(hi - 1) + 1])[::-1] + 3).tolist():
-        start = max(p * p, (-(-lo // p) | 1) * p)  # odd multiples only
-        spf_seg[(start - lo) // 2 :: p] = p
-    primality[lo + 1 : hi : 2] = spf_seg == x
-    np.maximum(spf_seg, lpf[x // spf_seg], out=lpf[lo + 1 : hi : 2])
+    odd = lpf[lo + 1 : hi : 2]
+    odd[...] = x
+    # Each odd base prime p strikes its odd multiples x = p*m >= p*p in
+    # the segment with lpf[x] = max(p, lpf[m]).  m <= x/3 < lo is final,
+    # and every write is lpf[x] itself, so the primes strike in any order.
+    # A segment holding no such multiple gets an empty out.
+    for p in (np.flatnonzero(primality[3 : isqrt(hi - 1) + 1]) + 3).tolist():
+        m = max(p, -(-lo // p) | 1)  # the least odd m >= p with p*m >= lo
+        out = lpf[p * m : hi : 2 * p]
+        np.maximum(lpf[m : m + 2 * out.size : 2], p, out=out)
+    # No prime struck a cell still equal to x: x is prime.
+    np.equal(odd, x, out=primality[lo + 1 : hi : 2])
     np.maximum(lpf[lo // 2 : (hi + 1) // 2], 2, out=lpf[lo:hi:2])
 
 

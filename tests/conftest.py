@@ -9,6 +9,8 @@ original (PrimeTable is frozen; arrays are copied on demand).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,9 @@ def scalar_first_hits(table: PrimeTable, lo: int, hi: int) -> list[int]:
                 break
         out.append(first)
     return out
+
+
+def table_digests(table: PrimeTable) -> tuple[str, str]:
+    """sha256 prefixes of lpf.tobytes() and primality.tobytes()."""
+    arrays = (table.lpf, table.primality)
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)

@@ -46,7 +46,7 @@ from factorwitness.search import (
 )
 from factorwitness.sieve import build_table
 
-from conftest import make_doctored, scalar_first_hits
+from conftest import make_doctored, scalar_first_hits, table_digests
 
 
 def job_for(n_min, n_max, table, **kw):
@@ -172,8 +172,10 @@ CANONICAL = {
 def test_canonical_digest(request, fixture):
     if fixture == "table100m":
         # Built here rather than as a session fixture, so that its
-        # ~480 MiB are freed when the test ends.
+        # ~480 MiB are freed when the test ends.  test_sieve pins the
+        # bytes of the 10^6 and 10^7 tables, and this the 10^8 one's.
         table = build_table(100_000_000)
+        assert table_digests(table) == ("03189530b5ea0de6", "356d699f2beeb631")
     else:
         table = request.getfixturevalue(fixture)
     s = verify_range(table, job_for(6, table.limit, table))

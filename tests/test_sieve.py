@@ -1,6 +1,5 @@
 """Table construction and lookups."""
 
-import hashlib
 import random
 import tracemalloc
 from bisect import bisect_left, bisect_right
@@ -21,6 +20,8 @@ from factorwitness.errors import (
     PreconditionError,
 )
 from factorwitness.sieve import SEGMENT, build_table
+
+from conftest import table_digests
 
 # pi(x) reference points; classical values, double-checked against the
 # bytearray oracle sieve in test_bruteforce.
@@ -231,8 +232,8 @@ def test_tables_match_trial_division_at_segment_seams(table10m):
     _assert_matches_trial_division(table10m, range(limit - 64, limit + 1))
 
 
-# sha256 prefixes of lpf.tobytes() and primality.tobytes(); the 10^8
-# table gives 03189530b5ea0de6 / 356d699f2beeb631.
+# sha256 prefixes of lpf.tobytes() and primality.tobytes();
+# test_search.test_canonical_digest pins the 10^8 table's.
 PINNED_TABLE_BYTES = {
     "table1m": ("b4d3078b5f86878f", "1d8537de67d9eab4"),
     "table10m": ("6976b4a993421c9e", "ab158d028a45c741"),
@@ -241,7 +242,33 @@ PINNED_TABLE_BYTES = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_TABLE_BYTES))
 def test_table_bytes_pinned(name, request):
-    table = request.getfixturevalue(name)
-    arrays = (table.lpf, table.primality)
-    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
-    assert digests == PINNED_TABLE_BYTES[name]
+    assert table_digests(request.getfixturevalue(name)) == PINNED_TABLE_BYTES[name]
+
+
+def _prefix_limits():
+    """Limits where a segment's strikes can go wrong, up to 50,000.
+
+    p^2 - 1, p^2 and p^2 + 1 put the limit around the first multiple an
+    odd base prime strikes, and 2^k - 1, 2^k and 2^k + 1 around the
+    doubling segment starts: a final segment that is short, one cell
+    long, or holds no multiple of some base prime (an empty strike).
+    """
+    odd_primes = [p for p in range(3, 224) if trial_is_prime(p)]
+    limits = set(range(6, 14))
+    for centre in [p * p for p in odd_primes] + [2**k for k in range(3, 16)]:
+        limits.update((centre - 1, centre, centre + 1))
+    return sorted(limits)
+
+
+@pytest.fixture(scope="module")
+def table50k():
+    return build_table(50_000)
+
+
+@pytest.mark.parametrize("limit", _prefix_limits())
+def test_table_is_a_prefix_of_a_larger_one(limit, table50k):
+    table = build_table(limit)
+    assert np.array_equal(table.lpf, table50k.lpf[: limit + 1])
+    assert np.array_equal(table.primality, table50k.primality[: limit + 1])
+    assert np.array_equal(table._primes, table50k._primes[: table._primes.size])
+    assert table._primes.size == table50k.prime_count(limit)
