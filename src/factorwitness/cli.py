@@ -139,14 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help=f"worker processes (default: ${WORKERS_ENV} or CPU count)")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
-                   help="save progress here after every span of blocks and on a stop; "
-                        "resume if present")
+                   help="save the covered prefix here after every span; resume after "
+                        "it if present, with any interval or worker count")
     p.add_argument("--checkpoint-interval", type=int, default=DEFAULT_BLOCK_EVENS,
-                   metavar="EVENS", help="even values per block (default %(default)s)")
+                   metavar="EVENS", help="even values per block, the unit of "
+                   "--stop-after-blocks; a span is max(EVENS, %(default)s) (default %(default)s)")
     p.add_argument("--fail-fast", action="store_true",
-                   help="abort on the first block containing a counterexample or anomaly")
+                   help="abort on the first span containing a counterexample or anomaly")
     p.add_argument("--stop-after-blocks", type=int, default=None, metavar="B",
-                   help="checkpoint and stop after B blocks (interruption drill)")
+                   help="sweep B more blocks (B >= 1), checkpoint and stop "
+                        "(interruption drill)")
     p.add_argument("--manifest", metavar="PATH", default=None,
                    help="write a provenance manifest (digest, job, record count)")
     add_common(p)

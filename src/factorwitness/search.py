@@ -3,7 +3,7 @@
 An even n evaluates the instances k = 1 .. i*, where i* = i*(n), its
 first prime hit, is the least index with n - p_i prime: every nonvacuous
 instance plus the one vacuous instance that makes every larger k vacuous.
-Each block of consecutive even n is swept in two phases.
+Each span of consecutive even n is swept in two phases.
 
 Phase 1, the first-hit scan (_first_hits), reads primality only and
 returns i* per row.  Its head advances every row in lockstep over the
@@ -33,23 +33,23 @@ below n without a hit, which takes a doctored table, can hit n - p_i = 1
 (at its last instance); such a row takes the matrix over its instances.
 Hit rows still get a vectorised unit check, so a table that calls 1
 prime breaks the outcome count instead of passing unseen.  Two engine
-invariants are checked on every block: the first witness indices agree
+invariants are checked on every span: the first witness indices agree
 with the classifier, and the outcomes add up to the instances.
 
-Work is split into blocks of checkpoint_interval evens, the unit of
-checkpoint identity and resume, and consecutive blocks are grouped into
-spans of at least DEFAULT_BLOCK_EVENS evens, the unit of scanning: one
-task, serial or pooled, runs phase 1 once over a span and phase 2 on each
-of its blocks, so small blocks do not repeat the scan's depth tail.  Each
-block yields a RangeSummary of its own range, and blocks are merged
-(merge_summaries) strictly in ascending order whatever the worker count,
-so summaries and their digests are worker-count independent.  The
-checkpoint is saved once per merged span and before any raise, so a
-requested stop or a fail-fast error still leaves the exact block merged.
+Work is split into spans of max(checkpoint_interval, DEFAULT_BLOCK_EVENS)
+evens, the one unit of work: one task, serial or pooled, runs both phases
+once over a span and yields a RangeSummary of its range, and spans are
+merged (merge_summaries) strictly in ascending order whatever the worker
+count, so summaries and their digests are worker-count independent.  The
+checkpoint is saved after every merged span and holds the summary of the
+covered prefix [n_min, x], so a resume restarts at x + 2 with any block
+size or worker count, and a requested stop or a fail-fast error leaves
+the prefix through the span it stopped on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -79,7 +79,7 @@ from .errors import (
 from .sieve import PrimeTable
 
 DEFAULT_BLOCK_EVENS = 100_000
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,9 @@ class RangeJob:
     n_max: int
     table_limit: int
     workers: int = 1
-    checkpoint_interval: int = DEFAULT_BLOCK_EVENS  # even values per block
+    # Even values per block: the unit of stop_after_blocks, and the least
+    # span when it exceeds DEFAULT_BLOCK_EVENS.
+    checkpoint_interval: int = DEFAULT_BLOCK_EVENS
 
     def __post_init__(self):
         if self.n_min % 2 or self.n_max % 2:
@@ -117,15 +119,11 @@ class RangeJob:
     def identity(self) -> dict:
         """Fields that must match for a checkpoint to be resumable.
 
-        The worker count is deliberately absent: block merging is ordered,
-        so results do not depend on it and a resume may change it.
+        A checkpoint holds the summary of a prefix of the range, which no
+        other field changes: merging is ordered, so a resume may change
+        the worker count and the block size.
         """
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "table_limit": self.table_limit,
-            "checkpoint_interval": self.checkpoint_interval,
-        }
+        return {"n_min": self.n_min, "n_max": self.n_max}
 
 
 @dataclass(frozen=True)
@@ -376,7 +374,7 @@ def _summary_from_records(records: list) -> RangeSummary:
 
 
 # ---------------------------------------------------------------------------
-# block sweep
+# span sweep
 # ---------------------------------------------------------------------------
 
 
@@ -503,19 +501,20 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     return first
 
 
-# A swept block: its summary without equality cases, and their (n, k).
+# A swept span: its summary without equality cases, and their (n, k).
 _Block = tuple[RangeSummary, list[tuple[int, int]]]
 
 
-def _sweep_block(table: PrimeTable, lo: int, hi: int, first: np.ndarray) -> _Block:
-    """Evaluate every instance of every even n in [lo, hi].
+def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
+    """Evaluate every instance of every even n in the span [lo, hi].
 
-    first holds the block's rows of phase 1, from _sweep_run.  Returns the
-    block's summary, without equality cases, and the (n, k) pairs of
-    those cases, which the merging process classifies.
+    Runs phase 1, then phase 2, over the whole span.  Returns its
+    summary, without equality cases, and the (n, k) pairs of those cases,
+    which the merging process classifies.
     """
     odd = table.odd_primes
     n = np.arange(lo, hi + 1, 2, dtype=np.int64)
+    first = _first_hits(table, lo, hi)
     steps = np.abs(first)  # instances of each row
     found = first > 0
     unit = n - odd[steps - 1] == 1
@@ -532,24 +531,60 @@ def _sweep_block(table: PrimeTable, lo: int, hi: int, first: np.ndarray) -> _Blo
         best_fwi, best_ratio = (1, n0, 1), (1, 1, n0, 1)
     anomaly_pairs = list(zip(n[unit].tolist(), steps[unit].tolist()))
 
+    # The hard rows take one matrix pass.  Row r holds instances k = 1 ..
+    # count[r], all nonvacuous and free of units, and hn ascends, so the
+    # row-major order of the cells is the (n, k) order that breaks ties
+    # between extremes.
     rest = steps - (found | unit)  # instances left to classify
     rows = np.flatnonzero(~easy & (rest > 0))
     equality_pairs: list[tuple[int, int]] = []
     cex_pairs: list[tuple[int, int]] = []
     if rows.size:
-        hard = _classify_hard_rows(table, n[rows], rest[rows], lo, hi)
-        strict += hard.strict
-        equality_pairs, cex_pairs = hard.equality_pairs, hard.cex_pairs
-        for key, count in hard.hist.items():
-            hist[key] = hist.get(key, 0) + count
-        best_fwi = _better_fwi(best_fwi, hard.best_fwi)
-        best_ratio = _better_ratio(best_ratio, hard.best_ratio)
+        hn, count = n[rows], rest[rows]
+        width = int(count.max())
+        p = odd[:width].astype(np.int64)
+        r, col = np.nonzero(np.arange(width) < count[:, None])  # col = k - 1
+        pk = p[col]
+        f = np.zeros((hn.size, width), dtype=np.int64)
+        f[r, col] = table.lpf[hn[r] - pk]
+        run_max = np.maximum.accumulate(f, axis=1)
+        m = run_max[r, col]
+        gt, eq = m > pk, m == pk
+        # The first witness index of (n, k), the least j with lpf(n - p_j) >= p_k,
+        # is the least j with M_j >= p_k, as M is nondecreasing.  Row r is
+        # offset by r * (limit + 1), above any lpf value, so the rows laid end
+        # to end stay sorted and one search answers every cell.
+        offset = table.limit + 1
+        flat = (run_max + np.arange(hn.size)[:, None] * offset).ravel()
+        pos = np.searchsorted(flat, pk + r * offset) - r * width
+        witnessed = (pos >= 0) & (pos <= col)
+        if not np.array_equal(witnessed, gt | eq):
+            raise EngineError(
+                f"span [{lo}, {hi}]: first witness indices disagree with the classifier"
+            )
+        lt = ~(gt | eq)
+        strict += int(np.count_nonzero(gt))
+        equality_pairs = list(zip(hn[r[eq]].tolist(), (col[eq] + 1).tolist()))
+        cex_pairs = list(zip(hn[r[lt]].tolist(), (col[lt] + 1).tolist()))
+        fwi = pos[witnessed] + 1
+        if fwi.size:
+            for ix, c in enumerate(np.bincount(fwi).tolist()):
+                if c:
+                    hist[ix] = hist.get(ix, 0) + c
+            wn, wk = hn[r[witnessed]], col[witnessed] + 1
+            # The first maximum is the least (n, k); equal fractions of
+            # integers divide to equal doubles.
+            j = int(fwi.argmax())
+            best_fwi = _better_fwi(best_fwi, (int(fwi[j]), int(wn[j]), int(wk[j])))
+            j = int((fwi / wk).argmax())
+            ratio = (int(fwi[j]), int(wk[j]), int(wn[j]), int(wk[j]))
+            best_ratio = _better_ratio(best_ratio, ratio)
 
     equal = len(equality_pairs)
     classified = vacuous + strict + equal + len(cex_pairs) + len(anomaly_pairs)
     if classified != instances:
         raise EngineError(
-            f"block [{lo}, {hi}]: {classified} outcomes for {instances} instances"
+            f"span [{lo}, {hi}]: {classified} outcomes for {instances} instances"
         )
     summary = RangeSummary(
         n_min=lo,
@@ -570,100 +605,40 @@ def _sweep_block(table: PrimeTable, lo: int, hi: int, first: np.ndarray) -> _Blo
     return summary, equality_pairs
 
 
-@dataclass(frozen=True)
-class _HardRows:
-    """The outcomes of the hard rows of a block, in summary terms."""
-
-    strict: int
-    equality_pairs: list[tuple[int, int]]
-    cex_pairs: list[tuple[int, int]]
-    hist: dict[int, int]
-    best_fwi: tuple[int, int, int] | None
-    best_ratio: tuple[int, int, int, int] | None
-
-
-def _classify_hard_rows(
-    table: PrimeTable, n: np.ndarray, count: np.ndarray, lo: int, hi: int
-) -> _HardRows:
-    """Phase 2 for rows the easy-row lemma does not settle.
-
-    Row r holds instances k = 1 .. count[r], all nonvacuous and free of
-    units, and n ascends, so the row-major order of the cells is the
-    (n, k) order that breaks ties between extremes.
-    """
-    odd = table.odd_primes
-    width = int(count.max())
-    p = odd[:width].astype(np.int64)
-    r, col = np.nonzero(np.arange(width) < count[:, None])  # col = k - 1
-    pk = p[col]
-    f = np.zeros((n.size, width), dtype=np.int64)
-    f[r, col] = table.lpf[n[r] - pk]
-    run_max = np.maximum.accumulate(f, axis=1)
-    m = run_max[r, col]
-    gt, eq = m > pk, m == pk
-    # The first witness index of (n, k), the least j with lpf(n - p_j) >= p_k,
-    # is the least j with M_j >= p_k, as M is nondecreasing.  Row r is
-    # offset by r * (limit + 1), above any lpf value, so the rows laid end
-    # to end stay sorted and one search answers every cell.
-    span = table.limit + 1
-    flat = (run_max + np.arange(n.size)[:, None] * span).ravel()
-    pos = np.searchsorted(flat, pk + r * span) - r * width
-    witnessed = (pos >= 0) & (pos <= col)
-    if not np.array_equal(witnessed, gt | eq):
-        raise EngineError(
-            f"block [{lo}, {hi}]: first witness indices disagree with the classifier"
-        )
-    fwi = pos[witnessed] + 1
-    hist: dict[int, int] = {}
-    best_fwi = best_ratio = None
-    if fwi.size:
-        hist = {ix: int(c) for ix, c in enumerate(np.bincount(fwi)) if c}
-        wn, wk = n[r[witnessed]], col[witnessed] + 1
-        # The first maximum is the least (n, k); equal fractions of
-        # integers divide to equal doubles.
-        j = int(fwi.argmax())
-        best_fwi = (int(fwi[j]), int(wn[j]), int(wk[j]))
-        j = int((fwi / wk).argmax())
-        best_ratio = (int(fwi[j]), int(wk[j]), int(wn[j]), int(wk[j]))
-    lt = ~(gt | eq)
-    return _HardRows(
-        strict=int(np.count_nonzero(gt)),
-        equality_pairs=list(zip(n[r[eq]].tolist(), (col[eq] + 1).tolist())),
-        cex_pairs=list(zip(n[r[lt]].tolist(), (col[lt] + 1).tolist())),
-        hist=hist,
-        best_fwi=best_fwi,
-        best_ratio=best_ratio,
-    )
-
-
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_save(path, job: RangeJob, blocks_done: int, agg: RangeSummary, elapsed: float) -> None:
+def checkpoint_save(path, job: RangeJob, agg: RangeSummary, elapsed: float) -> None:
     """Persist sweep progress atomically (write temp file, then rename).
 
-    agg, the summary of the blocks done so far, is stored as its records.
+    agg, the summary of the covered prefix [job.n_min, agg.n_max], is
+    stored as its records.  A failed save leaves no temp file behind.
     """
-    state = {
+    text = json.dumps({
         "format_version": CHECKPOINT_VERSION,
         "job": job.identity(),
-        "blocks_done": blocks_done,
         "elapsed": elapsed,
         "records": summary_to_records(agg, include_timing=False),
-    }
+    }) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(state) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
-def checkpoint_resume(path, job: RangeJob) -> tuple[int, RangeSummary, float]:
-    """Load progress for job; reject checkpoints from any other job.
+def checkpoint_resume(path, job: RangeJob) -> tuple[RangeSummary, float]:
+    """Load progress for job: the covered prefix's summary and the seconds spent.
 
-    A checkpoint that cannot be read or decoded, or whose records do not
-    cover exactly its blocks_done blocks of the job, is refused the same way.
+    A checkpoint of another job, one that cannot be read or decoded, and
+    one whose records do not cover [job.n_min, x] for an even x <= job.n_max
+    are refused the same way.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -679,16 +654,15 @@ def checkpoint_resume(path, job: RangeJob) -> tuple[int, RangeSummary, float]:
                 f"current job is {job.identity()}"
             )
         agg = summary_from_records(state["records"])
-        done, elapsed = _int(state["blocks_done"]), float(state["elapsed"])
+        elapsed = float(state["elapsed"])
     except (AttributeError, KeyError, OSError, ReportFormatError, TypeError, ValueError) as exc:
         raise CheckpointMismatchError(f"{path}: unreadable checkpoint: {exc}") from exc
-    covered = min(job.n_min + 2 * job.checkpoint_interval * done - 2, job.n_max)
-    if done < 1 or (agg.n_min, agg.n_max) != (job.n_min, covered):
+    if agg.n_min != job.n_min or agg.n_max % 2 or not job.n_min <= agg.n_max <= job.n_max:
         raise CheckpointMismatchError(
             f"{path}: records cover [{agg.n_min}, {agg.n_max}], "
-            f"not the job's first {done} block(s)"
+            f"not a prefix of the job's [{job.n_min}, {job.n_max}]"
         )
-    return done, agg, elapsed
+    return agg, elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -698,35 +672,15 @@ def checkpoint_resume(path, job: RangeJob) -> tuple[int, RangeSummary, float]:
 _SHARED_TABLE: PrimeTable | None = None
 
 
-def _sweep_run(table: PrimeTable, bounds: list[tuple[int, int]]) -> list[_Block]:
-    """Sweep a span of consecutive blocks, one _Block per block.
-
-    Phase 1 runs once over the whole span, and phase 2 on each block's
-    slice of its rows.
-    """
-    lo0, hi0 = bounds[0][0], bounds[-1][1]
-    first = _first_hits(table, lo0, hi0)
-    return [
-        _sweep_block(table, lo, hi, first[(lo - lo0) >> 1 : ((hi - lo0) >> 1) + 1])
-        for lo, hi in bounds
-    ]
-
-
-def _pool_sweep(bounds: list[tuple[int, int]]) -> list[_Block]:
+def _pool_sweep(span: tuple[int, int]) -> _Block:
     # Looks _sweep_run up in the forked worker's copy of this module.
-    return _sweep_run(_SHARED_TABLE, bounds)
+    return _sweep_run(_SHARED_TABLE, *span)
 
 
 def _block_bounds(n_min: int, n_max: int, evens_per_block: int) -> list[tuple[int, int]]:
     """Split even n in [n_min, n_max] into ascending blocks [lo, hi]."""
-    span = 2 * evens_per_block
-    out = []
-    lo = n_min
-    while lo <= n_max:
-        hi = min(lo + span - 2, n_max)
-        out.append((lo, hi))
-        lo = hi + 2
-    return out
+    step = 2 * evens_per_block
+    return [(lo, min(lo + step - 2, n_max)) for lo in range(n_min, n_max + 1, step)]
 
 
 def verify_range(
@@ -739,78 +693,61 @@ def verify_range(
 ) -> RangeSummary:
     """Run (or resume) the sweep described by job and return its summary.
 
-    checkpoint_path: progress is saved there after every merged span of
-    blocks and before any error or stop is raised, and an existing file
-    resumes the sweep (after validating it matches job).
-    fail_fast: raise as soon as a merged block contains a counterexample
-    candidate or unit anomaly instead of sweeping to the end.
-    stop_after_blocks: merge this many new blocks, checkpoint, then raise
-    SweepInterrupted; exists so interruption can be exercised on demand.
+    Each span of max(job.checkpoint_interval, DEFAULT_BLOCK_EVENS) evens
+    is one task; spans merge in ascending order.
+    checkpoint_path: the covered prefix's summary is saved there after
+    every merged span; an existing file, once validated against job,
+    resumes the sweep after its prefix.
+    fail_fast: raise, after the save, as soon as a merged span holds a
+    counterexample candidate or unit anomaly.
+    stop_after_blocks: sweep only the next B blocks of checkpoint_interval
+    evens, then raise SweepInterrupted, whose blocks_done counts the blocks
+    covered from n_min; exists so interruption can be exercised on demand.
     A worker that dies raises EngineError.
     """
     if table.limit < job.table_limit:
         raise CoverageError(
             f"table covers [2, {table.limit}], job needs {job.table_limit}"
         )
-    if stop_after_blocks is not None and not checkpoint_path:
-        raise ConfigurationError("stop_after_blocks requires a checkpoint path")
-
-    bounds = _block_bounds(job.n_min, job.n_max, job.checkpoint_interval)
-    agg: RangeSummary | None = None
-    done = 0
-    elapsed_prior = 0.0
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        done, agg, elapsed_prior = checkpoint_resume(checkpoint_path, job)
-        if done > len(bounds):
-            raise CheckpointMismatchError(
-                f"{checkpoint_path}: {done} blocks done, job only has {len(bounds)}"
+    if stop_after_blocks is not None:
+        if not checkpoint_path:
+            raise ConfigurationError("stop_after_blocks requires a checkpoint path")
+        if stop_after_blocks < 1:
+            raise ConfigurationError(
+                f"stop_after_blocks must be >= 1, got {stop_after_blocks}"
             )
 
+    agg: RangeSummary | None = None
+    elapsed_prior = 0.0
+    if checkpoint_path and os.path.exists(checkpoint_path):
+        agg, elapsed_prior = checkpoint_resume(checkpoint_path, job)
+    start = job.n_min if agg is None else agg.n_max + 2
+    end = job.n_max
+    if stop_after_blocks is not None:
+        end = min(end, start + 2 * job.checkpoint_interval * stop_after_blocks - 2)
+    spans = _block_bounds(start, end, max(job.checkpoint_interval, DEFAULT_BLOCK_EVENS))
     t0 = time.perf_counter()
-    merged_this_run = 0
-    saved = done
 
     def elapsed_now() -> float:
         return elapsed_prior + (time.perf_counter() - t0)
 
-    def save() -> None:
-        nonlocal saved
-        if checkpoint_path and saved != done:
-            checkpoint_save(checkpoint_path, job, done, agg, elapsed_now())
-            saved = done
+    def merge(swept: _Block) -> None:
+        """Fold one swept span into agg and save; fail fast after the save."""
+        nonlocal agg
+        part, pairs = swept
+        cases = [classify_equality(table, make_instance(table, n, k)) for n, k in sorted(pairs)]
+        part = replace(part, equality_cases=tuple(cases))
+        agg = part if agg is None else merge_summaries(agg, part)
+        if checkpoint_path:
+            checkpoint_save(checkpoint_path, job, agg, elapsed_now())
+        if fail_fast and not agg.clean:
+            if agg.counterexamples:
+                raise CounterexampleFoundError(agg.counterexamples)
+            raise AnomalyFoundError(agg.anomalies)
 
-    def merge(blocks: list[_Block]) -> None:
-        """Merge one span's blocks in order, then save; a raise saves first."""
-        nonlocal agg, done, merged_this_run
-        try:
-            for part, pairs in blocks:
-                cases = [
-                    classify_equality(table, make_instance(table, n, k))
-                    for n, k in sorted(pairs)
-                ]
-                part = replace(part, equality_cases=tuple(cases))
-                agg = part if agg is None else merge_summaries(agg, part)
-                done += 1
-                merged_this_run += 1
-                if fail_fast and not agg.clean:
-                    if agg.counterexamples:
-                        raise CounterexampleFoundError(agg.counterexamples)
-                    raise AnomalyFoundError(agg.anomalies)
-                if (
-                    stop_after_blocks is not None
-                    and merged_this_run >= stop_after_blocks
-                    and done < len(bounds)
-                ):
-                    raise SweepInterrupted(checkpoint_path, done)
-        finally:
-            save()
-
-    todo = bounds[done:]
-    per_span = -(-DEFAULT_BLOCK_EVENS // job.checkpoint_interval)
-    spans = [todo[j : j + per_span] for j in range(0, len(todo), per_span)]
     if job.workers == 1 or len(spans) <= 1:
-        for span in spans:
-            merge(_sweep_run(table, span))
+        for lo, hi in spans:
+            merge(_sweep_run(table, lo, hi))
     else:
         # Imported here: these modules add ~1.3 MiB of resident memory,
         # which a serial sweep would pay for nothing.
@@ -824,8 +761,8 @@ def verify_range(
             min(job.workers, len(spans)), mp_context=multiprocessing.get_context("fork")
         )
         try:
-            for blocks in pool.map(_pool_sweep, spans):
-                merge(blocks)
+            for swept in pool.map(_pool_sweep, spans):
+                merge(swept)
         except BrokenProcessPool as exc:
             raise EngineError(f"a sweep worker died: {exc}") from exc
         finally:
@@ -833,6 +770,9 @@ def verify_range(
             pool.shutdown(cancel_futures=True)
             _SHARED_TABLE = None
 
+    if agg.n_max < job.n_max:
+        covered = (agg.n_max - job.n_min) // 2 + 1
+        raise SweepInterrupted(checkpoint_path, -(-covered // job.checkpoint_interval))
     elapsed = elapsed_now()
     evens = (job.n_max - job.n_min) // 2 + 1
     summary = replace(
@@ -926,14 +866,14 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     existence and depth of the first hit are kept.  Any n whose scan
     exhausts the odd primes below it (first <= 0) lands in failures.
 
-    The range is walked in the same ascending blocks of
-    DEFAULT_BLOCK_EVENS evens that verify_range uses, each scanned to
-    completion before the next starts, so working memory is one block's
-    arrays, however wide the range: a tracemalloc peak of 1.2 MiB per
-    block at 10^7, and 1.5 MiB for the block at n = 6, which _first_hits
-    scans in two pieces and joins.  Blocks merge in order: failures are
+    The range is walked in the same ascending spans of
+    DEFAULT_BLOCK_EVENS evens that verify_range uses by default, each
+    scanned to completion before the next starts, so working memory is one
+    span's arrays, however wide the range: a tracemalloc peak of 1.2 MiB
+    per span at 10^7, and 1.5 MiB for the span at n = 6, which _first_hits
+    scans in two pieces and joins.  Spans merge in order: failures are
     concatenated, and max_scan keeps the deepest first hit, the least n
-    within a block (argmax) and the earlier block on a tie.
+    within a span (argmax) and the earlier span on a tie.
     """
     if n_min % 2 or n_max % 2:
         raise PreconditionError(
@@ -948,7 +888,7 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     for lo, hi in _block_bounds(n_min, n_max, DEFAULT_BLOCK_EVENS):
         first = _first_hits(table, lo, hi)
         failures.extend((lo + 2 * np.flatnonzero(first <= 0)).tolist())
-        j = int(first.argmax())  # the least n of the block's deepest hit
+        j = int(first.argmax())  # the least n of the span's deepest hit
         if first[j] > 0 and (max_scan is None or first[j] > max_scan[0]):
             max_scan = (int(first[j]), lo + 2 * j)
     return DecompositionSweep(

@@ -206,6 +206,37 @@ def test_verify_checkpoint_with_a_false_summary_is_usage_error(tmp_path, capsys,
     assert "unreadable checkpoint" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_verify_refuses_an_old_checkpoint_format(tmp_path, capsys, version):
+    # A version 2 checkpoint counted blocks done and named its block size
+    # and table limit; version 3 holds only the covered prefix.
+    ck = tmp_path / "ck.json"
+    argv = ["verify", "--max", "20000", "--workers", "1",
+            "--checkpoint", str(ck), "--checkpoint-interval", "1000"]
+    assert run(*argv, "--stop-after-blocks", "2") == cli.EXIT_OK
+    state = json.loads(ck.read_text())
+    state.update(format_version=version, blocks_done=2)
+    state["job"].update(table_limit=20000, checkpoint_interval=1000)
+    ck.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert run(*argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"checkpoint version {version}, expected 3" in err and "Traceback" not in err
+    assert ck.exists()
+
+
+@pytest.mark.parametrize("blocks", ["0", "-1"])
+def test_verify_stop_after_fewer_than_one_block_is_usage_error(tmp_path, capsys, blocks):
+    ck = tmp_path / "ck.json"
+    code = run(
+        "verify", "--max", "20000", "--workers", "1",
+        "--checkpoint", str(ck), "--stop-after-blocks", blocks,
+    )
+    assert code == cli.EXIT_USAGE
+    assert "stop_after_blocks must be >= 1" in capsys.readouterr().err
+    assert not ck.exists()
+
+
 def test_verify_checkpoint_mismatch(tmp_path, capsys):
     ck = tmp_path / "ck.json"
     run(
@@ -254,20 +285,20 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 def test_killed_worker_exits_one_and_leaves_a_resumable_checkpoint(
     monkeypatch, tmp_path, capsys
 ):
-    # [6, 10^6] in blocks of 10^4 evens makes 5 spans of 10 blocks.  The
-    # forked worker that takes any span but the first waits until the
-    # first span is merged and checkpointed, then SIGKILLs itself.
+    # [6, 10^6] makes 5 spans of 10^5 evens.  The forked worker that takes
+    # any span but the first waits until the first span is merged and
+    # checkpointed, then SIGKILLs itself.
     ck = tmp_path / "ck.json"
     parent = os.getpid()
     sweep_run = search._sweep_run
 
-    def dies_after_first_span(table, bounds):
-        if bounds[0][0] != 6 and os.getpid() != parent:
+    def dies_after_first_span(table, lo, hi):
+        if lo != 6 and os.getpid() != parent:
             deadline = time.monotonic() + 60
             while not ck.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             os.kill(os.getpid(), signal.SIGKILL)
-        return sweep_run(table, bounds)
+        return sweep_run(table, lo, hi)
 
     monkeypatch.setattr(search, "_sweep_run", dies_after_first_span)
     code = run(
@@ -283,7 +314,7 @@ def test_killed_worker_exits_one_and_leaves_a_resumable_checkpoint(
     job = search.RangeJob(
         n_min=6, n_max=10**6, table_limit=10**6, checkpoint_interval=10_000
     )
-    assert search.checkpoint_resume(ck, job)[0] == 10
+    assert search.checkpoint_resume(ck, job)[0].n_max == 200_004
     summary = search.verify_range(sieve.build_table(10**6), job, checkpoint_path=ck)
     assert summary_digest(summary) == (
         "528e467fde3190c5db61358c89de683a93261a5fca80523521e510a5dd43f387"

@@ -2,8 +2,10 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from factorwitness import search
 from factorwitness.bruteforce import trial_smallest_factor
 from factorwitness.conjecture import (
     construct_lemma_prime,
@@ -109,11 +111,14 @@ def test_split_then_merge_is_identity(table1m, lo_h, span_h, cut_h):
     evens_per_block=st.integers(min_value=1, max_value=300),
 )
 def test_sweep_matches_oracle_on_random_windows(table1m, oracle10k, ends_h, evens_per_block):
-    # Small random blocks put hard rows (those the easy-row lemma does
-    # not settle) on block seams as well as inside blocks.
+    # Small random spans put hard rows (those the easy-row lemma does
+    # not settle) on span seams as well as inside spans.  A span is
+    # max(interval, DEFAULT_BLOCK_EVENS) evens, so the default is lowered.
     lo, hi = 2 * min(ends_h), 2 * max(ends_h)
     job = RangeJob(n_min=lo, n_max=hi, table_limit=hi, checkpoint_interval=evens_per_block)
-    engine = verify_range(table1m, job)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "DEFAULT_BLOCK_EVENS", 1)
+        engine = verify_range(table1m, job)
     brute = oracle10k.summarize(lo, hi)
     for f in dataclasses.fields(engine):
         if f.name not in ("elapsed_seconds", "evens_per_second"):

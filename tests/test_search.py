@@ -1,6 +1,7 @@
 """Range sweeps: aggregation, determinism, checkpointing, derived queries."""
 
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -129,7 +130,10 @@ def test_instance_count_identity(table1m):
 # -- determinism --------------------------------------------------------------
 
 
-def test_block_size_is_invisible(table1m):
+def test_block_size_is_invisible(table1m, monkeypatch):
+    # A span is max(interval, DEFAULT_BLOCK_EVENS) evens; a default of 1
+    # lets each interval cut [6, 2000] into spans of its own size.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 1)
     digests = set()
     for interval in (7, 133, 1_000, DEFAULT_BLOCK_EVENS):
         s = verify_range(
@@ -139,7 +143,8 @@ def test_block_size_is_invisible(table1m):
     assert len(digests) == 1
 
 
-def test_worker_count_is_invisible(table1m):
+def test_worker_count_is_invisible(table1m, monkeypatch):
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 1)  # 10 spans of 200 evens
     base = verify_range(table1m, job_for(6, 4_000, table1m, checkpoint_interval=200))
     pooled = verify_range(
         table1m, job_for(6, 4_000, table1m, checkpoint_interval=200, workers=3)
@@ -231,16 +236,18 @@ def test_resume_may_change_workers(table1m, tmp_path):
 
 
 def test_checkpoint_job_mismatch(table1m, tmp_path):
+    # The checkpoint's identity is the range: another n_min or n_max is
+    # refused, and another block size resumes after the same prefix.
     ck = tmp_path / "sweep.ckpt"
     job = job_for(6, 20_000, table1m, checkpoint_interval=1_000)
     with pytest.raises(SweepInterrupted):
         verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=2)
-    other = job_for(6, 10_000, table1m, checkpoint_interval=1_000)
-    with pytest.raises(CheckpointMismatchError):
-        verify_range(table1m, other, checkpoint_path=ck)
+    for other in (job_for(6, 10_000, table1m), job_for(8, 20_000, table1m)):
+        with pytest.raises(CheckpointMismatchError):
+            verify_range(table1m, other, checkpoint_path=ck)
     shifted = job_for(6, 20_000, table1m, checkpoint_interval=2_000)
-    with pytest.raises(CheckpointMismatchError):
-        verify_range(table1m, shifted, checkpoint_path=ck)
+    resumed = verify_range(table1m, shifted, checkpoint_path=ck)
+    assert canonical_bytes(resumed) == canonical_bytes(verify_range(table1m, job))
 
 
 def test_checkpoint_rejects_corruption(table1m, tmp_path):
@@ -270,10 +277,11 @@ def _drop_equality_record(state):
         lambda state: state["records"][-1].pop("strict_count"),
         lambda state: state["records"][-1].update(witness_index_histogram=[1, 2]),
         lambda state: state["records"].insert(0, ["not", "an", "object"]),
-        lambda state: state.pop("blocks_done"),
-        lambda state: state.update(blocks_done=3),  # records cover 2 blocks
-        lambda state: state.update(blocks_done=0),
-        lambda state: state.update(blocks_done=2.5),
+        lambda state: state["records"][-1].update(n_min=8),
+        lambda state: state["records"][-1].update(n_max=20_002),
+        lambda state: state["records"][-1].update(n_max=16_005),
+        lambda state: state["records"][-1].update(n_max=4),
+        lambda state: state.update(format_version=2),
         lambda state: state.update(format_version=1),
         lambda state: state.update(records=[]),
     ],
@@ -282,21 +290,25 @@ def _drop_equality_record(state):
         "summary-key-missing",
         "histogram-not-a-map",
         "record-not-an-object",
-        "blocks-done-missing",
-        "blocks-done-ahead",
-        "blocks-done-zero",
-        "blocks-done-not-an-integer",
+        "records-shift-n-min",
+        "records-pass-n-max",
+        "records-end-on-odd-n",
+        "records-end-below-n-min",
+        "version-2",
         "version-1",
         "no-records",
     ],
 )
 def test_checkpoint_refuses_corrupt_records(table1m, tmp_path, corrupt):
+    # Two blocks of 4,000 evens: the checkpoint covers [6, 16004].
     ck = tmp_path / "sweep.ckpt"
     job = job_for(6, 20_000, table1m, checkpoint_interval=4_000)
     with pytest.raises(SweepInterrupted):
         verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=2)
     state = json.loads(ck.read_text())
-    assert state["format_version"] == 2
+    assert state.keys() == {"format_version", "job", "elapsed", "records"}
+    assert state["format_version"] == 3 and state["job"] == {"n_min": 6, "n_max": 20_000}
+    assert state["records"][-1]["n_max"] == 16_004
     assert sum(rec["record"] == "equality_case" for rec in state["records"]) == 8
     corrupt(state)
     ck.write_text(json.dumps(state))
@@ -321,6 +333,15 @@ def test_stop_requires_checkpoint_path(table1m):
         verify_range(table1m, job, stop_after_blocks=2)
 
 
+@pytest.mark.parametrize("blocks", [0, -1])
+def test_stop_after_fewer_than_one_block_is_refused(table1m, tmp_path, blocks):
+    ck = tmp_path / "sweep.ckpt"
+    job = job_for(6, 20_000, table1m, checkpoint_interval=1_000)
+    with pytest.raises(ConfigurationError):
+        verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=blocks)
+    assert not ck.exists()
+
+
 def test_stop_beyond_end_completes(table1m, tmp_path):
     ck = tmp_path / "sweep.ckpt"
     job = job_for(6, 2_000, table1m, checkpoint_interval=1_000)  # 1 block
@@ -329,17 +350,17 @@ def test_stop_beyond_end_completes(table1m, tmp_path):
     assert not ck.exists()
 
 
-# -- spans: consecutive blocks scanned as one task -----------------------------
+# -- spans: the one unit of sweeping, merging and saving ----------------------
 
 
 @pytest.mark.parametrize(
     "interval, n_max, span_evens",
     [
-        (1, 4_000, 300),  # 7 spans of 300 one-even blocks, the last of 198
-        (7, 250_000, None),  # spans of 14,286 blocks, the second partial
-        (30_000, 10**6, None),  # spans of 4 blocks, the last partial
+        (1, 4_000, 300),  # 7 spans of 300 evens, the last of 198
+        (7, 250_000, None),  # spans of 10^5 evens, the second partial
+        (30_000, 10**6, None),  # 5 spans of 10^5 evens
         (DEFAULT_BLOCK_EVENS, 10**6, None),  # one block per span
-        (2 * DEFAULT_BLOCK_EVENS, 10**6, None),
+        (2 * DEFAULT_BLOCK_EVENS, 10**6, None),  # 3 spans of 2 * 10^5 evens
     ],
 )
 def test_span_size_is_invisible(table1m, monkeypatch, interval, n_max, span_evens):
@@ -353,46 +374,102 @@ def test_span_size_is_invisible(table1m, monkeypatch, interval, n_max, span_even
 
 
 def test_checkpoint_once_per_span_and_on_stop(table1m, tmp_path, monkeypatch):
-    # 15 blocks of 10^4 evens make spans of 10 and 5 blocks; the stop
-    # after 13 blocks falls inside the second span.
+    # 15 blocks of 10^4 evens; a stop after 13 blocks sweeps the span
+    # [6, 200004] and then only [200006, 260004], and the resume the rest.
     ck = tmp_path / "sweep.ckpt"
     job = job_for(6, 300_000, table1m, checkpoint_interval=10_000)
     ref = verify_range(table1m, job)
     saves = []
     save = search.checkpoint_save
 
-    def counted_save(path, job, done, *rest):
-        saves.append(done)
-        save(path, job, done, *rest)
+    def counted_save(path, job, agg, *rest):
+        saves.append(agg.n_max)
+        save(path, job, agg, *rest)
 
     monkeypatch.setattr(search, "checkpoint_save", counted_save)
     with pytest.raises(SweepInterrupted) as info:
         verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=13)
     assert info.value.blocks_done == 13
-    assert saves == [10, 13]
+    assert saves == [200_004, 260_004]
     part = verify_range(table1m, job_for(6, 260_004, table1m, checkpoint_interval=10_000))
     assert json.loads(ck.read_text())["records"] == summary_to_records(
         part, include_timing=False
     )
     resumed = verify_range(table1m, job, checkpoint_path=ck)
-    assert saves == [10, 13, 15]
+    assert saves == [200_004, 260_004, 300_000]
     assert canonical_bytes(resumed) == canonical_bytes(ref)
 
 
+def test_resume_may_change_interval_and_workers(table1m, tmp_path):
+    # 20,000 blocks of 7 evens end at 280004, inside the second span.  The
+    # resume sweeps on from 280006 in 10^5-even blocks, and its blocks_done
+    # counts the blocks of the new size that [6, 480004] takes.
+    ck = tmp_path / "sweep.ckpt"
+    sevens = job_for(6, 10**6, table1m, checkpoint_interval=7, workers=2)
+    with pytest.raises(SweepInterrupted) as info:
+        verify_range(table1m, sevens, checkpoint_path=ck, stop_after_blocks=20_000)
+    assert info.value.blocks_done == 20_000
+    assert checkpoint_resume(ck, sevens)[0].n_max == 280_004
+    job = job_for(6, 10**6, table1m)
+    with pytest.raises(SweepInterrupted) as info:
+        verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=1)
+    assert (info.value.blocks_done, checkpoint_resume(ck, job)[0].n_max) == (3, 480_004)
+    resumed = verify_range(table1m, job, checkpoint_path=ck)
+    assert summary_digest(resumed) == CANONICAL[10**6][0]
+
+
+def test_checkpoint_of_the_whole_range_resumes_to_the_summary(table1m, tmp_path, monkeypatch):
+    ck = tmp_path / "sweep.ckpt"
+    job = job_for(6, 20_000, table1m)
+    ref = verify_range(table1m, job)
+    search.checkpoint_save(ck, job, ref, 2.5)
+
+    def no_sweep(*args):
+        raise AssertionError("a covered range was swept again")
+
+    monkeypatch.setattr(search, "_sweep_run", no_sweep)
+    resumed = verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=1)
+    assert canonical_bytes(resumed) == canonical_bytes(ref)
+    assert resumed.elapsed_seconds >= 2.5
+    assert not ck.exists()
+
+
+@pytest.mark.parametrize(
+    "module, name, exc",
+    [
+        (os, "replace", OSError(errno.ENOSPC, "No space left on device")),
+        (json, "dumps", TypeError("not JSON serializable")),
+    ],
+    ids=["rename-fails", "serialize-fails"],
+)
+def test_failed_checkpoint_save_leaves_no_temp_file(
+    table1m, tmp_path, monkeypatch, module, name, exc
+):
+    def fault(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, fault)
+    with pytest.raises(type(exc)):
+        verify_range(table1m, job_for(6, 20_000, table1m), checkpoint_path=tmp_path / "ck")
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fail_fast_checkpoints_the_failing_block(table1m, tmp_path):
-    # n = 450,106 lies in block 46 of 60 (5,000 evens each), the sixth
-    # block of the third span of 20.  Its first hit n - 3 is hidden and
-    # given largest factor 2, so its instance k = 1 is a counterexample.
+    # n = 450,106 lies in the third span of five, [400006, 600004].  Its
+    # first hit n - 3 is hidden and given largest factor 2, so its
+    # instance k = 1 is a counterexample.  The checkpoint covers the
+    # prefix through the end of that span.
     n = 450_106
     doctored = make_doctored(table1m, not_prime=(n - 3,), lpf_overrides={n - 3: 2})
     ck = tmp_path / "sweep.ckpt"
-    job = job_for(6, 600_000, doctored, checkpoint_interval=5_000)
+    job = job_for(6, 10**6, doctored, checkpoint_interval=5_000)
     with pytest.raises(CounterexampleFoundError) as info:
         verify_range(doctored, job, checkpoint_path=ck, fail_fast=True)
     assert min(info.value.pairs) == (n, 1)
-    done, agg, _ = checkpoint_resume(ck, job)
-    assert (done, agg.n_max) == (46, 460_004)
-    part = verify_range(doctored, job_for(6, 460_004, doctored, checkpoint_interval=5_000))
+    agg, _ = checkpoint_resume(ck, job)
+    assert agg.n_max == 600_004
+    part = verify_range(doctored, job_for(6, 600_004, doctored))
     assert summary_to_records(agg, include_timing=False) == summary_to_records(
         part, include_timing=False
     )
@@ -400,13 +477,15 @@ def test_fail_fast_checkpoints_the_failing_block(table1m, tmp_path):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_over_many_spans(table1m, tmp_path, workers):
-    # 50 blocks of 10^4 evens make 5 spans, more than either pool has workers.
+    # [6, 10^6] makes 5 spans of 10^5 evens, more than either pool has
+    # workers.  A stop after 23 blocks of 10^4 evens ends inside the third.
     job = job_for(6, 10**6, table1m, checkpoint_interval=10_000, workers=workers)
     assert summary_digest(verify_range(table1m, job)) == CANONICAL[10**6][0]
     ck = tmp_path / "sweep.ckpt"
-    with pytest.raises(SweepInterrupted):
+    with pytest.raises(SweepInterrupted) as info:
         verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=23)
-    assert checkpoint_resume(ck, job)[0] == 23
+    assert info.value.blocks_done == 23
+    assert checkpoint_resume(ck, job)[0].n_max == 460_004
     resumed = verify_range(table1m, job, checkpoint_path=ck)
     assert summary_digest(resumed) == CANONICAL[10**6][0]
 
@@ -474,11 +553,12 @@ def scalar_sweep(table, lo, hi):
 
 
 @pytest.mark.parametrize("evens_per_block", [5, 28])
-def test_no_hit_row_inside_a_block_of_easy_rows(sick_table, evens_per_block):
+def test_no_hit_row_inside_a_block_of_easy_rows(sick_table, monkeypatch, evens_per_block):
     # Under sick_table, 6 and 20 never hit (6 - 5 = 1 is a unit as
     # well), 12, 16, 18 and 30 are hard, and every other row of [6, 60]
-    # is easy (i* == 1 or lpf(n - 3) > p_{i*-1}).  Blocks of 5 and 28
+    # is easy (i* == 1 or lpf(n - 3) > p_{i*-1}).  Spans of 5 and 28
     # evens put n = 20 inside [16, 24] and [6, 60].
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 1)
     s = verify_range(
         sick_table, job_for(6, 60, sick_table, checkpoint_interval=evens_per_block)
     )
@@ -503,7 +583,7 @@ def test_fail_fast_raises_anomaly(table1m):
     assert info.value.pairs == [(8, 3)]
 
 
-# Both engine invariants of the block sweep are broken through faulty
+# Both engine invariants of the span sweep are broken through faulty
 # tables, in a fresh interpreter so that the run under -O proves the
 # checks are not asserts.
 _INVARIANT_PROBE = """
@@ -521,7 +601,7 @@ table = build_table(2_000)
 lpf = table.lpf.copy()
 lpf[25] = 10**6
 try:
-    _sweep_run(dataclasses.replace(table, lpf=lpf), [(6, 2_000)])
+    _sweep_run(dataclasses.replace(table, lpf=lpf), 6, 2_000)
 except EngineError as exc:
     print("classifier:", exc)
 
@@ -530,7 +610,7 @@ except EngineError as exc:
 primality = table.primality.copy()
 primality[[1, 3, 5]] = (True, False, False)
 try:
-    _sweep_run(dataclasses.replace(table, primality=primality), [(8, 8)])
+    _sweep_run(dataclasses.replace(table, primality=primality), 8, 8)
 except EngineError as exc:
     print("conservation:", exc)
 """
