@@ -77,7 +77,7 @@ from .search import (
     verify_range,
     witness_statistics,
 )
-from .sieve import build_table
+from .sieve import build_table, usable_cpus
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -108,7 +108,7 @@ def _resolve_workers(flag: int | None) -> int:
         if value < 1:
             raise ConfigurationError(f"{WORKERS_ENV} must be >= 1, got {value}")
         return value
-    return os.cpu_count() or 1
+    return usable_cpus()
 
 
 def _write_out(path, text: str) -> None:
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=_even, default=6)
     p.add_argument("--max", type=_even, required=True)
     p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default: ${WORKERS_ENV} or CPU count)")
+                   help=f"worker processes (default: ${WORKERS_ENV} or the usable CPUs)")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
                    help="save the covered prefix here after every span; resume after "
                         "it if present, with any interval or worker count")

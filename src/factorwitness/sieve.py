@@ -8,16 +8,27 @@ single segmented sieve pass produces, for every x in [2, limit]:
 
 Each segment [lo, hi) keeps hi <= 2*lo, so everything a segment reads
 lies below lo, in segments already finished (the segmented sieve of
-Bays & Hudson, BIT 17, 1977).  Only the odd cells are sieved, the
-wheel of 2 (Pritchard, Acta Inf. 17, 1982).  Each odd cell starts as x
-itself.  Each odd base prime p (p*p < hi, read from the finished
-primality) then strikes its odd multiples x = p*m >= p*p with
-lpf[x] = max(p, lpf[m]), one strided ufunc per prime: that identity
-holds for every prime p dividing x, not only the smallest, and
-m <= x/3 < lo is already final, so every write is the cell's exact value
-and the primes strike in any order.  A cell no base prime struck still
-holds x and is prime.  Each even x takes lpf[x] = max(2, lpf[x // 2]),
-one contiguous read.  No step divides or gathers.
+Bays & Hudson, BIT 17, 1977).  The sieve runs in doubling waves
+[L, 2L): every segment of a wave reads only [2, L), so a wave's
+segments, 2 * SEGMENT integers each once L reaches 2 * SEGMENT, are
+independent.  usable_cpus() threads, the calling thread and a pool of
+up to usable_cpus() - 1, take a wave's segments one at a time until none
+is left (numpy drops the interpreter lock inside a strike, fill or
+compare ufunc of more than 500 cells), so a table below 2**22, or any
+table on one CPU, starts no thread.  The pool is joined before build_table returns.
+
+Only the odd cells are sieved, the wheel of 2 (Pritchard, Acta Inf. 17,
+1982).  Each odd cell starts as x itself, added from one read-only ramp
+0, 2, 4, ... that all segments share.  Each odd base prime p (p*p < hi,
+read from the finished primality) then strikes its odd multiples
+x = p*m >= p*p with lpf[x] = max(p, lpf[m]), one strided ufunc per
+prime: that identity holds for every prime p dividing x, not only the
+smallest, and m <= x/3 < lo is already final, so every write is the
+cell's exact value and the primes strike in any order.  An odd x is
+then prime exactly when lpf[x] > lo: an odd composite x < 2*lo has
+lpf[x] <= x/3 < lo.  Each even x takes lpf[x] = max(2, lpf[x // 2]),
+one contiguous read.  No step divides or gathers, and a segment
+allocates nothing.
 
 Tables are uint32, so the supported ceiling is bounded by 2**32 - 1; the
 practical ceiling here is memory (5 bytes per integer resident), so
@@ -27,6 +38,8 @@ fit in the memory available to the process.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt, log
 from pathlib import Path
@@ -38,17 +51,27 @@ from .errors import ConfigurationError, CoverageError, OutOfRangeError, Precondi
 MIN_LIMIT = 6
 MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # Odd cells per sieve segment once the doubling start is past (2 * SEGMENT
-# integers).  Its 4 MiB uint32 scratch x, freed after each segment, also
-# lifts glibc's dynamic mmap threshold above the first-hit scan's
-# per-step row arrays.  The 1-worker [6, 10^7] verify_range after
-# build_table(10**7) took 427 minor faults and 0.20-0.27 s; with
-# SEGMENT = 1 << 19 (2 MiB scratch) it took 51,924 faults and 0.28-0.39 s
-# (5 processes each, getrusage around verify_range, 2-vCPU Xeon VM).
+# integers), and the length of the uint32 ramp that all segments read x
+# from.  The 4 MiB ramp, freed when the build ends, also lifts glibc's
+# dynamic mmap threshold above the first-hit scan's per-step row arrays.
+# The 1-worker [6, 10^7] verify_range after build_table(10**7) took 484
+# minor faults and 0.21-0.28 s; with SEGMENT = 1 << 19 (a 2 MiB ramp) it
+# took 51,939 faults and 0.38-0.47 s (5 processes each, getrusage around
+# verify_range, 2-vCPU Xeon VM).
 SEGMENT = 1 << 20
-# Bytes per odd cell held at once while a segment is sieved: the uint32
-# x, plus one for the base-prime list (tracemalloc reads 4.02 per cell
-# at 10^7; at MAX_LIMIT the list holds 4,647 primes and peaks at 0.22 MB).
+# Bytes per odd cell of one segment held while the table is sieved: the
+# shared uint32 ramp, plus one for the base-prime lists (the current
+# wave's and, while it is built, the next one's; at MAX_LIMIT a list
+# holds 4,647 primes, about 0.22 MB).
 _SEGMENT_CELL_BYTES = 5
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def estimate_table_bytes(limit: int) -> int:
@@ -56,7 +79,7 @@ def estimate_table_bytes(limit: int) -> int:
 
     5 bytes per integer for lpf and primality, 8 per prime for the prime
     list (pi(x) < 1.25506 x / ln x; Rosser & Schoenfeld 1962), which
-    takes 4, and one segment's scratch.
+    takes 4, and the ramp and base primes that every segment shares.
     """
     primes = int(1.25506 * limit / log(limit)) + 1
     return 5 * (limit + 1) + 8 * primes + _SEGMENT_CELL_BYTES * SEGMENT
@@ -209,26 +232,50 @@ class PrimeTable:
         return int(np.searchsorted(self._primes, self._needle(x), side="right"))
 
 
-def _sieve_segment(lpf: np.ndarray, primality: np.ndarray, lo: int, hi: int) -> None:
+def _sieve_segment(
+    lpf: np.ndarray,
+    primality: np.ndarray,
+    ramp: np.ndarray,
+    base: list[int],
+    lo: int,
+    hi: int,
+) -> None:
     """Fill lpf and primality over [lo, hi), reading only cells below lo.
 
-    Needs lo even and hi <= 2*lo.  The scratch x is freed on return,
-    before the next segment or the prime list is allocated.
+    Needs lo even, hi <= 2*lo, ramp[k] = 2k over the segment's odd cells
+    and every odd prime p with p*p < hi in base (larger ones strike
+    nothing).  Allocates no array, so segments can run on threads.
     """
-    x = np.arange(lo + 1, hi, 2, dtype=np.uint32)
     odd = lpf[lo + 1 : hi : 2]
-    odd[...] = x
+    np.add(ramp[: odd.size], np.uint32(lo + 1), out=odd)
     # Each odd base prime p strikes its odd multiples x = p*m >= p*p in
     # the segment with lpf[x] = max(p, lpf[m]).  m <= x/3 < lo is final,
     # and every write is lpf[x] itself, so the primes strike in any order.
     # A segment holding no such multiple gets an empty out.
-    for p in (np.flatnonzero(primality[3 : isqrt(hi - 1) + 1]) + 3).tolist():
+    for p in base:
         m = max(p, -(-lo // p) | 1)  # the least odd m >= p with p*m >= lo
         out = lpf[p * m : hi : 2 * p]
         np.maximum(lpf[m : m + 2 * out.size : 2], p, out=out)
-    # No prime struck a cell still equal to x: x is prime.
-    np.equal(odd, x, out=primality[lo + 1 : hi : 2])
+    # An odd composite x < 2*lo has lpf[x] <= x/3 < lo; a prime keeps x.
+    np.greater(odd, lo, out=primality[lo + 1 : hi : 2])
     np.maximum(lpf[lo // 2 : (hi + 1) // 2], 2, out=lpf[lo:hi:2])
+
+
+def _sieve_share(
+    lpf: np.ndarray,
+    primality: np.ndarray,
+    ramp: np.ndarray,
+    base: list[int],
+    todo: list[int],
+    end: int,
+) -> None:
+    """Sieve segments of the wave ending at end, popping their starts off todo."""
+    while True:
+        try:
+            lo = todo.pop()  # atomic, so the threads of a wave share todo
+        except IndexError:
+            return
+        _sieve_segment(lpf, primality, ramp, base, lo, min(lo + 2 * SEGMENT, end))
 
 
 def build_table(limit: int) -> PrimeTable:
@@ -248,11 +295,29 @@ def build_table(limit: int) -> PrimeTable:
     lpf[:2] = (0, 1)  # primes and x = 2 read lpf[1] below
     primality = np.zeros(limit + 1, dtype=bool)
     primality[2] = True
-    lo = 2  # every start is even: a power of two or a multiple of 2 * SEGMENT
-    while lo <= limit:
-        hi = min(2 * lo, lo + 2 * SEGMENT, limit + 1)
-        _sieve_segment(lpf, primality, lo, hi)
-        lo = hi
+    step = 2 * SEGMENT
+    ramp = np.arange(0, min(step, limit + 1), 2, dtype=np.uint32)
+    threads = usable_cpus()
+    with ThreadPoolExecutor(threads) as pool:
+        lo = 2
+        while lo <= limit:
+            # The wave [lo, end) reads only [2, lo), so its segments are
+            # independent.  The calling thread and up to threads - 1 pool
+            # threads take them one at a time until none is left, so a
+            # wave of one segment starts no thread and a stalled thread
+            # holds up at most one segment.
+            end = min(2 * lo, limit + 1)
+            base = (np.flatnonzero(primality[3 : isqrt(end - 1) + 1]) + 3).tolist()
+            todo = list(range(lo, end, step))
+            shares = [
+                pool.submit(_sieve_share, lpf, primality, ramp, base, todo, end)
+                for _ in range(min(threads, len(todo)) - 1)
+            ]
+            _sieve_share(lpf, primality, ramp, base, todo, end)
+            for share in shares:
+                share.result()
+            lo = end
+    del ramp
     # uint32, filled from the odd cells a segment's width at a time:
     # np.flatnonzero over the whole table would allocate an int64 list
     # (46 MB at 10^8) while lpf and primality are resident, and would
@@ -260,8 +325,8 @@ def build_table(limit: int) -> PrimeTable:
     primes = np.empty(np.count_nonzero(primality), dtype=np.uint32)
     primes[0] = 2
     at = 1
-    for lo in range(0, limit + 1, 2 * SEGMENT):
-        chunk = np.flatnonzero(primality[lo + 1 : lo + 2 * SEGMENT : 2])
+    for lo in range(0, limit + 1, step):
+        chunk = np.flatnonzero(primality[lo + 1 : lo + step : 2])
         primes[at : at + chunk.size] = 2 * chunk + (lo + 1)
         at += chunk.size
     return PrimeTable(

@@ -77,6 +77,13 @@ def test_resolve_workers_precedence(monkeypatch):
         cli._resolve_workers(None)
 
 
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    # Not os.cpu_count(): a run pinned to fewer CPUs starts fewer workers.
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    assert cli._resolve_workers(None) == 3
+
+
 def test_bad_workers_env_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv(cli.WORKERS_ENV, "many")
     assert run("verify", "--max", "100") == cli.EXIT_USAGE

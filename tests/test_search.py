@@ -490,6 +490,16 @@ def test_pool_over_many_spans(table1m, tmp_path, workers):
     assert summary_digest(resumed) == CANONICAL[10**6][0]
 
 
+
+def test_pool_forks_after_a_threaded_build():
+    # A table past 2**22 is sieved partly on threads; the sweep's fork
+    # pool must still start from a single-threaded parent (from Python
+    # 3.12 a fork with live threads warns, an error under
+    # -W error::DeprecationWarning).
+    table = build_table(2**23)
+    job = job_for(6, 10**6, table, workers=2)
+    assert summary_digest(verify_range(table, job)) == CANONICAL[10**6][0]
+
 # -- failure surfacing --------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Table construction and lookups."""
 
+import os
 import random
+import threading
 import tracemalloc
 from bisect import bisect_left, bisect_right
 
@@ -151,20 +153,23 @@ def test_preflight_refuses_before_allocating(monkeypatch):
 
 
 def test_preflight_estimate():
-    # 5 B per integer, 8 B per prime, one segment's scratch.
+    # 5 B per integer, 8 B per prime, the ramp and base primes.
     assert sieve.estimate_table_bytes(10**8) >= 5 * 10**8 + 8 * 5_761_455
     assert sieve.estimate_table_bytes(10**8) < 600 << 20
     assert sieve.estimate_table_bytes(sieve.MAX_LIMIT) > 10**10
 
 
 def test_preflight_estimate_bounds_the_build():
+    # Past the first wave of two segments, so that tracemalloc also sees
+    # what the pool's threads allocate.
+    limit = 2**23 + 1
     tracemalloc.start()
     try:
-        build_table(10**6)
+        build_table(limit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sieve.estimate_table_bytes(10**6)
+    assert peak <= sieve.estimate_table_bytes(limit)
 
 
 def test_memory_file_reader(tmp_path):
@@ -196,6 +201,16 @@ def test_cgroup_headroom_reads_v1_and_v2(tmp_path):
     (v2 / "memory.max").write_text("max\n")  # no v2 limit
     assert sieve._cgroup_headroom(["0::/job"], tmp_path) == []
     assert sieve._cgroup_headroom(["4:memory:/missing"], tmp_path) == []
+
+
+def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert sieve.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sieve.usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sieve.usable_cpus() == 1
 
 
 def test_preflight_admits_ten_million():
@@ -243,6 +258,66 @@ PINNED_TABLE_BYTES = {
 @pytest.mark.parametrize("name", sorted(PINNED_TABLE_BYTES))
 def test_table_bytes_pinned(name, request):
     assert table_digests(request.getfixturevalue(name)) == PINNED_TABLE_BYTES[name]
+
+
+# -- the wave-parallel build --------------------------------------------------
+#
+# From 2 * SEGMENT = 2**21 on, a wave [2**k, 2**(k+1)) holds 2**(k-21)
+# segments, which the calling thread and the pool take one at a time.
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [2**k + d for k in (21, 22, 23) for d in (-1, 0, 1)]
+    + [2**22 + 2 * SEGMENT - 1, 2**22 + 2 * SEGMENT + 1],
+)
+def test_wave_seams_are_prefixes(limit, table10m):
+    table = build_table(limit)
+    assert np.array_equal(table.lpf, table10m.lpf[: limit + 1])
+    assert np.array_equal(table.primality, table10m.primality[: limit + 1])
+    assert np.array_equal(table._primes, table10m._primes[: table._primes.size])
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_thread_count_is_invisible(cpus, monkeypatch):
+    monkeypatch.setattr(sieve, "usable_cpus", lambda: cpus)
+    assert table_digests(build_table(10**7)) == PINNED_TABLE_BYTES["table10m"]
+
+
+def test_build_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(sieve, "usable_cpus", lambda: 2)
+    ran_on = set()
+    sieve_segment = sieve._sieve_segment
+
+    def recorded(*args):
+        ran_on.add(threading.get_ident())
+        sieve_segment(*args)
+
+    monkeypatch.setattr(sieve, "_sieve_segment", recorded)
+    before = threading.enumerate()
+    build_table(2**23 + 1)
+    assert len(ran_on) > 1  # the pool did run segments
+    assert set(threading.enumerate()) == set(before)
+
+
+def test_segment_error_propagates_and_joins_the_pool(monkeypatch):
+    # Every segment a pool thread takes fails; the calling thread's pass.
+    monkeypatch.setattr(sieve, "usable_cpus", lambda: 2)
+    failed = []
+    sieve_segment = sieve._sieve_segment
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(args[-2])
+            raise RuntimeError("segment failed")
+        sieve_segment(*args)
+
+    monkeypatch.setattr(sieve, "_sieve_segment", failing)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="segment failed"):
+        build_table(2**23 + 1)
+    assert failed
+    assert set(threading.enumerate()) == set(before)
 
 
 def _prefix_limits():
