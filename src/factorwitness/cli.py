@@ -23,8 +23,10 @@ uses (selftest by its own --limit).  Before allocating, the table build
 compares its estimated bytes (5 per integer, 8 per prime, plus segment
 scratch) with the memory available to the process (MemAvailable, or a
 smaller cgroup v1 or v2 limit) and refuses with exit 2 if the table
-would not fit.  An engine error the arguments cannot cause, such as a
-table too small for its request, is internal and exits 1.
+would not fit.  verify checks its other arguments before the build, so
+they too exit 2 without allocating.  An engine error the arguments
+cannot cause, such as a table too small for its request, is internal
+and exits 1.
 
 Record streams go to --output (default stdout) and never contain timing,
 so byte-identical reruns are expected; measurements land on stderr.
@@ -73,6 +75,7 @@ from .report import (
 from .search import (
     DEFAULT_BLOCK_EVENS,
     RangeJob,
+    check_stop_request,
     enumerate_edge_cases,
     verify_range,
     witness_statistics,
@@ -191,15 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    workers = _resolve_workers(args.workers)
-    table = build_table(args.max)
     job = RangeJob(
         n_min=args.min,
         n_max=args.max,
         table_limit=args.max,
-        workers=workers,
+        workers=_resolve_workers(args.workers),
         checkpoint_interval=args.checkpoint_interval,
     )
+    check_stop_request(args.checkpoint, args.stop_after_blocks)
+    table = build_table(args.max)
     t0 = time.perf_counter()
     summary = verify_range(
         table,

@@ -12,11 +12,14 @@ window of odd cells, until few rows are alive; its tail gathers the
 survivors' cells several primes at a time.  decompose_range reads the
 deepest hit and the rows that never hit from the same array.
 
-Phase 2 classifies each row from i* and one gather f1 = lpf(n - 3).
+Phase 2 classifies each row from i* and f1 = lpf(n - 3), which for
+consecutive even n is a stride-2 slice of the table, read in place.
 
   Easy rows.  If i* == 1 or f1 > p_{i*-1}, every k < i* is a strict
   witness with first witness index 1, since lpf(n - p_1) = f1 > p_{i*-1}
-  >= p_k.  Such a row adds i* - 1 strict instances to histogram key 1
+  >= p_k.  One lookup decides it: f1 >= bar[i*], where bar[1] = 0 and
+  bar[s] = p_{s-1} + 1, a uint32 table as long as the span's deepest
+  scan.  Such a row adds i* - 1 strict instances to histogram key 1
   and one vacuous instance, and the easy rows' extremes are (1, n0, 1)
   and (1, 1, n0, 1) for the least easy n0 with i* >= 2.
 
@@ -31,10 +34,14 @@ A row with a hit holds no unit anomaly: n - p_{i*} is an odd prime, so
 p_{i*} <= n - 3 < n - 1.  Only a row whose scan runs out of odd primes
 below n without a hit, which takes a doctored table, can hit n - p_i = 1
 (at its last instance); such a row takes the matrix over its instances.
-Hit rows still get a vectorised unit check, so a table that calls 1
-prime breaks the outcome count instead of passing unseen.  Two engine
-invariants are checked on every span: the first witness indices agree
-with the classifier, and the outcomes add up to the instances.
+A unit needs n = p_i + 1 for some i up to the span's deepest scan, so
+the vectorised unit check runs on the rows with n <= p_deepest + 1
+only, exactly those that can hold one (on an honest table only n up to
+1,094, as no first hit up to 10^8 lies past p_182 = 1,093).  It covers
+hit rows too, so a table that calls 1 prime breaks the outcome count
+instead of passing unseen.  Two engine invariants are checked on every
+span: the first witness indices agree with the classifier, and the
+outcomes add up to the instances.
 
 Work is split into spans of max(checkpoint_interval, DEFAULT_BLOCK_EVENS)
 evens, the one unit of work: one task, serial or pooled, runs both phases
@@ -404,9 +411,14 @@ def _better_ratio(a, b):
 # Phase 1 costs on the 2-vCPU Xeon VM of perfbench/README.md, per 10^5
 # rows at n ~ 5 * 10^6: a head step, two uint8 ufuncs over contiguous
 # slices, takes ~7 us whether its rows are alive or not (a step on the
-# stride-2 view of primality takes ~130 us); one prime of the tail, an
-# index array, a gather and a compress, ~5 ns per live row (~480 us per
-# 10^5); a tail chunk ~5 us per call plus ~5 ns per cell.
+# stride-2 view of primality takes ~130 us); handing the survivors to
+# the tail, one flatnonzero over a bool view of alive, ~45 us (~300 us
+# over the uint8 array itself); one prime of the tail, an index array, a
+# gather and a compress, ~5 ns per live row (~480 us per 10^5); a tail
+# chunk ~5 us per call plus ~5 ns per cell.  Phase 2 (_sweep_run) then
+# takes 0.9-1.6 ms per such span: the easy-row lookup, a take from bar,
+# a compare and an and, ~300 us; its other row passes, each ~20-55 us,
+# about as much again; the hard rows' matrix the rest.
 #
 # The head spans the first HEAD_PRIMES odd primes at most, so depth fits
 # in uint8 and the window overhangs the rows by (p_64 - 3) / 2 = 155
@@ -466,7 +478,7 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
                 break
     first = depth.astype(np.int64)
     first += 1
-    act = lo + 2 * np.flatnonzero(alive)
+    act = lo + 2 * np.flatnonzero(alive.view(bool))
     # Tail: the survivors take up to TAIL_CELLS cells of primes at once,
     # one 2-D gather whose argmax is each row's first hit in the chunk.
     # One prime at a time where that is a single prime, or where the
@@ -513,34 +525,47 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     which the merging process classifies.
     """
     odd = table.odd_primes
-    n = np.arange(lo, hi + 1, 2, dtype=np.int64)
     first = _first_hits(table, lo, hi)
     steps = np.abs(first)  # instances of each row
     found = first > 0
-    unit = n - odd[steps - 1] == 1
-    f1 = table.lpf[n - 3]
-    easy = found & ((steps == 1) | (f1 > odd[np.maximum(steps - 2, 0)]))
+    deepest = int(steps.max())
+    # A hit row of s instances is easy exactly when lpf(n - 3) >= bar[s].
+    # Row r is n = lo + 2r, so lpf(n - 3) is a stride-2 slice of the table.
+    bar = np.zeros(deepest + 2, dtype=np.uint32)
+    bar[2:] = odd[:deepest] + 1
+    f1 = table.lpf[lo - 3 : hi - 2 : 2]
+    easy = found & (f1 >= bar.take(steps))
+    # n - p_i = 1 needs n = p_i + 1 <= p_deepest + 1 = bar[-1], so only
+    # the rows up to that n can hold a unit.
+    cut = max(0, (min(int(bar[-1]), hi) - lo) // 2 + 1)
+    unit = np.zeros(first.size, dtype=bool)
+    unit[:cut] = lo + 2 * np.arange(cut) - odd[steps[:cut] - 1] == 1
+    # The rest are the hard rows and the rows without a hit.  Every easy
+    # row adds its i* - 1 strict instances and one vacuous one.
+    rows = np.flatnonzero(~easy)
     instances = int(steps.sum())
     vacuous = int(np.count_nonzero(found))
-    strict = int(steps[easy].sum()) - int(np.count_nonzero(easy))
+    strict = instances - int(steps[rows].sum()) - (first.size - rows.size)
     hist = {1: strict} if strict else {}
     best_fwi = best_ratio = None
     multi = easy & (steps > 1)
-    if multi.any():
-        n0 = lo + 2 * int(multi.argmax())
+    j = int(multi.argmax())
+    if multi[j]:
+        n0 = lo + 2 * j
         best_fwi, best_ratio = (1, n0, 1), (1, 1, n0, 1)
-    anomaly_pairs = list(zip(n[unit].tolist(), steps[unit].tolist()))
+    units = np.flatnonzero(unit[:cut])
+    anomaly_pairs = list(zip((lo + 2 * units).tolist(), steps[units].tolist()))
 
     # The hard rows take one matrix pass.  Row r holds instances k = 1 ..
     # count[r], all nonvacuous and free of units, and hn ascends, so the
     # row-major order of the cells is the (n, k) order that breaks ties
     # between extremes.
-    rest = steps - (found | unit)  # instances left to classify
-    rows = np.flatnonzero(~easy & (rest > 0))
+    rest = steps[rows] - (found[rows] | unit[rows])  # instances left to classify
+    rows, count = rows[rest > 0], rest[rest > 0]
     equality_pairs: list[tuple[int, int]] = []
     cex_pairs: list[tuple[int, int]] = []
     if rows.size:
-        hn, count = n[rows], rest[rows]
+        hn = lo + 2 * rows
         width = int(count.max())
         p = odd[:width].astype(np.int64)
         r, col = np.nonzero(np.arange(width) < count[:, None])  # col = k - 1
@@ -683,6 +708,16 @@ def _block_bounds(n_min: int, n_max: int, evens_per_block: int) -> list[tuple[in
     return [(lo, min(lo + step - 2, n_max)) for lo in range(n_min, n_max + 1, step)]
 
 
+def check_stop_request(checkpoint_path, stop_after_blocks: int | None) -> None:
+    """Refuse, with ConfigurationError, a stop without a checkpoint or below one block."""
+    if stop_after_blocks is None:
+        return
+    if not checkpoint_path:
+        raise ConfigurationError("stop_after_blocks requires a checkpoint path")
+    if stop_after_blocks < 1:
+        raise ConfigurationError(f"stop_after_blocks must be >= 1, got {stop_after_blocks}")
+
+
 def verify_range(
     table: PrimeTable,
     job: RangeJob,
@@ -709,13 +744,7 @@ def verify_range(
         raise CoverageError(
             f"table covers [2, {table.limit}], job needs {job.table_limit}"
         )
-    if stop_after_blocks is not None:
-        if not checkpoint_path:
-            raise ConfigurationError("stop_after_blocks requires a checkpoint path")
-        if stop_after_blocks < 1:
-            raise ConfigurationError(
-                f"stop_after_blocks must be >= 1, got {stop_after_blocks}"
-            )
+    check_stop_request(checkpoint_path, stop_after_blocks)
 
     agg: RangeSummary | None = None
     elapsed_prior = 0.0

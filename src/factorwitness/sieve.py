@@ -53,11 +53,12 @@ MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # Odd cells per sieve segment once the doubling start is past (2 * SEGMENT
 # integers), and the length of the uint32 ramp that all segments read x
 # from.  The 4 MiB ramp, freed when the build ends, also lifts glibc's
-# dynamic mmap threshold above the first-hit scan's per-step row arrays.
-# The 1-worker [6, 10^7] verify_range after build_table(10**7) took 484
-# minor faults and 0.21-0.28 s; with SEGMENT = 1 << 19 (a 2 MiB ramp) it
-# took 51,939 faults and 0.38-0.47 s (5 processes each, getrusage around
-# verify_range, 2-vCPU Xeon VM).
+# dynamic mmap threshold above the sweep's per-span row arrays (at most
+# 0.8 MiB, one int64 per row).  The 1-worker [6, 10^7] verify_range
+# after build_table(10**7) took 26 minor faults and 0.10-0.15 s; with
+# SEGMENT = 1 << 19 (a 2 MiB ramp) 393 faults and 0.11-0.18 s, and with
+# 1 << 18 (1 MiB) 23,345 faults and 0.16-0.21 s (3 to 5 processes each,
+# getrusage around verify_range, 2-vCPU Xeon VM).
 SEGMENT = 1 << 20
 # Bytes per odd cell of one segment held while the table is sieved: the
 # shared uint32 ramp, plus one for the base-prime lists (the current

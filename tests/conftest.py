@@ -34,6 +34,11 @@ def oracle10k() -> BruteOracle:
 
 
 @pytest.fixture(scope="session")
+def oracle1m() -> BruteOracle:
+    return BruteOracle(1_000_000)
+
+
+@pytest.fixture(scope="session")
 def oracle10m() -> BruteOracle:
     return BruteOracle(10_000_000)
 

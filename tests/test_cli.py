@@ -63,6 +63,26 @@ def test_table_beyond_memory_is_usage_error(monkeypatch, capsys):
     assert "MiB of memory is available" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--min", "4", "--max", "30000000"),
+        ("--max", "30000000", "--workers", "0"),
+        ("--max", "30000000", "--checkpoint-interval", "0"),
+        ("--max", "30000000", "--stop-after-blocks", "3"),
+    ],
+    ids=["min-below-6", "no-workers", "no-interval", "stop-without-checkpoint"],
+)
+def test_verify_refuses_bad_arguments_before_the_build(monkeypatch, capsys, argv):
+    def no_build(limit):
+        raise AssertionError(f"build_table({limit}) ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "build_table", no_build)
+    assert run("verify", *argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_resolve_workers_precedence(monkeypatch):
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     assert cli._resolve_workers(4) == 4

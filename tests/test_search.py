@@ -185,6 +185,12 @@ def test_canonical_digest(request, fixture):
         table = request.getfixturevalue(fixture)
     s = verify_range(table, job_for(6, table.limit, table))
     assert (summary_digest(s), s.instances_evaluated) == CANONICAL[table.limit]
+    if fixture == "table100m":
+        # The decompose-1e8 benchmark's answer, on the same table.
+        sweep = decompose_range(table, 6, 10**8)
+        assert (sweep.count, sweep.failures, sweep.max_scan) == (
+            49_999_998, (), (182, 60_119_912)
+        )
 
 
 # -- merging ------------------------------------------------------------------
@@ -578,6 +584,38 @@ def test_no_hit_row_inside_a_block_of_easy_rows(sick_table, monkeypatch, evens_p
     assert {name: getattr(s, name) for name in want} == want
 
 
+@pytest.fixture(scope="module")
+def unit_at_the_cut():
+    # Row 200 runs out of odd primes at 200 - p_45 = 200 - 199 = 1: every
+    # prime 200 - p with p < 199 is hidden, so 200 = p_45 + 1 for the
+    # deepest scan of any span holding it, the last row whose unit the
+    # sweep checks.  Hiding 199 and giving it largest factor 5 makes the
+    # next row hard: 202 first hits at 202 - 11 = 191 (i* = 4), and
+    # lpf(202 - 3) = 5 is not above p_3 = 7.
+    table = build_table(1_000)
+    partners = [200 - p for p in table.odd_primes.tolist() if p < 199 and table.primality[200 - p]]
+    return make_doctored(table, not_prime=(*partners, 199), lpf_overrides={199: 5})
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(150, 202), (198, 202), (200, 202), (200, 200), (202, 220), (6, 260)],
+)
+def test_unit_check_reaches_the_deepest_scan(unit_at_the_cut, lo, hi):
+    table = unit_at_the_cut
+    first = _first_hits(table, lo, hi)
+    if lo <= 200 <= hi:
+        assert first[(200 - lo) // 2] == -45 and np.abs(first).max() == 45
+        assert table.odd_prime(45) + 1 == 200
+    if lo <= 202 <= hi:
+        assert first[(202 - lo) // 2] == 4 and table.lpf[199] == 5
+    s = verify_range(table, job_for(lo, hi, table))
+    want = scalar_sweep(table, lo, hi)
+    assert ((200, 45) in want["anomalies"]) == (lo <= 200 <= hi)
+    assert [(r.n, r.k) for r in s.equality_cases] == want.pop("equality_pairs")
+    assert {name: getattr(s, name) for name in want} == want
+
+
 def test_fail_fast_raises_counterexample(sick_table):
     with pytest.raises(CounterexampleFoundError) as info:
         verify_range(sick_table, job_for(6, 100, sick_table), fail_fast=True)
@@ -808,6 +846,21 @@ def test_top_of_range_matches_oracle(table10m, oracle10m):
             best = (i, n)
     sweep = decompose_range(table10m, lo, hi)
     assert (sweep.count, sweep.failures, sweep.max_scan) == (1001, (), best)
+
+
+@pytest.mark.parametrize("evens_per_block", [1, 37, 250, 501])
+def test_top_of_table1m_matches_oracle(table1m, oracle1m, monkeypatch, evens_per_block):
+    # The top 501 evens of the 10^6 table, whose spans read the deepest
+    # first hits and so the longest easy-row bounds; a span default of 1
+    # puts span seams inside the window.
+    lo, hi = 999_000, 10**6
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 1)
+    job = job_for(lo, hi, table1m, checkpoint_interval=evens_per_block)
+    engine = verify_range(table1m, job)
+    brute = oracle1m.summarize(lo, hi)
+    for f in dataclasses.fields(engine):
+        if f.name not in ("elapsed_seconds", "evens_per_second"):
+            assert getattr(engine, f.name) == getattr(brute, f.name), f.name
 
 
 def test_exhaustion_of_prime_list_is_clean():
