@@ -23,8 +23,8 @@ uses (selftest by its own --limit).  Before allocating, the table build
 compares its estimated bytes (5 per integer, 8 per prime, plus segment
 scratch) with the memory available to the process (MemAvailable, or a
 smaller cgroup v1 or v2 limit) and refuses with exit 2 if the table
-would not fit.  verify checks its other arguments before the build, so
-they too exit 2 without allocating.  An engine error the arguments
+would not fit.  verify, edge-cases and stats check their other
+arguments before the build, so they too exit 2 without allocating.  An engine error the arguments
 cannot cause, such as a table too small for its request, is internal
 and exits 1.
 
@@ -100,7 +100,14 @@ def _even(text: str) -> int:
 
 
 def _resolve_workers(flag: int | None) -> int:
+    """The worker count: the flag, else the environment, else the usable CPUs.
+
+    Refuses, with ConfigurationError, a count below 1 from either source,
+    so every sweeping subcommand refuses it before building its table.
+    """
     if flag is not None:
+        if flag < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {flag}")
         return flag
     env = os.environ.get(WORKERS_ENV)
     if env:

@@ -5,39 +5,48 @@ first prime hit, is the least index with n - p_i prime: every nonvacuous
 instance plus the one vacuous instance that makes every larger k vacuous.
 Each span of consecutive even n is swept in two phases.
 
-Phase 1, the first-hit scan (_first_hits), reads primality only and
-returns i* per row.  Its head advances every row in lockstep over the
-first odd primes, each step two ufuncs over a slice of one contiguous
-window of odd cells, until few rows are alive; its tail gathers the
-survivors' cells several primes at a time.  decompose_range reads the
-deepest hit and the rows that never hit from the same array.
+Phase 1, the first-hit scan (_first_hits), reads primality only.  Its
+head advances every row in lockstep over the first odd primes with live
+rows held as bits, 64 to a word: one window of odd cells is packed at
+each of its 8 bit phases, and each step is one bitwise and of the last
+step's row set with a slice of a phase, kept as that step's mask.  The
+head stops once few rows are alive; its tail gathers the survivors'
+cells several primes at a time for their exact i*.  A row the head
+settled has i* equal to the number of masks that hold it, so no per-row
+i* is built.  decompose_range reads the rows that never hit and the
+deepest hit from the tail, and from the last mask that lost a row.
 
 Phase 2 classifies each row from i* and f1 = lpf(n - 3), which for
-consecutive even n is a stride-2 slice of the table, read in place.
+consecutive even n is a stride-2 slice of the table, read in place.  It
+computes i* only for the rows that need it.
 
   Easy rows.  If i* == 1 or f1 > p_{i*-1}, every k < i* is a strict
   witness with first witness index 1, since lpf(n - p_1) = f1 > p_{i*-1}
-  >= p_k.  One lookup decides it: f1 >= bar[i*], where bar[1] = 0 and
-  bar[s] = p_{s-1} + 1, a uint32 table as long as the span's deepest
-  scan.  Such a row adds i* - 1 strict instances to histogram key 1
-  and one vacuous instance, and the easy rows' extremes are (1, n0, 1)
-  and (1, 1, n0, 1) for the least easy n0 with i* >= 2.
+  >= p_k.  f1 is an odd prime p_J, so a row is not easy exactly when it
+  is alive after step J: one bit of mask J for a row the head settled,
+  and f1 >= bar[i*] for a survivor, where bar[1] = 0 and bar[s] =
+  p_{s-1} + 1.  Such a row adds i* - 1 strict instances and one vacuous
+  one, which the popcounts of the masks add up, and the easy rows'
+  extremes are (1, n0, 1) and (1, 1, n0, 1) for the least easy n0 with
+  i* >= 2.
 
   Hard rows, the rest (9,519 of the 4,999,998 rows of [6, 10^7]), take one
-  matrix pass: F_j = lpf(n - p_j) for j < i*, the running max
-  M = cummax(F) classifies (n, k) by M_k against p_k (strict, equal or
-  counterexample candidate), and the first witness index, the least j
-  with F_j >= p_k, is the least j with M_j >= p_k, found by one
-  searchsorted over the rows' M laid end to end.
+  flat pass over their instances: F_j = lpf(n - p_j) for j < i*, laid
+  end to end, row r lifted by r * (limit + 1), so that one running max
+  is every row's running max M.  M_k against p_k classifies (n, k)
+  (strict, equal or counterexample candidate), and the first witness
+  index, the least j with F_j >= p_k, is the least j with M_j >= p_k,
+  found by one searchsorted over the lifted M.
 
 A row with a hit holds no unit anomaly: n - p_{i*} is an odd prime, so
 p_{i*} <= n - 3 < n - 1.  Only a row whose scan runs out of odd primes
 below n without a hit, which takes a doctored table, can hit n - p_i = 1
-(at its last instance); such a row takes the matrix over its instances.
-A unit needs n = p_i + 1 for some i up to the span's deepest scan, so
-the vectorised unit check runs on the rows with n <= p_deepest + 1
-only, exactly those that can hold one (on an honest table only n up to
-1,094, as no first hit up to 10^8 lies past p_182 = 1,093).  It covers
+(at its last instance); such a row takes the flat pass over its
+instances.  A unit needs n = p_i + 1 for some i up to the span's deepest
+scan, which the head's step count and the tail's scans bound, so the
+vectorised unit check runs on the rows with n <= p_deepest + 1 only,
+every row that can hold one (on an honest table only n up to 1,094, as
+no first hit up to 10^8 lies past p_182 = 1,093).  It covers
 hit rows too, so a table that calls 1 prime breaks the outcome count
 instead of passing unseen.  Two engine invariants are checked on every
 span: the first witness indices agree with the classifier, and the
@@ -62,6 +71,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -408,85 +418,154 @@ def _better_ratio(a, b):
     return a if (a[2], a[3]) <= (b[2], b[3]) else b
 
 
-# Phase 1 costs on the 2-vCPU Xeon VM of perfbench/README.md, per 10^5
-# rows at n ~ 5 * 10^6: a head step, two uint8 ufuncs over contiguous
-# slices, takes ~7 us whether its rows are alive or not (a step on the
-# stride-2 view of primality takes ~130 us); handing the survivors to
-# the tail, one flatnonzero over a bool view of alive, ~45 us (~300 us
-# over the uint8 array itself); one prime of the tail, an index array, a
-# gather and a compress, ~5 ns per live row (~480 us per 10^5); a tail
-# chunk ~5 us per call plus ~5 ns per cell.  Phase 2 (_sweep_run) then
-# takes 0.9-1.6 ms per such span: the easy-row lookup, a take from bar,
-# a compare and an and, ~300 us; its other row passes, each ~20-55 us,
-# about as much again; the hard rows' matrix the rest.
+# Phase 1 costs on the 2-vCPU Xeon VM of perfbench/README.md, per span
+# of 10^5 rows near 5 * 10^6 and 5 * 10^7 (the VM's speed varied ~2x
+# between the runs): the window's compare, ~25-35 us (the stride-2
+# inversion it replaces took ~110 us); packing it at 8 bit phases,
+# ~50-110 us; a head step, one and over 12.5 KB, ~2-4 us, and the count
+# of live words every HEAD_CHECK_STEPS steps ~2 us (a popcount of the
+# live rows ~7 us); listing the survivors, ~35-65 us; the tail, ~55-80 us
+# for its ~100-150 survivors.  Phase 2 (_sweep_run) then takes 1.0-1.4
+# ms per such span: the masks' popcount, ~100-140 us; the f1 <= p_{done-1}
+# test over every row, ~150-350 us; the candidates' mask bits and their
+# i*, ~150-250 us; the hard rows' flat pass, ~300 us.
 #
-# The head spans the first HEAD_PRIMES odd primes at most, so depth fits
-# in uint8 and the window overhangs the rows by (p_64 - 3) / 2 = 155
-# cells.  Up to 10^8 fewer than 1 row in 800 outlives p_64 = 313, so the
-# stop rule below ends the head first everywhere but at small n.
+# The head spans the first HEAD_PRIMES odd primes at most, so the window
+# overhangs the rows by (p_64 - 3) / 2 = 155 cells.  Near 10^8 about 1
+# row in 700 outlives p_64 = 313.
 HEAD_PRIMES = 64
-# A head step costs what the tail pays for about rows / 70 live rows, so
-# the head runs while more than rows / HEAD_MIN_ALIVE rows are alive.
-# For 10^5-row blocks near 5 * 10^7 and 10^8, stopping below 1/8, 1/32,
-# 1/64, 1/128 and 1/256 of the rows took 2.10, 1.46, 1.29, 1.15 and
-# 1.15 ms per block (medians of 30).  Counting the live rows costs about
-# a step, so the count is taken every HEAD_CHECK_STEPS steps.
-HEAD_MIN_ALIVE = 128
+# A head step costs what the tail pays for a few hundred live rows, so
+# the head runs while more than rows / HEAD_MIN_ALIVE of its 64-row
+# words hold a live row; near 5 * 10^6 it stops after 52-60 steps, and
+# from ~5 * 10^7 it runs all 64.  decompose_range(table, 6, 10**8) took
+# 0.33, 0.29, 0.28 and 0.28 s stopping below 1/256, 1/512, 1/1024 and
+# 1/2048 of the words, and 0.28 s with 128 head primes (medians of 12).
+HEAD_MIN_ALIVE = 1024
 HEAD_CHECK_STEPS = 4
-# A tail chunk of 4096 cells, ~20 us of gathering, keeps the per-call
-# cost to about a fifth while few cells lie past their row's hit: chunks
-# of 2048, 4096 and 8192 cells took 1.25, 1.15 and 1.19 ms per block.
+# A tail chunk of 4096 cells keeps the per-call cost small against the
+# gathering: chunks of 2048, 4096 and 8192 cells took the same
+# decompose_range time at 10^8 within the VM's noise (0.28-0.30 s).
 TAIL_CELLS = 4096
 
+if hasattr(np, "bitwise_count"):
 
-def _first_hits(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
-    """Phase 1: the first prime hit of every even n in [lo, hi].
+    def _popcount(masks: np.ndarray) -> int:
+        """The set bits of packed row sets of whole 8-byte words."""
+        return int(np.bitwise_count(masks.view("<u8")).sum())
 
-    Returns first, one int64 per row: i* for a row with a hit, and 1 - i
-    for a row that ran out of odd primes below it, or of the table's,
-    after evaluating i - 1 instances without a hit.
+else:  # numpy < 2.0 has no popcount ufunc
+
+    def _popcount(masks: np.ndarray) -> int:
+        """The set bits of packed row sets of whole 8-byte words."""
+        return int(np.count_nonzero(np.unpackbits(masks)))
+
+
+def _set_bits(mask: np.ndarray) -> np.ndarray:
+    """The positions of the set bits of a packed row set, ascending."""
+    # flatnonzero is ~7x faster over bools than over uint8.
+    return np.flatnonzero(np.unpackbits(mask, bitorder="little").view(bool))
+
+
+def _least_bit(mask: np.ndarray) -> int:
+    """The position of the least set bit of a packed row set, or -1."""
+    words = mask.view("<u8")
+    nz = np.flatnonzero(words)
+    if not nz.size:
+        return -1
+    w = int(words[nz[0]])
+    return 64 * int(nz[0]) + (w & -w).bit_length() - 1
+
+
+class _Hits(NamedTuple):
+    """The first prime hits of the rows of a span [lo, hi], row r being n = lo + 2r.
+
+    head: the first row of the head.  The rows below it, at most the
+    n <= p_HEAD_PRIMES of a span that starts there, are left to the tail.
+    masks: uint8, one packed row set per head step taken plus one before
+    the first.  Bit r - head of masks[s] (little bit order within a byte)
+    is set iff row r >= head is alive after s steps, that is n - p_i is
+    composite for every i <= s.  Bits past the last row are clear, and
+    each row is a whole number of 8-byte words.
+    rows: the rows the head left, ascending: those below head and those
+    alive after its last step.
+    first: int64, for each of rows, i* for a row with a hit, or 1 - i for
+    a row that ran out of odd primes below it, or of the table's, after
+    evaluating i - 1 instances without a hit.
+
+    Every other row hit within the head, at i* = the number of masks[s],
+    s < len(masks) - 1, that hold it.
     """
+
+    head: int
+    masks: np.ndarray
+    rows: np.ndarray
+    first: np.ndarray
+
+
+def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
+    """Phase 1: the first prime hit of every even n in [lo, hi]."""
     primality = table.primality
     odd = table.odd_primes
-    # The head below spans only the odd primes under lo, so a span that
-    # starts at or below p_64 = 313 (the first span of a sweep from small
-    # n) would send most of its rows to the tail.  Its rows from 314 on,
-    # which have all HEAD_PRIMES primes below them, are scanned apart.
-    if odd.size >= HEAD_PRIMES and lo <= odd[HEAD_PRIMES - 1] < hi:
-        split = int(odd[HEAD_PRIMES - 1]) + 1
-        return np.concatenate((_first_hits(table, lo, split - 2), _first_hits(table, split, hi)))
     rows = (hi - lo) // 2 + 1
+    # The head below spans only the odd primes under its least n, so a
+    # span that starts at or below p_64 = 313 (the first span of a sweep
+    # from small n) would send most of its rows to the tail.  Its rows
+    # from 314 on, which have all HEAD_PRIMES primes below them, take the
+    # head, and the rows below go to the tail at once.
+    head = 0
+    if odd.size >= HEAD_PRIMES and lo <= odd[HEAD_PRIMES - 1] < hi:
+        head = (int(odd[HEAD_PRIMES - 1]) + 1 - lo) >> 1
+    base = lo + 2 * head
+    width = rows - head
     # Head: every row advances in lockstep over the first h odd primes,
-    # those below lo among the first HEAD_PRIMES.  For consecutive even n,
-    # n - p is a stride-2 run of odd values, so the odd cells the head
-    # reads are inverted once into a contiguous window, of which step j
-    # reads the slice starting at (p_h - p_j) / 2.  depth counts the
-    # steps a row survived: a row that hit at step j has depth j - 1.
-    h = int(np.searchsorted(odd[:HEAD_PRIMES], lo))
-    alive = np.ones(rows, dtype=np.uint8)
-    depth = np.zeros(rows, dtype=np.uint8)  # steps survived, <= HEAD_PRIMES
-    i = 0
+    # those below base among the first HEAD_PRIMES, 64 rows to a word.
+    h = int(np.searchsorted(odd[:HEAD_PRIMES], base))
+    masks = np.empty((h + 1, -(-width // 64) * 8), dtype=np.uint8)
+    masks[0] = 0
+    masks[0, : width >> 3] = 0xFF
+    masks[0, width >> 3 :][:1] = (1 << (width & 7)) - 1
+    s = 0
     if h:
+        # Step j reads the odd cells n - p_j, a stride-2 run, which is the
+        # slice from (p_h - p_j) / 2 of one window of odd cells.  Read as
+        # little-endian uint16 pairs (x - 1, x), odd x is the high byte, so
+        # one compare of contiguous pairs finds the composite cells.  The
+        # window is packed once at each of its 8 bit phases, and step j
+        # ands the bytes of phase c % 8 from c // 8 on, c = (p_h - p_j) / 2.
         top = int(odd[h - 1])
-        composite = (~primality[lo - top : hi - 2 : 2]).view(np.uint8)
-        while i < h:
-            c = (top - int(odd[i])) >> 1
-            np.bitwise_and(alive, composite[c : c + rows], out=alive)
-            np.add(depth, alive, out=depth)
-            i += 1
-            if i % HEAD_CHECK_STEPS == 0 and np.count_nonzero(alive) * HEAD_MIN_ALIVE < rows:
+        composite = primality[base - top - 1 : hi - 2].view("<u2") < 256
+        phases = np.zeros((8, composite.size // 8 + 9), dtype=np.uint8)
+        for b in range(8):
+            bits = np.packbits(composite[b:], bitorder="little")
+            phases[b, : bits.size] = bits
+        size = masks.shape[1]
+        words = masks.view("<u8")
+        for c in ((top - odd[:h]) >> 1).tolist():
+            np.bitwise_and(masks[s], phases[c & 7, c >> 3 : (c >> 3) + size], out=masks[s + 1])
+            s += 1
+            if s % HEAD_CHECK_STEPS == 0 and np.count_nonzero(words[s]) * HEAD_MIN_ALIVE < width:
                 break
-    first = depth.astype(np.int64)
-    first += 1
-    act = lo + 2 * np.flatnonzero(alive.view(bool))
-    # Tail: the survivors take up to TAIL_CELLS cells of primes at once,
-    # one 2-D gather whose argmax is each row's first hit in the chunk.
-    # One prime at a time where that is a single prime, or where the
-    # chunk reaches the least live n and some rows run out of primes
-    # below them (only at small n).
+    masks = masks[: s + 1]
+    low, left = np.arange(head), head + _set_bits(masks[s])
+    first = (_tail(table, lo + 2 * low, 0), _tail(table, lo + 2 * left, s))
+    return _Hits(head, masks, np.concatenate((low, left)), np.concatenate(first))
+
+
+def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
+    """The first hits (as in _Hits.first) of the ascending even n, none of
+    which hit among the first i odd primes."""
+    primality = table.primality
+    odd = table.odd_primes
+    first = np.empty(n.size, dtype=np.int64)
+    act = n
+    # The survivors take up to TAIL_CELLS cells of primes at once, one
+    # 2-D gather whose argmax is each row's first hit in the chunk.  One
+    # prime at a time where that is a single prime, or where the chunk
+    # reaches the least live n and some rows run out of primes below them
+    # (only at small n).
     while act.size:
         if i == odd.size:
-            first[(act - lo) >> 1] = -i
+            first[np.searchsorted(n, act)] = -i
             break
         w = min(max(TAIL_CELLS // act.size, 1), odd.size - i)
         ps = odd[i : i + w]
@@ -494,7 +573,7 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
             cells = primality[act[:, None] - ps]
             pos = cells.argmax(axis=1)
             hit = cells[np.arange(act.size), pos]
-            first[(act[hit] - lo) >> 1] = i + 1 + pos[hit]
+            first[np.searchsorted(n, act[hit])] = i + 1 + pos[hit]
             act = act[~hit]
             i += w
             continue
@@ -502,15 +581,42 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
         i += 1
         if p >= act[0]:
             spent = act <= p
-            first[(act[spent] - lo) >> 1] = 1 - i
+            first[np.searchsorted(n, act[spent])] = 1 - i
             act = act[~spent]
             if act.size == 0:
                 break
         hit = primality[act - p]
-        first[(act[hit] - lo) >> 1] = i
+        first[np.searchsorted(n, act[hit])] = i
         # compress copies the survivors faster than act[~hit] does.
         act = np.compress(~hit, act)
     return first
+
+
+def _head_steps(hits: _Hits, rows: np.ndarray) -> np.ndarray:
+    """i* of rows (int64, each >= hits.head) that hit within the head."""
+    r = rows - hits.head
+    masks = hits.masks[:-1]
+    return ((masks[:, r >> 3] >> (r & 7)) & 1).sum(axis=0, dtype=np.int64)
+
+
+def _deepest_hit(hits: _Hits) -> tuple[int, int] | None:
+    """(i*, row) of the span's deepest first hit, its least row on a tie."""
+    best = None
+    if hits.first.size:
+        j = int(hits.first.argmax())
+        if hits.first[j] > 0:
+            best = (int(hits.first[j]), int(hits.rows[j]))
+    # A row the head settled at step s is in masks[s - 1] and not masks[s].
+    masks = hits.masks
+    for s in range(masks.shape[0] - 1, 0, -1):
+        if best is not None and s < best[0]:
+            break
+        r = _least_bit(masks[s - 1] & ~masks[s])
+        if r >= 0:
+            if best is None or s > best[0] or hits.head + r < best[1]:
+                best = (s, hits.head + r)
+            break
+    return best
 
 
 # A swept span: its summary without equality cases, and their (n, k).
@@ -525,78 +631,116 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     which the merging process classifies.
     """
     odd = table.odd_primes
-    first = _first_hits(table, lo, hi)
-    steps = np.abs(first)  # instances of each row
-    found = first > 0
-    deepest = int(steps.max())
-    # A hit row of s instances is easy exactly when lpf(n - 3) >= bar[s].
-    # Row r is n = lo + 2r, so lpf(n - 3) is a stride-2 slice of the table.
+    hits = _first_hits(table, lo, hi)
+    head, masks = hits.head, hits.masks
+    done = masks.shape[0] - 1  # head steps taken
+    size = (hi - lo) // 2 + 1
+    survivors = hits.rows.size - head
+    # Rows the tail settled, or left without a hit, carry their counts.
+    steps = np.abs(hits.first)
+    found = hits.first > 0
+    # A row the head settled at step s is in masks[0 .. s - 1], so the
+    # popcounts of those masks add up its s instances; a survivor is in
+    # all done of them and carries the rest in steps.
+    instances = _popcount(masks[:done]) + int(steps.sum()) - done * survivors
+    vacuous = size - int(np.count_nonzero(~found))
+    deepest = max(done, int(steps.max(initial=0)))  # no row has more instances
+    f1 = table.lpf[lo - 3 : hi - 2 : 2]  # lpf(n - 3) of row r, in place
+
+    # A hit row of s instances is easy exactly when lpf(n - 3) >= bar[s],
+    # that is s == 1 or f1 > p_{s-1}; the rows the head left are tested so.
     bar = np.zeros(deepest + 2, dtype=np.uint32)
     bar[2:] = odd[:deepest] + 1
-    f1 = table.lpf[lo - 3 : hi - 2 : 2]
-    easy = found & (f1 >= bar.take(steps))
+    easy = found & (f1[hits.rows] >= bar.take(steps))
+    # A row the head settled is hard exactly when it is alive after step
+    # J, p_J the least odd prime >= f1; a row alive after step done is a
+    # survivor, so only J < done, f1 <= p_{done-1}, can make it hard.
+    hard = np.zeros(0, dtype=np.int64)
+    if done > 1:
+        cand = head + np.flatnonzero(f1[head:] <= odd[done - 2])
+        # J by lookup: a search per candidate costs ~10x more.
+        jtab = np.searchsorted(odd[: done - 1], np.arange(odd[done - 2] + 1, dtype=odd.dtype))
+        jtab += 1
+        r = cand - head
+        cells = jtab.take(f1[cand]) * masks.shape[1] + (r >> 3)
+        live = masks.ravel().take(cells) & ~masks[done].take(r >> 3)
+        hard = cand[(live >> (r & 7)) & 1 == 1]
+    hard_steps = _head_steps(hits, hard)
+    # The non-easy rows, ascending: the hard ones and those without a hit.
+    rows = np.concatenate((hits.rows[~easy], hard))
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    rows_steps = np.concatenate((steps[~easy], hard_steps))[order]
+    rows_found = np.concatenate((found[~easy], np.ones(hard.size, dtype=bool)))[order]
+    # Every easy row adds its i* - 1 strict instances and one vacuous one.
+    strict = instances - int(rows_steps.sum()) - (size - rows.size)
+    hist = {1: strict} if strict else {}
+    best_fwi = best_ratio = None
+    # The least easy row with i* >= 2: among the rows the head left, and
+    # among those it settled after step 1 less the hard ones.
+    multi = hits.rows[easy & (steps > 1)]
+    n0 = int(multi[0]) if multi.size else size
+    if done > 1:
+        later = masks[1] & ~masks[done]
+        r = hard - head
+        np.bitwise_and.at(later, r >> 3, ~(np.left_shift(1, r & 7).astype(np.uint8)))
+        j = _least_bit(later)
+        if j >= 0:
+            n0 = min(n0, head + j)
+    if n0 < size:
+        n0 = lo + 2 * n0
+        best_fwi, best_ratio = (1, n0, 1), (1, 1, n0, 1)
+
     # n - p_i = 1 needs n = p_i + 1 <= p_deepest + 1 = bar[-1], so only
     # the rows up to that n can hold a unit.
     cut = max(0, (min(int(bar[-1]), hi) - lo) // 2 + 1)
-    unit = np.zeros(first.size, dtype=bool)
-    unit[:cut] = lo + 2 * np.arange(cut) - odd[steps[:cut] - 1] == 1
-    # The rest are the hard rows and the rows without a hit.  Every easy
-    # row adds its i* - 1 strict instances and one vacuous one.
-    rows = np.flatnonzero(~easy)
-    instances = int(steps.sum())
-    vacuous = int(np.count_nonzero(found))
-    strict = instances - int(steps[rows].sum()) - (first.size - rows.size)
-    hist = {1: strict} if strict else {}
-    best_fwi = best_ratio = None
-    multi = easy & (steps > 1)
-    j = int(multi.argmax())
-    if multi[j]:
-        n0 = lo + 2 * j
-        best_fwi, best_ratio = (1, n0, 1), (1, 1, n0, 1)
-    units = np.flatnonzero(unit[:cut])
-    anomaly_pairs = list(zip((lo + 2 * units).tolist(), steps[units].tolist()))
+    low_steps = np.zeros(cut, dtype=np.int64)
+    low_steps[head:] = _head_steps(hits, np.arange(head, cut))
+    left = hits.rows < cut
+    low_steps[hits.rows[left]] = steps[left]
+    units = np.flatnonzero(lo + 2 * np.arange(cut) - odd[low_steps - 1] == 1)
+    anomaly_pairs = list(zip((lo + 2 * units).tolist(), low_steps[units].tolist()))
 
-    # The hard rows take one matrix pass.  Row r holds instances k = 1 ..
-    # count[r], all nonvacuous and free of units, and hn ascends, so the
-    # row-major order of the cells is the (n, k) order that breaks ties
-    # between extremes.
-    rest = steps[rows] - (found[rows] | unit[rows])  # instances left to classify
+    # The non-easy rows take one flat pass over their instances k = 1 ..
+    # count[r], all nonvacuous and free of units; the rows ascend, so the
+    # order of the cells is the (n, k) order that breaks ties between
+    # extremes.
+    rest = rows_steps - (rows_found | np.isin(rows, units))
     rows, count = rows[rest > 0], rest[rest > 0]
     equality_pairs: list[tuple[int, int]] = []
     cex_pairs: list[tuple[int, int]] = []
     if rows.size:
         hn = lo + 2 * rows
-        width = int(count.max())
-        p = odd[:width].astype(np.int64)
-        r, col = np.nonzero(np.arange(width) < count[:, None])  # col = k - 1
-        pk = p[col]
-        f = np.zeros((hn.size, width), dtype=np.int64)
-        f[r, col] = table.lpf[hn[r] - pk]
-        run_max = np.maximum.accumulate(f, axis=1)
-        m = run_max[r, col]
+        seg = np.repeat(np.arange(rows.size), count)
+        cell = np.arange(seg.size)
+        start = (np.cumsum(count) - count)[seg]  # the cell of (n, 1)
+        col = cell - start  # k - 1
+        pk = odd[col].astype(np.int64)
+        # Row r is lifted by r * (limit + 1), above any lpf value, so one
+        # running max over the rows laid end to end is each row's running
+        # max M, lifted, and stays sorted for the first-witness search.
+        lift = seg * (table.limit + 1)
+        run = np.maximum.accumulate(table.lpf[hn[seg] - pk].astype(np.int64) + lift)
+        m = run - lift
         gt, eq = m > pk, m == pk
-        # The first witness index of (n, k), the least j with lpf(n - p_j) >= p_k,
-        # is the least j with M_j >= p_k, as M is nondecreasing.  Row r is
-        # offset by r * (limit + 1), above any lpf value, so the rows laid end
-        # to end stay sorted and one search answers every cell.
-        offset = table.limit + 1
-        flat = (run_max + np.arange(hn.size)[:, None] * offset).ravel()
-        pos = np.searchsorted(flat, pk + r * offset) - r * width
-        witnessed = (pos >= 0) & (pos <= col)
+        # The first witness index of (n, k), the least j with lpf(n - p_j)
+        # >= p_k, is the least j with M_j >= p_k, as M is nondecreasing.
+        pos = np.searchsorted(run, pk + lift)
+        witnessed = (pos >= start) & (pos <= cell)
         if not np.array_equal(witnessed, gt | eq):
             raise EngineError(
                 f"span [{lo}, {hi}]: first witness indices disagree with the classifier"
             )
         lt = ~(gt | eq)
         strict += int(np.count_nonzero(gt))
-        equality_pairs = list(zip(hn[r[eq]].tolist(), (col[eq] + 1).tolist()))
-        cex_pairs = list(zip(hn[r[lt]].tolist(), (col[lt] + 1).tolist()))
-        fwi = pos[witnessed] + 1
+        equality_pairs = list(zip(hn[seg[eq]].tolist(), (col[eq] + 1).tolist()))
+        cex_pairs = list(zip(hn[seg[lt]].tolist(), (col[lt] + 1).tolist()))
+        fwi = (pos - start)[witnessed] + 1
         if fwi.size:
             for ix, c in enumerate(np.bincount(fwi).tolist()):
                 if c:
                     hist[ix] = hist.get(ix, 0) + c
-            wn, wk = hn[r[witnessed]], col[witnessed] + 1
+            wn, wk = hn[seg[witnessed]], col[witnessed] + 1
             # The first maximum is the least (n, k); equal fractions of
             # integers divide to equal doubles.
             j = int(fwi.argmax())
@@ -893,16 +1037,18 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     A projection of the sweep's first-hit scan (_first_hits), the
     vectorized form of goldbach_decompose's loop: per n only the
     existence and depth of the first hit are kept.  Any n whose scan
-    exhausts the odd primes below it (first <= 0) lands in failures.
+    exhausts the odd primes below it (first <= 0) lands in failures;
+    only the tail's rows can.  The deepest hit is the tail's, or the
+    head's deepest step that settled a row, whichever is deeper.
 
     The range is walked in the same ascending spans of
     DEFAULT_BLOCK_EVENS evens that verify_range uses by default, each
     scanned to completion before the next starts, so working memory is one
-    span's arrays, however wide the range: a tracemalloc peak of 1.2 MiB
-    per span at 10^7, and 1.5 MiB for the span at n = 6, which _first_hits
-    scans in two pieces and joins.  Spans merge in order: failures are
-    concatenated, and max_scan keeps the deepest first hit, the least n
-    within a span (argmax) and the earlier span on a tie.
+    span's arrays, however wide the range: a tracemalloc peak of 1.1 MiB
+    per span at 10^7, the span at n = 6 included, most of it the head's
+    65 masks.  Spans merge in order: failures are concatenated, and
+    max_scan keeps the deepest first hit, the least n within a span and
+    the earlier span on a tie.
     """
     if n_min % 2 or n_max % 2:
         raise PreconditionError(
@@ -915,11 +1061,11 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     failures: list[int] = []
     max_scan: tuple[int, int] | None = None
     for lo, hi in _block_bounds(n_min, n_max, DEFAULT_BLOCK_EVENS):
-        first = _first_hits(table, lo, hi)
-        failures.extend((lo + 2 * np.flatnonzero(first <= 0)).tolist())
-        j = int(first.argmax())  # the least n of the span's deepest hit
-        if first[j] > 0 and (max_scan is None or first[j] > max_scan[0]):
-            max_scan = (int(first[j]), lo + 2 * j)
+        hits = _first_hits(table, lo, hi)
+        failures.extend((lo + 2 * hits.rows[hits.first <= 0]).tolist())
+        deepest = _deepest_hit(hits)
+        if deepest is not None and (max_scan is None or deepest[0] > max_scan[0]):
+            max_scan = (deepest[0], lo + 2 * deepest[1])
     return DecompositionSweep(
         n_min=n_min,
         n_max=n_max,

@@ -100,6 +100,33 @@ def scalar_first_hits(table: PrimeTable, lo: int, hi: int) -> list[int]:
     return out
 
 
+def expand_hits(hits, lo: int, hi: int) -> list[int]:
+    """The per-row first hits of a search._first_hits record of [lo, hi].
+
+    Gives scalar_first_hits's form: i*, or minus the instance count of a
+    row without a hit.  A row the head settled has i* equal to the number
+    of its masks, the last excepted, that hold it.  Checks the record's
+    shape on the way: each mask is a whole number of 8-byte words, the
+    first holds every head row, each later one is a subset of the one
+    before, no bit past the last row is set, and the rows the head left
+    are exactly those below it and those alive after its last step.
+    """
+    rows = (hi - lo) // 2 + 1
+    width = rows - hits.head
+    masks = np.unpackbits(hits.masks, axis=1, bitorder="little").astype(bool)
+    assert hits.masks.dtype == np.uint8 and hits.masks.shape[1] % 8 == 0
+    assert 0 <= hits.head < rows and width <= masks.shape[1] < width + 64
+    assert masks[0, :width].all() and not masks[:, width:].any()
+    assert not (masks[1:] & ~masks[:-1]).any()
+    assert hits.rows.tolist() == [
+        *range(hits.head), *(hits.head + np.flatnonzero(masks[-1])).tolist()
+    ]
+    first = np.zeros(rows, dtype=np.int64)
+    first[hits.head :] = masks[:-1, :width].sum(axis=0)
+    first[hits.rows] = hits.first
+    return first.tolist()
+
+
 def table_digests(table: PrimeTable) -> tuple[str, str]:
     """sha256 prefixes of lpf.tobytes() and primality.tobytes()."""
     arrays = (table.lpf, table.primality)

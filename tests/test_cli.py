@@ -66,19 +66,25 @@ def test_table_beyond_memory_is_usage_error(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--min", "4", "--max", "30000000"),
-        ("--max", "30000000", "--workers", "0"),
-        ("--max", "30000000", "--checkpoint-interval", "0"),
-        ("--max", "30000000", "--stop-after-blocks", "3"),
+        ("verify", "--min", "4", "--max", "30000000"),
+        ("verify", "--max", "30000000", "--workers", "0"),
+        ("verify", "--max", "30000000", "--checkpoint-interval", "0"),
+        ("verify", "--max", "30000000", "--stop-after-blocks", "3"),
+        ("edge-cases", "--max", "30000000", "--workers", "0"),
+        ("stats", "--max", "30000000", "--workers", "0"),
     ],
-    ids=["min-below-6", "no-workers", "no-interval", "stop-without-checkpoint"],
+    ids=[
+        "min-below-6", "no-workers", "no-interval", "stop-without-checkpoint",
+        "edge-cases-no-workers", "stats-no-workers",
+    ],
 )
 def test_verify_refuses_bad_arguments_before_the_build(monkeypatch, capsys, argv):
+    # Also the other sweeping subcommands, edge-cases and stats.
     def no_build(limit):
         raise AssertionError(f"build_table({limit}) ran before the arguments were checked")
 
     monkeypatch.setattr(cli, "build_table", no_build)
-    assert run("verify", *argv) == cli.EXIT_USAGE
+    assert run(*argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -95,6 +101,8 @@ def test_resolve_workers_precedence(monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV, "0")
     with pytest.raises(ConfigurationError):
         cli._resolve_workers(None)
+    with pytest.raises(ConfigurationError):
+        cli._resolve_workers(0)  # the flag is checked as strictly
 
 
 def test_default_workers_are_the_usable_cpus(monkeypatch):

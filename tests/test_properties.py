@@ -17,7 +17,7 @@ from factorwitness.conjecture import (
 from factorwitness.report import CSV, NDJSON, canonical_bytes, parse_records, render_records
 from factorwitness.search import RangeJob, _first_hits, merge_summaries, verify_range
 
-from conftest import scalar_first_hits
+from conftest import expand_hits, scalar_first_hits
 
 even_n = st.integers(min_value=3, max_value=5_000).map(lambda h: 2 * h)
 values = st.integers(min_value=2, max_value=1_000_000)
@@ -85,7 +85,7 @@ def test_first_hits_match_scalar_scan(table1m, lo_h, rows):
     # rows through the tail's single steps; elsewhere the tail chunks.
     lo = 2 * lo_h
     hi = min(lo + 2 * (rows - 1), table1m.limit)
-    assert _first_hits(table1m, lo, hi).tolist() == scalar_first_hits(table1m, lo, hi)
+    assert expand_hits(_first_hits(table1m, lo, hi), lo, hi) == scalar_first_hits(table1m, lo, hi)
 
 
 @settings(max_examples=25, deadline=None)

@@ -34,6 +34,7 @@ from factorwitness.errors import (
 from factorwitness.report import canonical_bytes, summary_digest, summary_to_records
 from factorwitness.search import (
     DEFAULT_BLOCK_EVENS,
+    HEAD_MIN_ALIVE,
     HEAD_PRIMES,
     TAIL_CELLS,
     RangeJob,
@@ -47,7 +48,7 @@ from factorwitness.search import (
 )
 from factorwitness.sieve import build_table
 
-from conftest import make_doctored, scalar_first_hits, table_digests
+from conftest import expand_hits, make_doctored, scalar_first_hits, table_digests
 
 
 def job_for(n_min, n_max, table, **kw):
@@ -603,7 +604,7 @@ def unit_at_the_cut():
 )
 def test_unit_check_reaches_the_deepest_scan(unit_at_the_cut, lo, hi):
     table = unit_at_the_cut
-    first = _first_hits(table, lo, hi)
+    first = np.array(expand_hits(_first_hits(table, lo, hi), lo, hi))
     if lo <= 200 <= hi:
         assert first[(200 - lo) // 2] == -45 and np.abs(first).max() == 45
         assert table.odd_prime(45) + 1 == 200
@@ -612,6 +613,87 @@ def test_unit_check_reaches_the_deepest_scan(unit_at_the_cut, lo, hi):
     s = verify_range(table, job_for(lo, hi, table))
     want = scalar_sweep(table, lo, hi)
     assert ((200, 45) in want["anomalies"]) == (lo <= 200 <= hi)
+    assert [(r.n, r.k) for r in s.equality_cases] == want.pop("equality_pairs")
+    assert {name: getattr(s, name) for name in want} == want
+
+
+def _hidden_partners(table, n, upto):
+    """The primes n - p_i, i <= upto: hiding them delays n's first hit past p_upto."""
+    return [n - p for p in table.odd_primes[:upto].tolist() if table.primality[n - p]]
+
+
+@pytest.fixture(scope="module")
+def hard_rows_past_the_head():
+    # A row the head settled is hard exactly when it is alive after step
+    # J, p_J = lpf(n - 3); rows alive after the head's last step are
+    # decided from their exact i*.  Each row below has its partners
+    # hidden through the step named, so it outlives the head's 64 steps
+    # or hits at a chosen one:
+    #   5950: 5947 = 19 * 313, J = 64, the head's last step; i* > 64, hard.
+    #   5324: 5321 = 17 * 313, J = 64; hits at step 64 (5324 - 313 = 5011), easy.
+    #   3128: 3125 = 5^5, J = 2; hard, and alive into the tail.
+    #   3180: 3177 = 9 * 353, J = 70, past the head; i* > 70, hard.
+    #   3886: 3883 = 11 * 353, J = 70; hits at step 68 (3886 - 347 = 3539), easy.
+    table = build_table(8_000)
+    hidden = {
+        *_hidden_partners(table, 5950, 64),
+        *_hidden_partners(table, 5324, 63),
+        *_hidden_partners(table, 3128, 64),
+        *_hidden_partners(table, 3180, 70),
+        *_hidden_partners(table, 3886, 67),
+    }
+    assert not hidden & {5011, 3539}
+    return make_doctored(table, not_prime=sorted(hidden))
+
+
+@pytest.mark.parametrize("lo, hi", [(5300, 6000), (3100, 3900), (3100, 6000)])
+def test_hard_rows_at_and_past_the_head_end(hard_rows_past_the_head, lo, hi):
+    table = hard_rows_past_the_head
+    first = dict(zip(range(lo, hi + 1, 2), scalar_first_hits(table, lo, hi)))
+    for n, j, hard in [(5950, 64, True), (5324, 64, False), (3128, 2, True),
+                       (3180, 70, True), (3886, 70, False)]:
+        if lo <= n <= hi:
+            assert table.lpf[n - 3] == table.odd_prime(j)
+            assert (first[n] > j) == hard and first[n] >= 64
+    hits = _first_hits(table, lo, hi)
+    if (hi - lo) // 2 + 1 < HEAD_MIN_ALIVE:  # the head stops only once no row is alive
+        assert hits.masks.shape[0] - 1 == HEAD_PRIMES
+    s = verify_range(table, job_for(lo, hi, table))
+    want = scalar_sweep(table, lo, hi)
+    assert [(r.n, r.k) for r in s.equality_cases] == want.pop("equality_pairs")
+    assert {name: getattr(s, name) for name in want} == want
+
+
+def test_no_hit_row_inside_the_head_window(table1m):
+    # With the prime list cut to its first 30 primes the head's 29 steps
+    # take every odd prime, so a row alive after them has no hit: 5000,
+    # whose partners are hidden, among the easy rows of [4800, 5200].
+    small = [int(p) for p in table1m._primes[:30]]
+    table = make_doctored(
+        table1m, primes=small,
+        not_prime=[5000 - p for p in small[1:] if table1m.primality[5000 - p]],
+    )
+    hits = _first_hits(table, 4_800, 5_200)
+    assert hits.masks.shape[0] - 1 == 29
+    assert 5000 in (4_800 + 2 * hits.rows[hits.first == -29]).tolist()
+    s = verify_range(table, job_for(4_800, 5_200, table))
+    want = scalar_sweep(table, 4_800, 5_200)
+    assert [(r.n, r.k) for r in s.equality_cases] == want.pop("equality_pairs")
+    assert {name: getattr(s, name) for name in want} == want
+
+
+@pytest.mark.parametrize("n", [1002, 1000], ids=["settled", "survivor"])
+def test_least_easy_row_skips_rows_that_are_not_easy(n):
+    # The easy rows' extremes come from the least easy row with i* >= 2.
+    # lpf(n - 3) = 1 makes n hard, with a counterexample candidate at
+    # k = 1, so its (n, 1) is no witness: 1002 (i* = 2) is settled in the
+    # head, and 1000, whose partners are hidden through p_64, survives it.
+    table = build_table(2_000)
+    hidden = _hidden_partners(table, n, 64) if n == 1000 else ()
+    table = make_doctored(table, not_prime=hidden, lpf_overrides={n - 3: 1})
+    s = verify_range(table, job_for(1000, 1100, table))
+    want = scalar_sweep(table, 1000, 1100)
+    assert (n, 1) in want["counterexamples"]
     assert [(r.n, r.k) for r in s.equality_cases] == want.pop("equality_pairs")
     assert {name: getattr(s, name) for name in want} == want
 
@@ -722,6 +804,13 @@ def test_decompose_range_small(table1m, oracle10k):
         if best is None or i > best[0]:
             best = (i, n)
     assert sweep.max_scan == best
+    # A span that straddles p_64 = 313 scans its rows up to 312 apart from
+    # the head's; from [6, 488] on the two parts tie at depth 10 (n = 308
+    # and 488), and the least n must win.
+    first = scalar_first_hits(table1m, 6, 600)
+    for hi in range(314, 601, 2):
+        depth = max(first[: (hi - 6) // 2 + 1])
+        assert decompose_range(table1m, 6, hi).max_scan == (depth, 6 + 2 * first.index(depth))
 
 
 def test_decompose_range_validation(table1m):
@@ -736,24 +825,38 @@ def test_decompose_range_validation(table1m):
 # -- the first-hit scan -------------------------------------------------------
 
 
-def test_first_hits_match_scalar_scan_on_every_small_range():
+def test_first_hits_match_scalar_scan_on_every_small_range(table1m):
     # Every [lo, hi] up to 400: the head is cut short where p_64 = 313 >=
     # lo, and rows with n <= p run out of odd primes below them.
     table = build_table(400)
     want = scalar_first_hits(table, 6, 400)
     for lo in range(6, 401, 2):
         for hi in range(lo, 401, 2):
-            got = _first_hits(table, lo, hi)
-            assert got.tolist() == want[(lo - 6) // 2 : (hi - 6) // 2 + 1], (lo, hi)
+            got = expand_hits(_first_hits(table, lo, hi), lo, hi)
+            assert got == want[(lo - 6) // 2 : (hi - 6) // 2 + 1], (lo, hi)
+    # Row counts about a byte and a word of the head's packed row sets,
+    # from lo on both sides of p_64 = 313: spans from 300 and 312 straddle
+    # it, and their head rows start at 314.  The head leaves the bits past
+    # its last row clear (expand_hits checks), whatever the row count.
+    for lo in (6, 300, 312, 314, 5_000, 777_776):
+        for rows in (1, 7, 8, 9, 63, 64, 65):
+            hi = lo + 2 * (rows - 1)
+            got = expand_hits(_first_hits(table1m, lo, hi), lo, hi)
+            assert got == scalar_first_hits(table1m, lo, hi), (lo, rows)
+    for lo in (300, 400_000):  # 100,001 rows
+        hi = lo + 200_000
+        got = expand_hits(_first_hits(table1m, lo, hi), lo, hi)
+        assert got == scalar_first_hits(table1m, lo, hi), lo
 
 
 def test_first_hits_match_scalar_scan_across_the_head(table1m, table10m):
     p_head = int(table1m.odd_primes[HEAD_PRIMES - 1])
     assert p_head == 313
     for lo, hi in ((300, 330), (p_head - 1, p_head + 1), (p_head + 1, 5_000), (6, 20_000)):
-        assert _first_hits(table1m, lo, hi).tolist() == scalar_first_hits(table1m, lo, hi)
+        got = expand_hits(_first_hits(table1m, lo, hi), lo, hi)
+        assert got == scalar_first_hits(table1m, lo, hi)
     top = (10**7 - 2 * DEFAULT_BLOCK_EVENS + 2, 10**7)
-    assert _first_hits(table10m, *top).tolist() == scalar_first_hits(table10m, *top)
+    assert expand_hits(_first_hits(table10m, *top), *top) == scalar_first_hits(table10m, *top)
 
 
 def test_first_hits_rows_outlive_the_primes_inside_a_tail_chunk(table1m):
@@ -764,7 +867,7 @@ def test_first_hits_rows_outlive_the_primes_inside_a_tail_chunk(table1m):
     hidden = [q for q in range(99_000, 101_001) if table1m.primality[q]]
     small = [int(p) for p in table1m._primes if p < 1000]
     doctored = make_doctored(table1m, not_prime=hidden, primes=small)
-    got = _first_hits(doctored, 98_000, 103_000)
+    got = np.array(expand_hits(_first_hits(doctored, 98_000, 103_000), 98_000, 103_000))
     assert got.tolist() == scalar_first_hits(doctored, 98_000, 103_000)
     assert set(got[got <= 0].tolist()) == {-167}
     assert 400 <= np.count_nonzero(got <= 0) < TAIL_CELLS // 2
