@@ -20,13 +20,14 @@ Exit codes:
 
 Every subcommand sizes its prime table by its request: the largest n it
 uses (selftest by its own --limit).  Before allocating, the table build
-compares its estimated bytes (5 per integer, 8 per prime, plus segment
-scratch) with the memory available to the process (MemAvailable, or a
-smaller cgroup v1 or v2 limit) and refuses with exit 2 if the table
-would not fit.  verify, edge-cases and stats check their other
-arguments before the build, so they too exit 2 without allocating.  An engine error the arguments
-cannot cause, such as a table too small for its request, is internal
-and exits 1.
+compares its estimated bytes (5 per odd integer, about 2.5 per integer,
+8 per prime, plus segment scratch; about 5.5 GiB at --max 2000000000)
+with the memory available to the process (MemAvailable, or a smaller
+cgroup v1 or v2 limit) and refuses with exit 2 if the table would not
+fit.  verify, edge-cases and stats check their other arguments before
+the build, so they too exit 2 without allocating.  An engine error the
+arguments cannot cause, such as a table too small for its request, is
+internal and exits 1.
 
 Record streams go to --output (default stdout) and never contain timing,
 so byte-identical reruns are expected; measurements land on stderr.

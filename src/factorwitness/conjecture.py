@@ -157,16 +157,14 @@ def _scan(table: PrimeTable, inst: Instance):
         raise PreconditionError(
             f"instance carries p_{inst.k} = {inst.pk}, table says {table.odd_prime(inst.k)}"
         )
-    primality = table.primality
-    lpf = table.lpf
     factors = []
     for j in range(1, inst.k + 1):
         v = inst.n - table.odd_prime(j)
         if v == 1:
             return ("unit", j, None)
-        if primality[v]:
+        if table.is_prime(v):
             return ("prime", j, v)
-        factors.append(int(lpf[v]))
+        factors.append(table.largest_prime_factor(v))
     return ("factors", None, factors)
 
 
@@ -343,12 +341,11 @@ def goldbach_decompose(table: PrimeTable, n: int, verify: bool = False) -> Desce
     if n > table.limit:
         raise CoverageError(f"n={n} exceeds table limit {table.limit}")
     scanned = table.count_odd_primes_below(n)
-    primality = table.primality
     odd_primes = table.odd_primes
     for j in range(scanned):
         p = int(odd_primes[j])
         q = n - p
-        if primality[q]:
+        if q > 1 and table.is_prime(q):
             trace = DescentTrace(n=n, scanned=scanned, i=j + 1, p=p, q=q)
             if verify and not (_td_prime(p) and _td_prime(q) and p + q == n):
                 raise ProofViolationError(f"decomposition {p} + {q} = {n} failed recheck")

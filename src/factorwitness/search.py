@@ -3,22 +3,26 @@
 An even n evaluates the instances k = 1 .. i*, where i* = i*(n), its
 first prime hit, is the least index with n - p_i prime: every nonvacuous
 instance plus the one vacuous instance that makes every larger k vacuous.
-Each span of consecutive even n is swept in two phases.
+Each span of consecutive even n is swept in two phases.  Every value
+the sweep reads, n - p for an odd prime p, is odd, and the table holds
+odd x only, in cell (x - 1) / 2, so the values n - p of consecutive
+even n sit in consecutive cells.
 
 Phase 1, the first-hit scan (_first_hits), reads primality only.  Its
 head advances every row in lockstep over the first odd primes with live
-rows held as bits, 64 to a word: one window of odd cells is packed at
-each of its 8 bit phases, and each step is one bitwise and of the last
-step's row set with a slice of a phase, kept as that step's mask.  The
-head stops once few rows are alive; its tail gathers the survivors'
-cells several primes at a time for their exact i*.  A row the head
+rows held as bits, 64 to a word: one window of cells, negated to mark
+the composite values, is packed at each of its 8 bit phases, and each
+step is one bitwise and of the last step's row set with a slice of a
+phase, kept as that step's mask.  The head stops once few rows are
+alive; its tail gathers the survivors' cells, at (n - p) / 2 rounded
+down, several primes at a time for their exact i*.  A row the head
 settled has i* equal to the number of masks that hold it, so no per-row
 i* is built.  decompose_range reads the rows that never hit and the
 deepest hit from the tail, and from the last mask that lost a row.
 
 Phase 2 classifies each row from i* and f1 = lpf(n - 3), which for
-consecutive even n is a stride-2 slice of the table, read in place.  It
-computes i* only for the rows that need it.
+consecutive even n is a contiguous slice of the table, read in place.
+It computes i* only for the rows that need it.
 
   Easy rows.  If i* == 1 or f1 > p_{i*-1}, every k < i* is a strict
   witness with first witness index 1, since lpf(n - p_1) = f1 > p_{i*-1}
@@ -30,13 +34,14 @@ computes i* only for the rows that need it.
   extremes are (1, n0, 1) and (1, 1, n0, 1) for the least easy n0 with
   i* >= 2.
 
-  Hard rows, the rest (9,519 of the 4,999,998 rows of [6, 10^7]), take one
-  flat pass over their instances: F_j = lpf(n - p_j) for j < i*, laid
-  end to end, row r lifted by r * (limit + 1), so that one running max
-  is every row's running max M.  M_k against p_k classifies (n, k)
-  (strict, equal or counterexample candidate), and the first witness
-  index, the least j with F_j >= p_k, is the least j with M_j >= p_k,
-  found by one searchsorted over the lifted M.
+  Hard rows, the rest (9,519 of the 4,999,998 rows of [6, 10^7]), take
+  one flat pass over their instances: F_j = lpf(n - p_j) for j < i*,
+  gathered at the cells (n - p_j) / 2 rounded down and laid end to end,
+  row r lifted by r * (limit + 1), so that one running max is every
+  row's running max M.  M_k against p_k classifies (n, k) (strict, equal
+  or counterexample candidate), and the first witness index, the least
+  j with F_j >= p_k, is the least j with M_j >= p_k, found by one
+  searchsorted over the lifted M.
 
 A row with a hit holds no unit anomaly: n - p_{i*} is an odd prime, so
 p_{i*} <= n - 3 < n - 1.  Only a row whose scan runs out of odd primes
@@ -420,15 +425,15 @@ def _better_ratio(a, b):
 
 # Phase 1 costs on the 2-vCPU Xeon VM of perfbench/README.md, per span
 # of 10^5 rows near 5 * 10^6 and 5 * 10^7 (the VM's speed varied ~2x
-# between the runs): the window's compare, ~25-35 us (the stride-2
-# inversion it replaces took ~110 us); packing it at 8 bit phases,
-# ~50-110 us; a head step, one and over 12.5 KB, ~2-4 us, and the count
-# of live words every HEAD_CHECK_STEPS steps ~2 us (a popcount of the
-# live rows ~7 us); listing the survivors, ~35-65 us; the tail, ~55-80 us
-# for its ~100-150 survivors.  Phase 2 (_sweep_run) then takes 1.0-1.4
+# between the runs): the window's negation, one contiguous read of 10^5
+# bools, ~6-8 us; packing it at 8 bit phases, ~50-110 us; a head step,
+# one and over 12.5 KB, ~2-4 us, and the count of live words every
+# HEAD_CHECK_STEPS steps ~2 us (a popcount of the live rows ~7 us);
+# listing the survivors, ~35-65 us; the tail, ~55-80 us for its ~100-150
+# survivors.  Phase 2 (_sweep_run) then takes 1.0-1.4
 # ms per such span: the masks' popcount, ~100-140 us; the f1 <= p_{done-1}
-# test over every row, ~150-350 us; the candidates' mask bits and their
-# i*, ~150-250 us; the hard rows' flat pass, ~300 us.
+# test over every row, a contiguous 400 KB, ~50-175 us; the candidates'
+# mask bits and their i*, ~150-250 us; the hard rows' flat pass, ~300 us.
 #
 # The head spans the first HEAD_PRIMES odd primes at most, so the window
 # overhangs the rows by (p_64 - 3) / 2 = 155 cells.  Near 10^8 about 1
@@ -504,7 +509,7 @@ class _Hits(NamedTuple):
 
 def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
     """Phase 1: the first prime hit of every even n in [lo, hi]."""
-    primality = table.primality
+    primality = table.odd_primality
     odd = table.odd_primes
     rows = (hi - lo) // 2 + 1
     # The head below spans only the odd primes under its least n, so a
@@ -526,14 +531,14 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
     masks[0, width >> 3 :][:1] = (1 << (width & 7)) - 1
     s = 0
     if h:
-        # Step j reads the odd cells n - p_j, a stride-2 run, which is the
-        # slice from (p_h - p_j) / 2 of one window of odd cells.  Read as
-        # little-endian uint16 pairs (x - 1, x), odd x is the high byte, so
-        # one compare of contiguous pairs finds the composite cells.  The
-        # window is packed once at each of its 8 bit phases, and step j
-        # ands the bytes of phase c % 8 from c // 8 on, c = (p_h - p_j) / 2.
+        # Step j reads the cells of n - p_j, consecutive for consecutive
+        # even n, which are the slice from (p_h - p_j) / 2 of one window
+        # of cells, x = base - p_h to hi - 3.  The window's negation marks
+        # the composite x; it is packed once at each of its 8 bit phases,
+        # and step j ands the bytes of phase c % 8 from c // 8 on,
+        # c = (p_h - p_j) / 2.
         top = int(odd[h - 1])
-        composite = primality[base - top - 1 : hi - 2].view("<u2") < 256
+        composite = ~primality[(base - top) >> 1 : (hi - 2) >> 1]
         phases = np.zeros((8, composite.size // 8 + 9), dtype=np.uint8)
         for b in range(8):
             bits = np.packbits(composite[b:], bitorder="little")
@@ -554,15 +559,15 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
 def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
     """The first hits (as in _Hits.first) of the ascending even n, none of
     which hit among the first i odd primes."""
-    primality = table.primality
+    primality = table.odd_primality
     odd = table.odd_primes
     first = np.empty(n.size, dtype=np.int64)
     act = n
     # The survivors take up to TAIL_CELLS cells of primes at once, one
-    # 2-D gather whose argmax is each row's first hit in the chunk.  One
-    # prime at a time where that is a single prime, or where the chunk
-    # reaches the least live n and some rows run out of primes below them
-    # (only at small n).
+    # 2-D gather at the cells n/2 - (p + 1)/2 of n - p, whose argmax is
+    # each row's first hit in the chunk.  One prime at a time where that
+    # is a single prime, or where the chunk reaches the least live n and
+    # some rows run out of primes below them (only at small n).
     while act.size:
         if i == odd.size:
             first[np.searchsorted(n, act)] = -i
@@ -570,7 +575,7 @@ def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
         w = min(max(TAIL_CELLS // act.size, 1), odd.size - i)
         ps = odd[i : i + w]
         if w > 1 and ps[-1] < act[0]:
-            cells = primality[act[:, None] - ps]
+            cells = primality[(act >> 1)[:, None] - ((ps + 1) >> 1)]
             pos = cells.argmax(axis=1)
             hit = cells[np.arange(act.size), pos]
             first[np.searchsorted(n, act[hit])] = i + 1 + pos[hit]
@@ -585,7 +590,7 @@ def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
             act = act[~spent]
             if act.size == 0:
                 break
-        hit = primality[act - p]
+        hit = primality[(act - p) >> 1]
         first[np.searchsorted(n, act[hit])] = i
         # compress copies the survivors faster than act[~hit] does.
         act = np.compress(~hit, act)
@@ -645,7 +650,7 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     instances = _popcount(masks[:done]) + int(steps.sum()) - done * survivors
     vacuous = size - int(np.count_nonzero(~found))
     deepest = max(done, int(steps.max(initial=0)))  # no row has more instances
-    f1 = table.lpf[lo - 3 : hi - 2 : 2]  # lpf(n - 3) of row r, in place
+    f1 = table.odd_lpf[(lo - 3) >> 1 : (hi - 1) >> 1]  # lpf(n - 3) of row r, in place
 
     # A hit row of s instances is easy exactly when lpf(n - 3) >= bar[s],
     # that is s == 1 or f1 > p_{s-1}; the rows the head left are tested so.
@@ -720,7 +725,7 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
         # running max over the rows laid end to end is each row's running
         # max M, lifted, and stays sorted for the first-witness search.
         lift = seg * (table.limit + 1)
-        run = np.maximum.accumulate(table.lpf[hn[seg] - pk].astype(np.int64) + lift)
+        run = np.maximum.accumulate(table.odd_lpf[(hn[seg] - pk) >> 1].astype(np.int64) + lift)
         m = run - lift
         gt, eq = m > pk, m == pk
         # The first witness index of (n, k), the least j with lpf(n - p_j)

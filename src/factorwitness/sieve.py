@@ -1,10 +1,17 @@
 """Prime and factorization tables over a contiguous range [2, limit].
 
 The engine's hot loops never factor anything at query time.  Instead a
-single segmented sieve pass produces, for every x in [2, limit]:
+single segmented sieve pass produces, for every odd x in [1, limit], in
+cell j = (x - 1) / 2 of two arrays:
 
-  * lpf[x] -- the largest prime factor of x (x itself when x is prime),
-  * primality[x] -- whether x is prime.
+  * odd_lpf[j] -- the largest prime factor of x (x itself when x is
+    prime, and 1 for x = 1),
+  * odd_primality[j] -- whether x is prime.
+
+Only odd x are stored, the wheel of 2 (Pritchard, Acta Inf. 17, 1982),
+because the scan reads only the odd values n - p_i.  The scalar
+queries answer an even x = 2^a * m, m odd, from m: its largest prime
+factor is max(2, lpf(m)), and it is prime exactly when x == 2.
 
 Each segment [lo, hi) keeps hi <= 2*lo, so everything a segment reads
 lies below lo, in segments already finished (the segmented sieve of
@@ -17,23 +24,23 @@ is left (numpy drops the interpreter lock inside a strike, fill or
 compare ufunc of more than 500 cells), so a table below 2**22, or any
 table on one CPU, starts no thread.  The pool is joined before build_table returns.
 
-Only the odd cells are sieved, the wheel of 2 (Pritchard, Acta Inf. 17,
-1982).  Each odd cell starts as x itself, added from one read-only ramp
-0, 2, 4, ... that all segments share.  Each odd base prime p (p*p < hi,
-read from the finished primality) then strikes its odd multiples
-x = p*m >= p*p with lpf[x] = max(p, lpf[m]), one strided ufunc per
-prime: that identity holds for every prime p dividing x, not only the
-smallest, and m <= x/3 < lo is already final, so every write is the
-cell's exact value and the primes strike in any order.  An odd x is
-then prime exactly when lpf[x] > lo: an odd composite x < 2*lo has
-lpf[x] <= x/3 < lo.  Each even x takes lpf[x] = max(2, lpf[x // 2]),
-one contiguous read.  No step divides or gathers, and a segment
-allocates nothing.
+Each cell of a segment starts as x itself, added from one read-only
+ramp 0, 2, 4, ... that all segments share.  Each odd base prime p (p*p
+< hi, read from the finished primality) then strikes its odd multiples
+x = p*m >= p*p with lpf(x) = max(p, lpf(m)), one ufunc per prime that
+writes every p-th cell and reads the cells of m contiguously: that
+identity holds for every prime p dividing x, not only the smallest,
+and m <= x/3 < lo is already final, so every write is the cell's exact
+value and the primes strike in any order.  An odd x is then prime
+exactly when lpf(x) > lo, one contiguous compare: an odd composite x <
+2*lo has lpf(x) <= x/3 < lo.  No step divides or gathers, and a
+segment allocates nothing.
 
 Tables are uint32, so the supported ceiling is bounded by 2**32 - 1; the
-practical ceiling here is memory (5 bytes per integer resident), so
-build_table estimates its bytes first and refuses a limit that does not
-fit in the memory available to the process.
+practical ceiling here is memory (5 bytes per odd integer resident,
+about 2.5 per integer), so build_table estimates its bytes first and
+refuses a limit that does not fit in the memory available to the
+process.
 """
 
 from __future__ import annotations
@@ -78,12 +85,12 @@ def usable_cpus() -> int:
 def estimate_table_bytes(limit: int) -> int:
     """Upper estimate of the bytes build_table(limit) allocates.
 
-    5 bytes per integer for lpf and primality, 8 per prime for the prime
-    list (pi(x) < 1.25506 x / ln x; Rosser & Schoenfeld 1962), which
-    takes 4, and the ramp and base primes that every segment shares.
+    5 bytes per odd cell for odd_lpf and odd_primality, 8 per prime for
+    the prime list (pi(x) < 1.25506 x / ln x; Rosser & Schoenfeld 1962),
+    which takes 4, and the ramp and base primes that every segment shares.
     """
     primes = int(1.25506 * limit / log(limit)) + 1
-    return 5 * (limit + 1) + 8 * primes + _SEGMENT_CELL_BYTES * SEGMENT
+    return 5 * ((limit + 1) // 2) + 8 * primes + _SEGMENT_CELL_BYTES * SEGMENT
 
 
 def _read_int(path: Path, key: str | None = None) -> int | None:
@@ -151,13 +158,22 @@ def _cgroup_headroom(groups: list[str], root: Path) -> list[int]:
     return figures
 
 
+def _odd_part(x: int) -> int:
+    """m of x = 2^a * m with m odd, for x >= 1."""
+    return x >> ((x & -x).bit_length() - 1)
+
+
 @dataclass(frozen=True)
 class PrimeTable:
-    """Immutable primality and factor tables for integers in [2, limit]."""
+    """Immutable primality and factor tables for integers in [2, limit].
+
+    odd_lpf and odd_primality hold odd x only, cell j standing for
+    x = 2j + 1 (module docstring); the scalar queries take any x.
+    """
 
     limit: int
-    lpf: np.ndarray
-    primality: np.ndarray
+    odd_lpf: np.ndarray
+    odd_primality: np.ndarray
     odd_primes: np.ndarray
     _primes: np.ndarray = field(repr=False)
 
@@ -182,28 +198,31 @@ class PrimeTable:
 
     def is_prime(self, x: int) -> bool:
         self._check(x)
-        return bool(self.primality[x])
+        return bool(self.odd_primality[x >> 1] if x & 1 else x == 2)
 
     def largest_prime_factor(self, x: int) -> int:
         self._check(x)
-        return int(self.lpf[x])
+        if x & 1:
+            return int(self.odd_lpf[x >> 1])
+        return max(2, int(self.odd_lpf[_odd_part(int(x)) >> 1]))
 
     def factorize(self, x: int) -> tuple[int, ...]:
         """Prime factors of x in nondecreasing order, with multiplicity."""
         self._check(x)
+        m = _odd_part(int(x))
         out = []
-        v = int(x)
+        v = m
         while v > 1:
-            p = int(self.lpf[v])
+            p = int(self.odd_lpf[v >> 1])
             out.append(p)
             v //= p
+        out += [2] * ((int(x) // m).bit_length() - 1)
         out.reverse()
         return tuple(out)
 
     def next_prime(self, p: int) -> int:
         """Smallest prime strictly greater than the prime p."""
-        self._check(p)
-        if not self.primality[p]:
+        if not self.is_prime(p):
             raise PreconditionError(f"next_prime needs a prime argument, got {p}")
         j = int(np.searchsorted(self._primes, self._needle(p), side="right"))
         if j >= self._primes.size:
@@ -234,37 +253,37 @@ class PrimeTable:
 
 
 def _sieve_segment(
-    lpf: np.ndarray,
-    primality: np.ndarray,
+    odd_lpf: np.ndarray,
+    odd_primality: np.ndarray,
     ramp: np.ndarray,
     base: list[int],
     lo: int,
     hi: int,
 ) -> None:
-    """Fill lpf and primality over [lo, hi), reading only cells below lo.
+    """Fill the odd cells of [lo, hi), reading only cells below lo.
 
-    Needs lo even, hi <= 2*lo, ramp[k] = 2k over the segment's odd cells
-    and every odd prime p with p*p < hi in base (larger ones strike
-    nothing).  Allocates no array, so segments can run on threads.
+    Needs lo even, hi <= 2*lo, ramp[k] = 2k over the segment's cells and
+    every odd prime p with p*p < hi in base (larger ones strike nothing).
+    Allocates no array, so segments can run on threads.
     """
-    odd = lpf[lo + 1 : hi : 2]
-    np.add(ramp[: odd.size], np.uint32(lo + 1), out=odd)
+    cells = odd_lpf[lo >> 1 : hi >> 1]  # odd x = lo + 1, lo + 3, ... < hi
+    np.add(ramp[: cells.size], np.uint32(lo + 1), out=cells)
     # Each odd base prime p strikes its odd multiples x = p*m >= p*p in
-    # the segment with lpf[x] = max(p, lpf[m]).  m <= x/3 < lo is final,
-    # and every write is lpf[x] itself, so the primes strike in any order.
-    # A segment holding no such multiple gets an empty out.
+    # the segment with lpf(x) = max(p, lpf(m)): every p-th cell, from the
+    # contiguous cells of m.  m <= x/3 < lo is final, and every write is
+    # lpf(x) itself, so the primes strike in any order.  A segment
+    # holding no such multiple gets an empty out.
     for p in base:
         m = max(p, -(-lo // p) | 1)  # the least odd m >= p with p*m >= lo
-        out = lpf[p * m : hi : 2 * p]
-        np.maximum(lpf[m : m + 2 * out.size : 2], p, out=out)
-    # An odd composite x < 2*lo has lpf[x] <= x/3 < lo; a prime keeps x.
-    np.greater(odd, lo, out=primality[lo + 1 : hi : 2])
-    np.maximum(lpf[lo // 2 : (hi + 1) // 2], 2, out=lpf[lo:hi:2])
+        out = odd_lpf[(p * m) >> 1 : hi >> 1 : p]
+        np.maximum(odd_lpf[m >> 1 : (m >> 1) + out.size], p, out=out)
+    # An odd composite x < 2*lo has lpf(x) <= x/3 < lo; a prime keeps x.
+    np.greater(cells, lo, out=odd_primality[lo >> 1 : hi >> 1])
 
 
 def _sieve_share(
-    lpf: np.ndarray,
-    primality: np.ndarray,
+    odd_lpf: np.ndarray,
+    odd_primality: np.ndarray,
     ramp: np.ndarray,
     base: list[int],
     todo: list[int],
@@ -276,7 +295,7 @@ def _sieve_share(
             lo = todo.pop()  # atomic, so the threads of a wave share todo
         except IndexError:
             return
-        _sieve_segment(lpf, primality, ramp, base, lo, min(lo + 2 * SEGMENT, end))
+        _sieve_segment(odd_lpf, odd_primality, ramp, base, lo, min(lo + 2 * SEGMENT, end))
 
 
 def build_table(limit: int) -> PrimeTable:
@@ -292,10 +311,10 @@ def build_table(limit: int) -> PrimeTable:
             f"a table for limit {limit} needs about {need >> 20} MiB, "
             f"but only {max(available, 0) >> 20} MiB of memory is available"
         )
-    lpf = np.empty(limit + 1, dtype=np.uint32)
-    lpf[:2] = (0, 1)  # primes and x = 2 read lpf[1] below
-    primality = np.zeros(limit + 1, dtype=bool)
-    primality[2] = True
+    cells = (limit + 1) >> 1  # odd x = 1, 3, ..., up to limit
+    odd_lpf = np.empty(cells, dtype=np.uint32)
+    odd_lpf[0] = 1  # x = 1, which no segment covers
+    odd_primality = np.zeros(cells, dtype=bool)
     step = 2 * SEGMENT
     ramp = np.arange(0, min(step, limit + 1), 2, dtype=np.uint32)
     threads = usable_cpus()
@@ -308,32 +327,32 @@ def build_table(limit: int) -> PrimeTable:
             # wave of one segment starts no thread and a stalled thread
             # holds up at most one segment.
             end = min(2 * lo, limit + 1)
-            base = (np.flatnonzero(primality[3 : isqrt(end - 1) + 1]) + 3).tolist()
+            # The odd primes up to isqrt(end - 1), from cell 1 (x = 3) on.
+            base = (2 * np.flatnonzero(odd_primality[1 : (isqrt(end - 1) + 1) >> 1]) + 3).tolist()
             todo = list(range(lo, end, step))
             shares = [
-                pool.submit(_sieve_share, lpf, primality, ramp, base, todo, end)
+                pool.submit(_sieve_share, odd_lpf, odd_primality, ramp, base, todo, end)
                 for _ in range(min(threads, len(todo)) - 1)
             ]
-            _sieve_share(lpf, primality, ramp, base, todo, end)
+            _sieve_share(odd_lpf, odd_primality, ramp, base, todo, end)
             for share in shares:
                 share.result()
             lo = end
     del ramp
-    # uint32, filled from the odd cells a segment's width at a time:
-    # np.flatnonzero over the whole table would allocate an int64 list
-    # (46 MB at 10^8) while lpf and primality are resident, and would
-    # read the even cells too.
-    primes = np.empty(np.count_nonzero(primality), dtype=np.uint32)
+    # uint32, filled SEGMENT cells at a time: np.flatnonzero over the
+    # whole table would allocate an int64 list (46 MB at 10^8) while
+    # odd_lpf and odd_primality are resident.
+    primes = np.empty(np.count_nonzero(odd_primality) + 1, dtype=np.uint32)
     primes[0] = 2
     at = 1
-    for lo in range(0, limit + 1, step):
-        chunk = np.flatnonzero(primality[lo + 1 : lo + step : 2])
-        primes[at : at + chunk.size] = 2 * chunk + (lo + 1)
+    for c in range(0, cells, SEGMENT):
+        chunk = np.flatnonzero(odd_primality[c : c + SEGMENT])
+        primes[at : at + chunk.size] = 2 * chunk + (2 * c + 1)
         at += chunk.size
     return PrimeTable(
         limit=limit,
-        lpf=lpf,
-        primality=primality,
+        odd_lpf=odd_lpf,
+        odd_primality=odd_primality,
         odd_primes=primes[1:],
         _primes=primes,
     )

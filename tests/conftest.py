@@ -52,30 +52,35 @@ def make_doctored(
 ) -> PrimeTable:
     """Copy of table with selected facts falsified.
 
-    not_prime: values whose primality bit is forced off (the scan will
-    treat them as composite; their lpf entries are untouched).
-    lpf_overrides: {value: fake_largest_factor}.
+    not_prime: odd values whose primality bit is forced off (the scan
+    will treat them as composite; their lpf entries are untouched).
+    lpf_overrides: {odd value: fake_largest_factor}.
     primes: full replacement for the sorted prime array (odd_primes is
     derived from it); used to sabotage next_prime.
+    The table stores odd x only, in cell x >> 1, so an even value is
+    refused.
     """
-    primality = table.primality
+    for x in (*not_prime, *(lpf_overrides or ())):
+        if x % 2 == 0:
+            raise ValueError(f"the table stores odd values only, cannot doctor {x}")
+    primality = table.odd_primality
     if not_prime:
         primality = primality.copy()
         for x in not_prime:
-            primality[x] = False
-    lpf = table.lpf
+            primality[x >> 1] = False
+    lpf = table.odd_lpf
     if lpf_overrides:
         lpf = lpf.copy()
         for x, fake in lpf_overrides.items():
-            lpf[x] = fake
+            lpf[x >> 1] = fake
     if primes is not None:
         all_primes = np.asarray(primes, dtype=np.int64)
     else:
         all_primes = table._primes
     return PrimeTable(
         limit=table.limit,
-        lpf=lpf,
-        primality=primality,
+        odd_lpf=lpf,
+        odd_primality=primality,
         odd_primes=all_primes[1:],
         _primes=all_primes,
     )
@@ -93,7 +98,7 @@ def scalar_first_hits(table: PrimeTable, lo: int, hi: int) -> list[int]:
         scanned = table.count_odd_primes_below(n)
         first = -scanned
         for i in range(scanned):
-            if table.primality[n - odd[i]]:
+            if n - odd[i] > 1 and table.is_prime(n - odd[i]):
                 first = i + 1
                 break
         out.append(first)
@@ -127,7 +132,31 @@ def expand_hits(hits, lo: int, hi: int) -> list[int]:
     return first.tolist()
 
 
-def table_digests(table: PrimeTable) -> tuple[str, str]:
-    """sha256 prefixes of lpf.tobytes() and primality.tobytes()."""
-    arrays = (table.lpf, table.primality)
+def expand_table(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's largest factors and primality over every x in [0, limit].
+
+    The odd cells give odd x; an even x = 2^a * m, m odd, has
+    lpf(x) = max(2, lpf(m)) and is prime iff x == 2.  lpf(0) = 0 and
+    lpf(1) = 1, as a table over every integer held them.
+    """
+    lpf = np.zeros(table.limit + 1, dtype=np.uint32)
+    lpf[1::2] = table.odd_lpf
+    a = 2
+    while a <= table.limit:  # x = a * (2j + 1), from lpf(2j + 1)
+        cells = lpf[a :: 2 * a]
+        np.maximum(table.odd_lpf[: cells.size], 2, out=cells)
+        a *= 2
+    primality = np.zeros(table.limit + 1, dtype=bool)
+    primality[1::2] = table.odd_primality
+    primality[2] = True
+    return lpf, primality
+
+
+def digests(*arrays: np.ndarray) -> tuple[str, ...]:
+    """sha256 prefixes of each array's tobytes()."""
     return tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
+
+
+def table_digests(table: PrimeTable) -> tuple[str, str]:
+    """sha256 prefixes of the stored odd_lpf and odd_primality bytes."""
+    return digests(table.odd_lpf, table.odd_primality)

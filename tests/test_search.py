@@ -178,10 +178,10 @@ CANONICAL = {
 def test_canonical_digest(request, fixture):
     if fixture == "table100m":
         # Built here rather than as a session fixture, so that its
-        # ~480 MiB are freed when the test ends.  test_sieve pins the
+        # ~260 MiB are freed when the test ends.  test_sieve pins the
         # bytes of the 10^6 and 10^7 tables, and this the 10^8 one's.
         table = build_table(100_000_000)
-        assert table_digests(table) == ("03189530b5ea0de6", "356d699f2beeb631")
+        assert table_digests(table) == ("f456c99d8a1c3b5c", "564ab605d1482abc")
     else:
         table = request.getfixturevalue(fixture)
     s = verify_range(table, job_for(6, table.limit, table))
@@ -594,7 +594,7 @@ def unit_at_the_cut():
     # next row hard: 202 first hits at 202 - 11 = 191 (i* = 4), and
     # lpf(202 - 3) = 5 is not above p_3 = 7.
     table = build_table(1_000)
-    partners = [200 - p for p in table.odd_primes.tolist() if p < 199 and table.primality[200 - p]]
+    partners = [200 - p for p in table.odd_primes.tolist() if p < 199 and table.is_prime(200 - p)]
     return make_doctored(table, not_prime=(*partners, 199), lpf_overrides={199: 5})
 
 
@@ -609,7 +609,7 @@ def test_unit_check_reaches_the_deepest_scan(unit_at_the_cut, lo, hi):
         assert first[(200 - lo) // 2] == -45 and np.abs(first).max() == 45
         assert table.odd_prime(45) + 1 == 200
     if lo <= 202 <= hi:
-        assert first[(202 - lo) // 2] == 4 and table.lpf[199] == 5
+        assert first[(202 - lo) // 2] == 4 and table.largest_prime_factor(199) == 5
     s = verify_range(table, job_for(lo, hi, table))
     want = scalar_sweep(table, lo, hi)
     assert ((200, 45) in want["anomalies"]) == (lo <= 200 <= hi)
@@ -619,7 +619,7 @@ def test_unit_check_reaches_the_deepest_scan(unit_at_the_cut, lo, hi):
 
 def _hidden_partners(table, n, upto):
     """The primes n - p_i, i <= upto: hiding them delays n's first hit past p_upto."""
-    return [n - p for p in table.odd_primes[:upto].tolist() if table.primality[n - p]]
+    return [n - p for p in table.odd_primes[:upto].tolist() if table.is_prime(n - p)]
 
 
 @pytest.fixture(scope="module")
@@ -653,7 +653,7 @@ def test_hard_rows_at_and_past_the_head_end(hard_rows_past_the_head, lo, hi):
     for n, j, hard in [(5950, 64, True), (5324, 64, False), (3128, 2, True),
                        (3180, 70, True), (3886, 70, False)]:
         if lo <= n <= hi:
-            assert table.lpf[n - 3] == table.odd_prime(j)
+            assert table.largest_prime_factor(n - 3) == table.odd_prime(j)
             assert (first[n] > j) == hard and first[n] >= 64
     hits = _first_hits(table, lo, hi)
     if (hi - lo) // 2 + 1 < HEAD_MIN_ALIVE:  # the head stops only once no row is alive
@@ -671,7 +671,7 @@ def test_no_hit_row_inside_the_head_window(table1m):
     small = [int(p) for p in table1m._primes[:30]]
     table = make_doctored(
         table1m, primes=small,
-        not_prime=[5000 - p for p in small[1:] if table1m.primality[5000 - p]],
+        not_prime=[5000 - p for p in small[1:] if table1m.is_prime(5000 - p)],
     )
     hits = _first_hits(table, 4_800, 5_200)
     assert hits.masks.shape[0] - 1 == 29
@@ -725,22 +725,23 @@ from factorwitness.sieve import build_table
 table = build_table(2_000)
 
 # An lpf entry above the table's limit, which no honest table holds,
-# lifts the running max of the hard row n = 30 (30 - 5 = 25) past the
-# row offsets of the first-witness search, so the search and the
-# classifier part ways on the next hard row.
-lpf = table.lpf.copy()
-lpf[25] = 10**6
+# lifts the running max of the hard row n = 30 (30 - 5 = 25, cell 12)
+# past the row offsets of the first-witness search, so the search and
+# the classifier part ways on the next hard row.
+lpf = table.odd_lpf.copy()
+lpf[12] = 10**6
 try:
-    _sweep_run(dataclasses.replace(table, lpf=lpf), 6, 2_000)
+    _sweep_run(dataclasses.replace(table, odd_lpf=lpf), 6, 2_000)
 except EngineError as exc:
     print("classifier:", exc)
 
 # 1 marked prime counts n = 8, k = 3 (8 - 7 = 1) both as vacuous and as
-# a unit anomaly once the earlier hits 5 and 3 are hidden.
-primality = table.primality.copy()
-primality[[1, 3, 5]] = (True, False, False)
+# a unit anomaly once the earlier hits 5 and 3 are hidden (cells 0, 1
+# and 2 hold x = 1, 3 and 5).
+primality = table.odd_primality.copy()
+primality[[0, 1, 2]] = (True, False, False)
 try:
-    _sweep_run(dataclasses.replace(table, primality=primality), 8, 8)
+    _sweep_run(dataclasses.replace(table, odd_primality=primality), 8, 8)
 except EngineError as exc:
     print("conservation:", exc)
 """
@@ -864,7 +865,7 @@ def test_first_hits_rows_outlive_the_primes_inside_a_tail_chunk(table1m):
     # [99_000, 101_000] is hidden, so about 500 rows stay alive after the
     # head: too few for single-prime steps, so they run out of primes
     # inside a chunk of several.
-    hidden = [q for q in range(99_000, 101_001) if table1m.primality[q]]
+    hidden = [q for q in range(99_000, 101_001) if table1m.is_prime(q)]
     small = [int(p) for p in table1m._primes if p < 1000]
     doctored = make_doctored(table1m, not_prime=hidden, primes=small)
     got = np.array(expand_hits(_first_hits(doctored, 98_000, 103_000), 98_000, 103_000))
@@ -913,7 +914,7 @@ def test_decompose_range_failures_in_two_blocks(table1m):
     # of the first two blocks.  Only n within 1000 above a window can
     # fail; the expected failures are rescanned by trial division.
     windows = ((99_000, 101_000), (299_000, 301_000))
-    hidden = [q for lo, hi in windows for q in range(lo, hi + 1) if table1m.primality[q]]
+    hidden = [q for lo, hi in windows for q in range(lo, hi + 1) if table1m.is_prime(q)]
     small = [int(p) for p in table1m._primes if p < 1000]
     doctored = make_doctored(table1m, not_prime=hidden, primes=small)
 

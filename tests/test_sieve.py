@@ -5,6 +5,7 @@ import random
 import threading
 import tracemalloc
 from bisect import bisect_left, bisect_right
+from math import log
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from factorwitness.errors import (
 )
 from factorwitness.sieve import SEGMENT, build_table
 
-from conftest import table_digests
+from conftest import digests, expand_table, table_digests
 
 # pi(x) reference points; classical values, double-checked against the
 # bytearray oracle sieve in test_bruteforce.
@@ -50,12 +51,22 @@ def test_small_prime_list(table1m):
     [(None, 6), (None, 7), (None, 4 * SEGMENT), (None, 4 * SEGMENT + 1), ("table10m", None)],
 )
 def test_prime_list_is_the_primality_mask(request, fixture, limit):
-    # The uint32 list is filled from the odd cells of one chunk of
-    # 2 * SEGMENT cells at a time: a limit of 4 * SEGMENT leaves a last
-    # chunk with one even cell only, one more gives it an odd cell.
+    # The uint32 list is filled SEGMENT odd cells at a time: a limit of
+    # 4 * SEGMENT fills two whole chunks, one more leaves a last chunk of
+    # one cell.
     table = request.getfixturevalue(fixture) if fixture else build_table(limit)
     assert table._primes.dtype == np.uint32
-    assert np.array_equal(table._primes, np.flatnonzero(table.primality))
+    assert np.array_equal(table._primes, np.flatnonzero(expand_table(table)[1]))
+
+
+def test_table_holds_odd_cells_only(table1m):
+    # One uint32 largest factor and one bool per odd x, and the uint32
+    # prime list, of which odd_primes is a view.
+    assert table1m.odd_lpf.dtype == np.uint32 and table1m.odd_primality.dtype == bool
+    assert table1m.odd_lpf.size == table1m.odd_primality.size == 500_000
+    assert table1m.odd_primes.base is table1m._primes
+    arrays = (table1m.odd_lpf, table1m.odd_primality, table1m._primes)
+    assert sum(a.nbytes for a in arrays) == 5 * 500_000 + 4 * 78_498
 
 
 def test_factor_tables_against_trial_division(table1m):
@@ -153,10 +164,14 @@ def test_preflight_refuses_before_allocating(monkeypatch):
 
 
 def test_preflight_estimate():
-    # 5 B per integer, 8 B per prime, the ramp and base primes.
-    assert sieve.estimate_table_bytes(10**8) >= 5 * 10**8 + 8 * 5_761_455
-    assert sieve.estimate_table_bytes(10**8) < 600 << 20
-    assert sieve.estimate_table_bytes(sieve.MAX_LIMIT) > 10**10
+    # 5 B per odd cell and 4 B per prime are the arrays a table keeps;
+    # the estimate adds 4 B per prime and the ramp and base primes.
+    assert sieve.estimate_table_bytes(10**6) >= 5 * 500_000 + 4 * 78_498
+    assert sieve.estimate_table_bytes(10**8) >= 5 * 5 * 10**7 + 8 * 5_761_455
+    assert sieve.estimate_table_bytes(10**8) < 300 << 20
+    # pi(x) > x / ln x for x >= 17 (Rosser & Schoenfeld 1962).
+    limit = sieve.MAX_LIMIT
+    assert sieve.estimate_table_bytes(limit) >= 5 * limit // 2 + 4 * limit / log(limit)
 
 
 def test_preflight_estimate_bounds_the_build():
@@ -218,18 +233,30 @@ def test_preflight_admits_ten_million():
     assert available is None or sieve.estimate_table_bytes(10**7) <= available
 
 
+def _trial_factors(x):
+    out = []
+    while x > 1:
+        out.append(trial_smallest_factor(x))
+        x //= out[-1]
+    return tuple(out)
+
+
 def _assert_matches_trial_division(table, xs):
     for x in xs:
-        assert table.lpf[x] == trial_largest_factor(x), x
-        assert table.primality[x] == trial_is_prime(x), x
+        assert table.largest_prime_factor(x) == trial_largest_factor(x), x
+        assert table.is_prime(x) == trial_is_prime(x), x
+        assert table.factorize(x) == _trial_factors(x), x
 
 
 def test_tables_match_trial_division_exhaustively():
-    # Every cell of every doubling segment [2^j, 2^(j+1)) up to 50,000.
+    # Every cell of every doubling segment [2^j, 2^(j+1)) up to 50,000,
+    # and every even x between them through the scalar queries; x = limit
+    # for an even and an odd limit.
     table = build_table(50_000)
     _assert_matches_trial_division(table, range(2, 50_001))
-    assert table.lpf[:2].tolist() == [0, 1]
-    assert not table.primality[:2].any()
+    _assert_matches_trial_division(build_table(50_001), [50_001])
+    assert table.odd_lpf[0] == 1  # x = 1
+    assert not table.odd_primality[0]
 
 
 def test_tables_match_trial_division_at_segment_seams(table10m):
@@ -247,17 +274,27 @@ def test_tables_match_trial_division_at_segment_seams(table10m):
     _assert_matches_trial_division(table10m, range(limit - 64, limit + 1))
 
 
-# sha256 prefixes of lpf.tobytes() and primality.tobytes();
-# test_search.test_canonical_digest pins the 10^8 table's.
+# sha256 prefixes of the largest factors' and the primality's bytes over
+# every x in [0, limit] (conftest.expand_table), as a table over every
+# integer held them.
 PINNED_TABLE_BYTES = {
     "table1m": ("b4d3078b5f86878f", "1d8537de67d9eab4"),
     "table10m": ("6976b4a993421c9e", "ab158d028a45c741"),
+}
+# sha256 prefixes of the stored odd_lpf and odd_primality bytes, which
+# are the odd x of the above; test_search.test_canonical_digest pins the
+# 10^8 table's.
+PINNED_ODD_BYTES = {
+    "table1m": ("527061693fb14a78", "c4a6ae653a2c3e60"),
+    "table10m": ("0538db4d39e0e54c", "a862af34ca022326"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TABLE_BYTES))
 def test_table_bytes_pinned(name, request):
-    assert table_digests(request.getfixturevalue(name)) == PINNED_TABLE_BYTES[name]
+    table = request.getfixturevalue(name)
+    assert digests(*expand_table(table)) == PINNED_TABLE_BYTES[name]
+    assert table_digests(table) == PINNED_ODD_BYTES[name]
 
 
 # -- the wave-parallel build --------------------------------------------------
@@ -273,15 +310,16 @@ def test_table_bytes_pinned(name, request):
 )
 def test_wave_seams_are_prefixes(limit, table10m):
     table = build_table(limit)
-    assert np.array_equal(table.lpf, table10m.lpf[: limit + 1])
-    assert np.array_equal(table.primality, table10m.primality[: limit + 1])
+    cells = (limit + 1) // 2
+    assert np.array_equal(table.odd_lpf, table10m.odd_lpf[:cells])
+    assert np.array_equal(table.odd_primality, table10m.odd_primality[:cells])
     assert np.array_equal(table._primes, table10m._primes[: table._primes.size])
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_thread_count_is_invisible(cpus, monkeypatch):
     monkeypatch.setattr(sieve, "usable_cpus", lambda: cpus)
-    assert table_digests(build_table(10**7)) == PINNED_TABLE_BYTES["table10m"]
+    assert table_digests(build_table(10**7)) == PINNED_ODD_BYTES["table10m"]
 
 
 def test_build_leaves_no_thread_behind(monkeypatch):
@@ -343,7 +381,8 @@ def table50k():
 @pytest.mark.parametrize("limit", _prefix_limits())
 def test_table_is_a_prefix_of_a_larger_one(limit, table50k):
     table = build_table(limit)
-    assert np.array_equal(table.lpf, table50k.lpf[: limit + 1])
-    assert np.array_equal(table.primality, table50k.primality[: limit + 1])
+    cells = (limit + 1) // 2
+    assert np.array_equal(table.odd_lpf, table50k.odd_lpf[:cells])
+    assert np.array_equal(table.odd_primality, table50k.odd_primality[:cells])
     assert np.array_equal(table._primes, table50k._primes[: table._primes.size])
     assert table._primes.size == table50k.prime_count(limit)
