@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-fast", action="store_true",
                    help="abort on the first span containing a counterexample or anomaly")
     p.add_argument("--stop-after-blocks", type=int, default=None, metavar="B",
-                   help="sweep B more blocks (B >= 1), checkpoint and stop "
+                   help="sweep B more blocks (B >= 1) of --checkpoint-interval evens, "
+                        f"by default B x {DEFAULT_BLOCK_EVENS}, checkpoint and stop "
                         "(interruption drill)")
     p.add_argument("--manifest", metavar="PATH", default=None,
                    help="write a provenance manifest (digest, job, record count)")

@@ -157,14 +157,18 @@ def _scan(table: PrimeTable, inst: Instance):
         raise PreconditionError(
             f"instance carries p_{inst.k} = {inst.pk}, table says {table.odd_prime(inst.k)}"
         )
+    # Each v = n - p_j is odd and lies in [1, n], within the table, so
+    # its entry is read unchecked.
+    entry = table.odd_entry
     factors = []
-    for j in range(1, inst.k + 1):
-        v = inst.n - table.odd_prime(j)
+    for j, p in enumerate(table.odd_primes[: inst.k].tolist(), start=1):
+        v = inst.n - p
         if v == 1:
             return ("unit", j, None)
-        if table.is_prime(v):
+        prime, lpf = entry(v)
+        if prime:
             return ("prime", j, v)
-        factors.append(table.largest_prime_factor(v))
+        factors.append(lpf)
     return ("factors", None, factors)
 
 

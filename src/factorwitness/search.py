@@ -14,11 +14,12 @@ rows held as bits, 64 to a word: one window of cells, negated to mark
 the composite values, is packed at each of its 8 bit phases, and each
 step is one bitwise and of the last step's row set with a slice of a
 phase, kept as that step's mask.  The head stops once few rows are
-alive; its tail gathers the survivors' cells, at (n - p) / 2 rounded
-down, several primes at a time for their exact i*.  A row the head
-settled has i* equal to the number of masks that hold it, so no per-row
-i* is built.  decompose_range reads the rows that never hit and the
-deepest hit from the tail, and from the last mask that lost a row.
+alive; its tail lists the survivors from the last mask's nonzero words
+and gathers their cells, at (n - p) / 2 rounded down, several primes at
+a time for their exact i*.  A row the head settled has i* equal to the
+number of masks that hold it, so no per-row i* is built.
+decompose_range reads the rows that never hit and the deepest hit from
+the tail, and from the last mask that lost a row.
 
 Phase 2 classifies each row from i* and f1 = lpf(n - 3), which for
 consecutive even n is a contiguous slice of the table, read in place.
@@ -50,22 +51,23 @@ below n without a hit, which takes a doctored table, can hit n - p_i = 1
 instances.  A unit needs n = p_i + 1 for some i up to the span's deepest
 scan, which the head's step count and the tail's scans bound, so the
 vectorised unit check runs on the rows with n <= p_deepest + 1 only,
-every row that can hold one (on an honest table only n up to 1,094, as
-no first hit up to 10^8 lies past p_182 = 1,093).  It covers
+every row that can hold one, and only in a span that holds such rows
+(on an honest table only n up to 1,094, as no first hit up to 10^8 lies
+past p_182 = 1,093: the first span of a sweep from small n).  It covers
 hit rows too, so a table that calls 1 prime breaks the outcome count
 instead of passing unseen.  Two engine invariants are checked on every
 span: the first witness indices agree with the classifier, and the
 outcomes add up to the instances.
 
 Work is split into spans of max(checkpoint_interval, DEFAULT_BLOCK_EVENS)
-evens, the one unit of work: one task, serial or pooled, runs both phases
-once over a span and yields a RangeSummary of its range, and spans are
-merged (merge_summaries) strictly in ascending order whatever the worker
-count, so summaries and their digests are worker-count independent.  The
-checkpoint is saved after every merged span and holds the summary of the
-covered prefix [n_min, x], so a resume restarts at x + 2 with any block
-size or worker count, and a requested stop or a fail-fast error leaves
-the prefix through the span it stopped on.
+evens, at least 2^18, the one unit of work: one task, serial or pooled,
+runs both phases once over a span and yields a RangeSummary of its
+range, and spans are merged (merge_summaries) strictly in ascending
+order whatever the worker count, so summaries and their digests are
+worker-count independent.  The checkpoint is saved after every merged
+span and holds the summary of the covered prefix [n_min, x], so a resume
+restarts at x + 2 with any block size or worker count, and a requested
+stop or a fail-fast error leaves the prefix through the span it stopped on.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ from .errors import (
 )
 from .sieve import PrimeTable
 
-DEFAULT_BLOCK_EVENS = 100_000
+# Evens per span at least, and the default block size.  A span pays
+# ~200 numpy calls, a merge and a checkpoint save whatever its width; at
+# 2^18 rows its head's 65 masks take 2 MiB.
+DEFAULT_BLOCK_EVENS = 1 << 18
 CHECKPOINT_VERSION = 3
 
 
@@ -424,16 +429,17 @@ def _better_ratio(a, b):
 
 
 # Phase 1 costs on the 2-vCPU Xeon VM of perfbench/README.md, per span
-# of 10^5 rows near 5 * 10^6 and 5 * 10^7 (the VM's speed varied ~2x
-# between the runs): the window's negation, one contiguous read of 10^5
-# bools, ~6-8 us; packing it at 8 bit phases, ~50-110 us; a head step,
-# one and over 12.5 KB, ~2-4 us, and the count of live words every
-# HEAD_CHECK_STEPS steps ~2 us (a popcount of the live rows ~7 us);
-# listing the survivors, ~35-65 us; the tail, ~55-80 us for its ~100-150
-# survivors.  Phase 2 (_sweep_run) then takes 1.0-1.4
-# ms per such span: the masks' popcount, ~100-140 us; the f1 <= p_{done-1}
-# test over every row, a contiguous 400 KB, ~50-175 us; the candidates'
-# mask bits and their i*, ~150-250 us; the hard rows' flat pass, ~300 us.
+# of 2^18 rows near 5 * 10^6 and 5 * 10^7: the window's negation, one
+# contiguous read of 2^18 bools, ~16 us; packing it at 8 bit phases,
+# ~165-170 us; a head step, one and over 32 KB, ~5-8 us, and the count of
+# live words every HEAD_CHECK_STEPS steps ~3 us; listing the survivors
+# from the nonzero words, ~45 us (unpacking the whole span took 110-140
+# us); the tail, ~90-125 us for its ~200-400 survivors; 0.7-1.0 ms in
+# all.  Phase 2 (_sweep_run) then takes 2.0-2.6 ms per such span: the
+# masks' popcount, ~280-360 us (np.bitwise_count alone ~200-235 us); the
+# f1 <= p_{done-1} test over every row, a contiguous 1 MB, ~260-630 us;
+# the candidates' mask bits, ~225-370 us, and their i*, ~135-215 us; the
+# hard rows' flat pass over 11,000-17,000 cells, ~520-840 us.
 #
 # The head spans the first HEAD_PRIMES odd primes at most, so the window
 # overhangs the rows by (p_64 - 3) / 2 = 155 cells.  Near 10^8 about 1
@@ -441,22 +447,31 @@ def _better_ratio(a, b):
 HEAD_PRIMES = 64
 # A head step costs what the tail pays for a few hundred live rows, so
 # the head runs while more than rows / HEAD_MIN_ALIVE of its 64-row
-# words hold a live row; near 5 * 10^6 it stops after 52-60 steps, and
-# from ~5 * 10^7 it runs all 64.  decompose_range(table, 6, 10**8) took
-# 0.33, 0.29, 0.28 and 0.28 s stopping below 1/256, 1/512, 1/1024 and
-# 1/2048 of the words, and 0.28 s with 128 head primes (medians of 12).
+# words hold a live row; near 5 * 10^6 it stops after 56 or 60 steps,
+# and from ~5 * 10^7 it runs all 64.  decompose_range(table, 6, 10**8)
+# took 0.139, 0.119, 0.121 and 0.123 s stopping below 1/512, 1/1024,
+# 1/2048 and 1/4096 of the words (medians of 16 alternating runs in one
+# process), and verify_range over [6, 10^8] with 1 worker 0.414, 0.392,
+# 0.389 and 0.393 s (medians of 6).
 HEAD_MIN_ALIVE = 1024
 HEAD_CHECK_STEPS = 4
 # A tail chunk of 4096 cells keeps the per-call cost small against the
-# gathering: chunks of 2048, 4096 and 8192 cells took the same
-# decompose_range time at 10^8 within the VM's noise (0.28-0.30 s).
+# gathering: chunks of 2048, 4096, 8192 and 16384 cells took 0.127,
+# 0.119, 0.131 and 0.124 s of decompose_range at 10^8, and 0.058, 0.056,
+# 0.057 and 0.060 s of verify_range over [6, 10^7], the same within the
+# VM's noise (medians of 16 alternating runs).
 TAIL_CELLS = 4096
 
 if hasattr(np, "bitwise_count"):
 
     def _popcount(masks: np.ndarray) -> int:
         """The set bits of packed row sets of whole 8-byte words."""
-        return int(np.bitwise_count(masks.view("<u8")).sum())
+        counts = np.bitwise_count(masks.view("<u8")).ravel()
+        # Blocks of 256 word counts sum exactly in uint16 (at most 256 * 64
+        # = 16,384), ~3x faster than the default accumulator.
+        whole = counts.size & ~255
+        blocks = counts[:whole].reshape(-1, 256).sum(axis=1, dtype=np.uint16)
+        return int(blocks.sum()) + int(counts[whole:].sum())
 
 else:  # numpy < 2.0 has no popcount ufunc
 
@@ -467,8 +482,13 @@ else:  # numpy < 2.0 has no popcount ufunc
 
 def _set_bits(mask: np.ndarray) -> np.ndarray:
     """The positions of the set bits of a packed row set, ascending."""
-    # flatnonzero is ~7x faster over bools than over uint8.
-    return np.flatnonzero(np.unpackbits(mask, bitorder="little").view(bool))
+    # Only the nonzero 64-row words are unpacked: a few in a thousand
+    # rows outlive the head.  flatnonzero is ~7x faster over bools than
+    # over uint8.
+    nz = np.flatnonzero(mask.view("<u8"))
+    words = mask.reshape(-1, 8)[nz]
+    bits = np.flatnonzero(np.unpackbits(words, bitorder="little").view(bool))
+    return 64 * nz[bits >> 6] + (bits & 63)
 
 
 def _least_bit(mask: np.ndarray) -> int:
@@ -697,20 +717,28 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
         best_fwi, best_ratio = (1, n0, 1), (1, 1, n0, 1)
 
     # n - p_i = 1 needs n = p_i + 1 <= p_deepest + 1 = bar[-1], so only
-    # the rows up to that n can hold a unit.
+    # the rows up to that n can hold a unit, and only a span that starts
+    # at or below it has any.  A row's last instance is vacuous if it has a hit,
+    # and an anomaly if it is a unit.
     cut = max(0, (min(int(bar[-1]), hi) - lo) // 2 + 1)
-    low_steps = np.zeros(cut, dtype=np.int64)
-    low_steps[head:] = _head_steps(hits, np.arange(head, cut))
-    left = hits.rows < cut
-    low_steps[hits.rows[left]] = steps[left]
-    units = np.flatnonzero(lo + 2 * np.arange(cut) - odd[low_steps - 1] == 1)
-    anomaly_pairs = list(zip((lo + 2 * units).tolist(), low_steps[units].tolist()))
+    anomaly_pairs: list[tuple[int, int]] = []
+    spent = rows_found
+    if cut:
+        low_steps = np.zeros(cut, dtype=np.int64)
+        low_steps[head:] = _head_steps(hits, np.arange(head, cut))
+        left = hits.rows < cut
+        low_steps[hits.rows[left]] = steps[left]
+        units = np.flatnonzero(lo + 2 * np.arange(cut) - odd[low_steps - 1] == 1)
+        anomaly_pairs = list(zip((lo + 2 * units).tolist(), low_steps[units].tolist()))
+        spent = rows_found | np.isin(rows, units)
 
     # The non-easy rows take one flat pass over their instances k = 1 ..
     # count[r], all nonvacuous and free of units; the rows ascend, so the
     # order of the cells is the (n, k) order that breaks ties between
-    # extremes.
-    rest = rows_steps - (rows_found | np.isin(rows, units))
+    # extremes.  The masks (2 MiB) are freed first: in the first spans of
+    # a sweep the pass's arrays take about as much again.
+    del hits, masks
+    rest = rows_steps - spent
     rows, count = rows[rest > 0], rest[rest > 0]
     equality_pairs: list[tuple[int, int]] = []
     cex_pairs: list[tuple[int, int]] = []
@@ -1049,9 +1077,9 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     The range is walked in the same ascending spans of
     DEFAULT_BLOCK_EVENS evens that verify_range uses by default, each
     scanned to completion before the next starts, so working memory is one
-    span's arrays, however wide the range: a tracemalloc peak of 1.1 MiB
-    per span at 10^7, the span at n = 6 included, most of it the head's
-    65 masks.  Spans merge in order: failures are concatenated, and
+    span's arrays, however wide the range: a tracemalloc peak of 2.7 MiB
+    over [6, 10^7], the span at n = 6 included, most of it the head's 65
+    masks (2.0 MiB).  Spans merge in order: failures are concatenated, and
     max_scan keeps the deepest first hit, the least n within a span and
     the earlier span on a tie.
     """
@@ -1071,6 +1099,7 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
         deepest = _deepest_hit(hits)
         if deepest is not None and (max_scan is None or deepest[0] > max_scan[0]):
             max_scan = (deepest[0], lo + 2 * deepest[1])
+        del hits  # not alive beside the next span's
     return DecompositionSweep(
         n_min=n_min,
         n_max=n_max,

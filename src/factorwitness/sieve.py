@@ -60,12 +60,13 @@ MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # Odd cells per sieve segment once the doubling start is past (2 * SEGMENT
 # integers), and the length of the uint32 ramp that all segments read x
 # from.  The 4 MiB ramp, freed when the build ends, also lifts glibc's
-# dynamic mmap threshold above the sweep's per-span row arrays (at most
-# 0.8 MiB, one int64 per row).  The 1-worker [6, 10^7] verify_range
-# after build_table(10**7) took 26 minor faults and 0.10-0.15 s; with
-# SEGMENT = 1 << 19 (a 2 MiB ramp) 393 faults and 0.11-0.18 s, and with
-# 1 << 18 (1 MiB) 23,345 faults and 0.16-0.21 s (3 to 5 processes each,
-# getrusage around verify_range, 2-vCPU Xeon VM).
+# dynamic mmap threshold above the sweep's per-span arrays (the largest,
+# the head's 65 masks of a 2^18-row span, 2.0 MiB), which so reuse heap
+# pages.  The 1-worker [6, 10^7] verify_range after build_table(10**7)
+# took 183 minor faults and 0.06-0.08 s; with SEGMENT = 1 << 19 (a 2 MiB
+# ramp, below the masks) 683 faults and 0.05-0.08 s, and with 1 << 18
+# (1 MiB) 834 faults and 0.08 s (3 processes each, getrusage around
+# verify_range, 2-vCPU Xeon VM).
 SEGMENT = 1 << 20
 # Bytes per odd cell of one segment held while the table is sieved: the
 # shared uint32 ramp, plus one for the base-prime lists (the current
@@ -205,6 +206,14 @@ class PrimeTable:
         if x & 1:
             return int(self.odd_lpf[x >> 1])
         return max(2, int(self.odd_lpf[_odd_part(int(x)) >> 1]))
+
+    def odd_entry(self, x: int) -> tuple[bool, int]:
+        """(is_prime(x), largest_prime_factor(x)) for an odd x in [3, limit].
+
+        x is not checked: this is for loops over many values already known
+        to lie there, such as n - p for an odd prime p < n <= limit.
+        """
+        return self.odd_primality.item(x >> 1), self.odd_lpf.item(x >> 1)
 
     def factorize(self, x: int) -> tuple[int, ...]:
         """Prime factors of x in nondecreasing order, with multiplicity."""

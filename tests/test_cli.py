@@ -320,9 +320,10 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 def test_killed_worker_exits_one_and_leaves_a_resumable_checkpoint(
     monkeypatch, tmp_path, capsys
 ):
-    # [6, 10^6] makes 5 spans of 10^5 evens.  The forked worker that takes
-    # any span but the first waits until the first span is merged and
-    # checkpointed, then SIGKILLs itself.
+    # In spans of 10^5 evens, [6, 10^6] makes 5.  The forked worker that
+    # takes any span but the first waits until the first span is merged
+    # and checkpointed, then SIGKILLs itself.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
     ck = tmp_path / "ck.json"
     parent = os.getpid()
     sweep_run = search._sweep_run

@@ -39,6 +39,8 @@ from factorwitness.search import (
     TAIL_CELLS,
     RangeJob,
     _first_hits,
+    _popcount,
+    _set_bits,
     checkpoint_resume,
     decompose_range,
     enumerate_edge_cases,
@@ -364,10 +366,12 @@ def test_stop_beyond_end_completes(table1m, tmp_path):
     "interval, n_max, span_evens",
     [
         (1, 4_000, 300),  # 7 spans of 300 evens, the last of 198
-        (7, 250_000, None),  # spans of 10^5 evens, the second partial
-        (30_000, 10**6, None),  # 5 spans of 10^5 evens
+        (7, 250_000, None),  # one span of 124,998 evens, less than 2^18
+        (30_000, 10**6, None),  # 2 spans of 2^18 evens, the second partial
+        (100_000, 10**6, None),  # the same 2 spans, in blocks of 10^5
+        (200_000, 10**6, None),  # the same 2 spans, in blocks of 2 * 10^5
         (DEFAULT_BLOCK_EVENS, 10**6, None),  # one block per span
-        (2 * DEFAULT_BLOCK_EVENS, 10**6, None),  # 3 spans of 2 * 10^5 evens
+        (300_000, 10**6, None),  # 2 spans of 300,000 evens, above the default
     ],
 )
 def test_span_size_is_invisible(table1m, monkeypatch, interval, n_max, span_evens):
@@ -381,8 +385,10 @@ def test_span_size_is_invisible(table1m, monkeypatch, interval, n_max, span_even
 
 
 def test_checkpoint_once_per_span_and_on_stop(table1m, tmp_path, monkeypatch):
-    # 15 blocks of 10^4 evens; a stop after 13 blocks sweeps the span
-    # [6, 200004] and then only [200006, 260004], and the resume the rest.
+    # 15 blocks of 10^4 evens in spans of 10^5; a stop after 13 blocks
+    # sweeps the span [6, 200004] and then only [200006, 260004], and the
+    # resume the rest.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
     ck = tmp_path / "sweep.ckpt"
     job = job_for(6, 300_000, table1m, checkpoint_interval=10_000)
     ref = verify_range(table1m, job)
@@ -407,17 +413,19 @@ def test_checkpoint_once_per_span_and_on_stop(table1m, tmp_path, monkeypatch):
     assert canonical_bytes(resumed) == canonical_bytes(ref)
 
 
-def test_resume_may_change_interval_and_workers(table1m, tmp_path):
-    # 20,000 blocks of 7 evens end at 280004, inside the second span.  The
-    # resume sweeps on from 280006 in 10^5-even blocks, and its blocks_done
-    # counts the blocks of the new size that [6, 480004] takes.
+def test_resume_may_change_interval_and_workers(table1m, tmp_path, monkeypatch):
+    # In spans of 10^5 evens, 20,000 blocks of 7 evens end at 280004,
+    # inside the second span.  The resume sweeps on from 280006 in
+    # 10^5-even blocks, and its blocks_done counts the blocks of the new
+    # size that [6, 480004] takes.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
     ck = tmp_path / "sweep.ckpt"
     sevens = job_for(6, 10**6, table1m, checkpoint_interval=7, workers=2)
     with pytest.raises(SweepInterrupted) as info:
         verify_range(table1m, sevens, checkpoint_path=ck, stop_after_blocks=20_000)
     assert info.value.blocks_done == 20_000
     assert checkpoint_resume(ck, sevens)[0].n_max == 280_004
-    job = job_for(6, 10**6, table1m)
+    job = job_for(6, 10**6, table1m, checkpoint_interval=100_000)
     with pytest.raises(SweepInterrupted) as info:
         verify_range(table1m, job, checkpoint_path=ck, stop_after_blocks=1)
     assert (info.value.blocks_done, checkpoint_resume(ck, job)[0].n_max) == (3, 480_004)
@@ -462,11 +470,12 @@ def test_failed_checkpoint_save_leaves_no_temp_file(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_fail_fast_checkpoints_the_failing_block(table1m, tmp_path):
-    # n = 450,106 lies in the third span of five, [400006, 600004].  Its
-    # first hit n - 3 is hidden and given largest factor 2, so its
-    # instance k = 1 is a counterexample.  The checkpoint covers the
-    # prefix through the end of that span.
+def test_fail_fast_checkpoints_the_failing_block(table1m, tmp_path, monkeypatch):
+    # In spans of 10^5 evens, n = 450,106 lies in the third span of five,
+    # [400006, 600004].  Its first hit n - 3 is hidden and given largest
+    # factor 2, so its instance k = 1 is a counterexample.  The checkpoint
+    # covers the prefix through the end of that span.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
     n = 450_106
     doctored = make_doctored(table1m, not_prime=(n - 3,), lpf_overrides={n - 3: 2})
     ck = tmp_path / "sweep.ckpt"
@@ -483,9 +492,10 @@ def test_fail_fast_checkpoints_the_failing_block(table1m, tmp_path):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_pool_over_many_spans(table1m, tmp_path, workers):
-    # [6, 10^6] makes 5 spans of 10^5 evens, more than either pool has
+def test_pool_over_many_spans(table1m, tmp_path, workers, monkeypatch):
+    # In spans of 10^5 evens, [6, 10^6] makes 5, more than either pool has
     # workers.  A stop after 23 blocks of 10^4 evens ends inside the third.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
     job = job_for(6, 10**6, table1m, checkpoint_interval=10_000, workers=workers)
     assert summary_digest(verify_range(table1m, job)) == CANONICAL[10**6][0]
     ck = tmp_path / "sweep.ckpt"
@@ -874,6 +884,36 @@ def test_first_hits_rows_outlive_the_primes_inside_a_tail_chunk(table1m):
     assert 400 <= np.count_nonzero(got <= 0) < TAIL_CELLS // 2
 
 
+@pytest.mark.parametrize("kind", ["empty", "full", "last-word", "sparse", "dense"])
+def test_set_bits_match_unpacking(kind):
+    # A packed row set of 2^18 rows, one span's, in 4,096 words.
+    rng = np.random.default_rng(18)
+    rows = np.zeros(1 << 18, dtype=bool)
+    if kind == "full":
+        rows[:] = True
+    elif kind == "last-word":
+        rows[rows.size - 64 + 37] = True
+    elif kind == "sparse":
+        rows[rng.choice(rows.size, 500, replace=False)] = True
+    elif kind == "dense":
+        rows = rng.random(rows.size) < 0.6
+    mask = np.packbits(rows, bitorder="little")
+    got = _set_bits(mask)
+    assert got.tolist() == np.flatnonzero(np.unpackbits(mask, bitorder="little")).tolist()
+    assert got.tolist() == np.flatnonzero(rows).tolist()
+
+
+def test_popcount_is_exact_over_many_words():
+    # 65,610 words, more than 2^16 and not a whole number of 256-word
+    # blocks, every bit set; then random bits, and fewer than 256 words.
+    words = 2 * (2**15 + 37)
+    assert _popcount(np.full((2, 4 * words), 0xFF, dtype=np.uint8)) == 64 * words
+    masks = np.random.default_rng(18).integers(0, 256, size=(3, 8 * 1000), dtype=np.uint8)
+    assert _popcount(masks) == int(np.unpackbits(masks).sum())
+    few = np.ascontiguousarray(masks[:, :80])
+    assert _popcount(few) == int(np.unpackbits(few).sum())
+
+
 def _merge_decompositions(a, b):
     """The merge rule of decompose_range's blocks, for two adjacent halves."""
     deeper = b.max_scan and (a.max_scan is None or b.max_scan[0] > a.max_scan[0])
@@ -892,10 +932,10 @@ def test_decompose_range_pinned(request, fixture, n_max, max_scan):
     assert sweep.max_scan == max_scan
 
 
-def test_decompose_range_split_at_block_seams(table1m):
-    # Blocks of [6, 10^6] end at 200_004, 400_004, ...; 503_222 is the
-    # deepest first hit.
-    assert DEFAULT_BLOCK_EVENS == 100_000
+def test_decompose_range_split_at_block_seams(table1m, monkeypatch):
+    # In spans of 10^5 evens, the blocks of [6, 10^6] end at 200_004,
+    # 400_004, ...; 503_222 is the deepest first hit.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
     whole = decompose_range(table1m, 6, 10**6)
     for x in (200_002, 200_004, 200_006, 400_004, 600_006, 503_220, 503_222):
         left = decompose_range(table1m, 6, x)
@@ -908,10 +948,10 @@ def test_decompose_range_split_at_block_seams(table1m):
     assert decompose_range(table1m, 642_662, 850_712).max_scan == (79, 642_662)
 
 
-def test_decompose_range_failures_in_two_blocks(table1m):
+def test_decompose_range_failures_in_two_blocks(table1m, monkeypatch):
     # Keep only the odd primes below 1000 (every n <= 10^6 has its first
     # hit by p_98 = 521) and hide every prime in two windows, one in each
-    # of the first two blocks.  Only n within 1000 above a window can
+    # of the first two blocks of 10^5 evens.  Only n within 1000 above a window can
     # fail; the expected failures are rescanned by trial division.
     windows = ((99_000, 101_000), (299_000, 301_000))
     hidden = [q for lo, hi in windows for q in range(lo, hi + 1) if table1m.is_prime(q)]
@@ -927,9 +967,10 @@ def test_decompose_range_failures_in_two_blocks(table1m):
         for n in range(lo + 4, hi + 1000, 2)
         if not any(visible_prime(n - p) for p in small[1:] if p < n)
     )
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
     sweep = decompose_range(doctored, 6, 10**6)
     assert sweep.failures == expected
-    span = 2 * DEFAULT_BLOCK_EVENS
+    span = 200_000
     assert {(n - 6) // span for n in expected} == {0, 1}
     assert sweep.count == 499_998
 
