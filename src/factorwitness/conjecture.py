@@ -158,10 +158,12 @@ def _scan(table: PrimeTable, inst: Instance):
             f"instance carries p_{inst.k} = {inst.pk}, table says {table.odd_prime(inst.k)}"
         )
     # Each v = n - p_j is odd and lies in [1, n], within the table, so
-    # its entry is read unchecked.
+    # its entry is read unchecked.  The primes come from a memoryview one
+    # int at a time: a list of goldbach_decompose's 5,761,454 at 10^8
+    # would take ~200 MiB for a walk that stops after a few.
     entry = table.odd_entry
     factors = []
-    for j, p in enumerate(table.odd_primes[: inst.k].tolist(), start=1):
+    for j, p in enumerate(table.odd_primes[: inst.k].data, start=1):
         v = inst.n - p
         if v == 1:
             return ("unit", j, None)
@@ -345,17 +347,15 @@ def goldbach_decompose(table: PrimeTable, n: int, verify: bool = False) -> Desce
     if n > table.limit:
         raise CoverageError(f"n={n} exceeds table limit {table.limit}")
     scanned = table.count_odd_primes_below(n)
-    odd_primes = table.odd_primes
-    for j in range(scanned):
-        p = int(odd_primes[j])
-        q = n - p
-        if q > 1 and table.is_prime(q):
-            trace = DescentTrace(n=n, scanned=scanned, i=j + 1, p=p, q=q)
-            if verify and not (_td_prime(p) and _td_prime(q) and p + q == n):
-                raise ProofViolationError(f"decomposition {p} + {q} = {n} failed recheck")
-            return trace
-    # No decomposition: derive the contradiction evidence from the
-    # deepest instance whose scanned values are all >= 3 (p_k <= n - 3).
+    shape, i, q = _scan(table, make_instance(table, n, scanned))
+    if shape == "prime":
+        p = n - q
+        if verify and not (_td_prime(p) and _td_prime(q) and p + q == n):
+            raise ProofViolationError(f"decomposition {p} + {q} = {n} failed recheck")
+        return DescentTrace(n=n, scanned=scanned, i=i, p=p, q=q)
+    # No decomposition (a unit is n - 1 prime, the last value scanned):
+    # derive the contradiction evidence from the deepest instance whose
+    # scanned values are all >= 3 (p_k <= n - 3).
     k_deep = table.count_odd_primes_below(n - 2)
     inst = make_instance(table, n, k_deep)
     outcome = evaluate_instance(table, inst)

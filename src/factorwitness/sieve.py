@@ -18,11 +18,12 @@ lies below lo, in segments already finished (the segmented sieve of
 Bays & Hudson, BIT 17, 1977).  The sieve runs in doubling waves
 [L, 2L): every segment of a wave reads only [2, L), so a wave's
 segments, 2 * SEGMENT integers each once L reaches 2 * SEGMENT, are
-independent.  usable_cpus() threads, the calling thread and a pool of
-up to usable_cpus() - 1, take a wave's segments one at a time until none
-is left (numpy drops the interpreter lock inside a strike, fill or
-compare ufunc of more than 500 cells), so a table below 2**22, or any
-table on one CPU, starts no thread.  The pool is joined before build_table returns.
+independent.  A wave of two or more segments runs through one
+Executor.map on a pool of usable_cpus() threads (numpy drops the
+interpreter lock inside a strike, fill or compare ufunc of more than 500
+cells); every other wave runs on the calling thread, so a table below
+2**22, or any table on one CPU, starts no thread.  The pool is joined
+before build_table returns.
 
 Each cell of a segment starts as x itself, added from one read-only
 ramp 0, 2, 4, ... that all segments share.  Each odd base prime p (p*p
@@ -48,6 +49,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from math import isqrt, log
 from pathlib import Path
 
@@ -290,23 +292,6 @@ def _sieve_segment(
     np.greater(cells, lo, out=odd_primality[lo >> 1 : hi >> 1])
 
 
-def _sieve_share(
-    odd_lpf: np.ndarray,
-    odd_primality: np.ndarray,
-    ramp: np.ndarray,
-    base: list[int],
-    todo: list[int],
-    end: int,
-) -> None:
-    """Sieve segments of the wave ending at end, popping their starts off todo."""
-    while True:
-        try:
-            lo = todo.pop()  # atomic, so the threads of a wave share todo
-        except IndexError:
-            return
-        _sieve_segment(odd_lpf, odd_primality, ramp, base, lo, min(lo + 2 * SEGMENT, end))
-
-
 def build_table(limit: int) -> PrimeTable:
     """Sieve [2, limit] in one segmented pass and return the table set."""
     if limit < MIN_LIMIT:
@@ -331,21 +316,14 @@ def build_table(limit: int) -> PrimeTable:
         lo = 2
         while lo <= limit:
             # The wave [lo, end) reads only [2, lo), so its segments are
-            # independent.  The calling thread and up to threads - 1 pool
-            # threads take them one at a time until none is left, so a
-            # wave of one segment starts no thread and a stalled thread
-            # holds up at most one segment.
+            # independent.  Only a wave of two or more runs on the pool.
             end = min(2 * lo, limit + 1)
             # The odd primes up to isqrt(end - 1), from cell 1 (x = 3) on.
             base = (2 * np.flatnonzero(odd_primality[1 : (isqrt(end - 1) + 1) >> 1]) + 3).tolist()
-            todo = list(range(lo, end, step))
-            shares = [
-                pool.submit(_sieve_share, odd_lpf, odd_primality, ramp, base, todo, end)
-                for _ in range(min(threads, len(todo)) - 1)
-            ]
-            _sieve_share(odd_lpf, odd_primality, ramp, base, todo, end)
-            for share in shares:
-                share.result()
+            starts = range(lo, end, step)
+            ends = [*starts[1:], end]  # each segment ends where the next starts
+            run = pool.map if threads > 1 and len(starts) > 1 else map
+            list(run(partial(_sieve_segment, odd_lpf, odd_primality, ramp, base), starts, ends))
             lo = end
     del ramp
     # uint32, filled SEGMENT cells at a time: np.flatnonzero over the

@@ -13,9 +13,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from factorwitness.bruteforce import BruteOracle
 from factorwitness.sieve import PrimeTable, build_table
+
+# The property tests draw the same examples on every run, seeded from
+# each test function (and so with no example database), so their cost
+# and what they cover do not change from one run to the next.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -300,7 +300,8 @@ def test_table_bytes_pinned(name, request):
 # -- the wave-parallel build --------------------------------------------------
 #
 # From 2 * SEGMENT = 2**21 on, a wave [2**k, 2**(k+1)) holds 2**(k-21)
-# segments, which the calling thread and the pool take one at a time.
+# segments.  With two or more usable CPUs, a wave of two or more runs
+# through the pool's map; every other wave runs on the calling thread.
 
 
 @pytest.mark.parametrize(
@@ -338,8 +339,30 @@ def test_build_leaves_no_thread_behind(monkeypatch):
     assert set(threading.enumerate()) == set(before)
 
 
+@pytest.mark.parametrize(
+    "limit, cpus",
+    [(2**22 - 1, 2), (2**23 + 1, 1)],
+    ids=["one-segment-waves", "one-cpu"],
+)
+def test_single_segment_waves_and_one_cpu_start_no_thread(limit, cpus, monkeypatch):
+    monkeypatch.setattr(sieve, "usable_cpus", lambda: cpus)
+    ran_on = []
+    sieve_segment = sieve._sieve_segment
+
+    def recorded(*args):
+        ran_on.append(threading.current_thread())
+        sieve_segment(*args)
+
+    monkeypatch.setattr(sieve, "_sieve_segment", recorded)
+    before = threading.enumerate()
+    build_table(limit)
+    assert ran_on and set(ran_on) == {threading.current_thread()}
+    assert set(threading.enumerate()) == set(before)
+
+
 def test_segment_error_propagates_and_joins_the_pool(monkeypatch):
-    # Every segment a pool thread takes fails; the calling thread's pass.
+    # Every segment of a wave of two or more runs on a pool thread and
+    # fails; the one-segment waves before it run on the calling thread.
     monkeypatch.setattr(sieve, "usable_cpus", lambda: 2)
     failed = []
     sieve_segment = sieve._sieve_segment
