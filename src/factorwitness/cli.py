@@ -21,7 +21,8 @@ Exit codes:
 Every subcommand sizes its prime table by its request: the largest n it
 uses (selftest by its own --limit).  Before allocating, the table build
 compares its estimated bytes (5 per odd integer, about 2.5 per integer,
-8 per prime, plus segment scratch; about 5.5 GiB at --max 2000000000)
+4 per prime for the prime list that goldbach, lemma and selftest build
+on demand, plus segment scratch; about 5.1 GiB at --max 2000000000)
 with the memory available to the process (MemAvailable, or a smaller
 cgroup v1 or v2 limit) and refuses with exit 2 if the table would not
 fit.  verify, edge-cases and stats check their other arguments before

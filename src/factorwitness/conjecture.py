@@ -163,7 +163,7 @@ def _scan(table: PrimeTable, inst: Instance):
     # would take ~200 MiB for a walk that stops after a few.
     entry = table.odd_entry
     factors = []
-    for j, p in enumerate(table.odd_primes[: inst.k].data, start=1):
+    for j, p in enumerate(table.odd_primes_through(inst.k)[: inst.k].data, start=1):
         v = inst.n - p
         if v == 1:
             return ("unit", j, None)

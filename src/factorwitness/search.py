@@ -17,7 +17,10 @@ phase, kept as that step's mask.  The head stops once few rows are
 alive; its tail lists the survivors from the last mask's nonzero words
 and gathers their cells, at (n - p) / 2 rounded down, several primes at
 a time for their exact i*.  A row the head settled has i* equal to the
-number of masks that hold it, so no per-row i* is built.
+number of masks that hold it, so no per-row i* is built.  Both read the
+odd primes from the table's small list, those below 2^16; a row alive
+past all of them, which takes a doctored table, goes on in the full
+list, which the table then builds, and so does phase 2.
 decompose_range reads the rows that never hit and the deepest hit from
 the tail, and from the last mask that lost a row.
 
@@ -530,7 +533,7 @@ class _Hits(NamedTuple):
 def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
     """Phase 1: the first prime hit of every even n in [lo, hi]."""
     primality = table.odd_primality
-    odd = table.odd_primes
+    odd = table.small_odd_primes
     rows = (hi - lo) // 2 + 1
     # The head below spans only the odd primes under its least n, so a
     # span that starts at or below p_64 = 313 (the first span of a sweep
@@ -580,7 +583,7 @@ def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
     """The first hits (as in _Hits.first) of the ascending even n, none of
     which hit among the first i odd primes."""
     primality = table.odd_primality
-    odd = table.odd_primes
+    odd = table.small_odd_primes
     first = np.empty(n.size, dtype=np.int64)
     act = n
     # The survivors take up to TAIL_CELLS cells of primes at once, one
@@ -590,8 +593,13 @@ def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
     # some rows run out of primes below them (only at small n).
     while act.size:
         if i == odd.size:
-            first[np.searchsorted(n, act)] = -i
-            break
+            # Rows alive past every odd prime below 2^16 take a doctored
+            # table (the sieve's module docstring); they go on in the full
+            # list, built here on first use.
+            odd = table.odd_primes_through(i + 1)
+            if i == odd.size:
+                first[np.searchsorted(n, act)] = -i
+                break
         w = min(max(TAIL_CELLS // act.size, 1), odd.size - i)
         ps = odd[i : i + w]
         if w > 1 and ps[-1] < act[0]:
@@ -655,7 +663,6 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     summary, without equality cases, and the (n, k) pairs of those cases,
     which the merging process classifies.
     """
-    odd = table.odd_primes
     hits = _first_hits(table, lo, hi)
     head, masks = hits.head, hits.masks
     done = masks.shape[0] - 1  # head steps taken
@@ -670,6 +677,7 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     instances = _popcount(masks[:done]) + int(steps.sum()) - done * survivors
     vacuous = size - int(np.count_nonzero(~found))
     deepest = max(done, int(steps.max(initial=0)))  # no row has more instances
+    odd = table.odd_primes_through(deepest)  # the full list only past the small one
     f1 = table.odd_lpf[(lo - 3) >> 1 : (hi - 1) >> 1]  # lpf(n - 3) of row r, in place
 
     # A hit row of s instances is easy exactly when lpf(n - 3) >= bar[s],

@@ -37,6 +37,17 @@ exactly when lpf(x) > lo, one contiguous compare: an odd composite x <
 2*lo has lpf(x) <= x/3 < lo.  No step divides or gathers, and a
 segment allocates nothing.
 
+Beside the two arrays the table keeps one more, the odd primes below
+SMALL_PRIME_BOUND = 2^16 (6,541 of them, 26 KB), which is all that an
+honest sweep reads: no first hit up to 10^8 lies past p_182 = 1,093, and
+minimal Goldbach primes stay below 9,781 up to 4 * 10^18 (Oliveira e
+Silva, Herzog & Pardi, Math. Comp. 83, 2014).  The list of every prime
+up to the limit (5,761,455 at 10^8, 22 MiB) is built from the primality
+on first use and then kept: by the scalar queries that search it
+(count_odd_primes_below, next_prime, prime_count, and odd_prime past the
+small list), or by a scan that runs past the small list, which takes a
+doctored table.
+
 Tables are uint32, so the supported ceiling is bounded by 2**32 - 1; the
 practical ceiling here is memory (5 bytes per odd integer resident,
 about 2.5 per integer), so build_table estimates its bytes first and
@@ -48,8 +59,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from math import isqrt, log
 from pathlib import Path
 
@@ -65,16 +76,22 @@ MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # dynamic mmap threshold above the sweep's per-span arrays (the largest,
 # the head's 65 masks of a 2^18-row span, 2.0 MiB), which so reuse heap
 # pages.  The 1-worker [6, 10^7] verify_range after build_table(10**7)
-# took 183 minor faults and 0.06-0.08 s; with SEGMENT = 1 << 19 (a 2 MiB
-# ramp, below the masks) 683 faults and 0.05-0.08 s, and with 1 << 18
-# (1 MiB) 834 faults and 0.08 s (3 processes each, getrusage around
-# verify_range, 2-vCPU Xeon VM).
+# took 662-802 minor faults and 0.05-0.08 s; with SEGMENT = 1 << 19 (a
+# 2 MiB ramp, below the masks) or 1 << 18 (1 MiB) 861 faults and
+# 0.06-0.09 s (3 processes each, getrusage around verify_range, 2-vCPU
+# Xeon VM).  While build_table also filled the full prime list (2.6 MB
+# at 10^7) the sweep took 183-249 faults, and it takes 183 when the list
+# is built before it: likely the list, left on the heap, keeps glibc from
+# trimming the pages that the sweep's spans then reuse (not traced).
 SEGMENT = 1 << 20
 # Bytes per odd cell of one segment held while the table is sieved: the
 # shared uint32 ramp, plus one for the base-prime lists (the current
 # wave's and, while it is built, the next one's; at MAX_LIMIT a list
 # holds 4,647 primes, about 0.22 MB).
 _SEGMENT_CELL_BYTES = 5
+# The table stores the odd primes below this bound; the full prime list
+# is built on demand (module docstring).
+SMALL_PRIME_BOUND = 1 << 16
 
 
 def usable_cpus() -> int:
@@ -86,14 +103,18 @@ def usable_cpus() -> int:
 
 
 def estimate_table_bytes(limit: int) -> int:
-    """Upper estimate of the bytes build_table(limit) allocates.
+    """Upper estimate of the bytes a table for limit takes, the on-demand
+    prime list included.
 
-    5 bytes per odd cell for odd_lpf and odd_primality, 8 per prime for
-    the prime list (pi(x) < 1.25506 x / ln x; Rosser & Schoenfeld 1962),
-    which takes 4, and the ramp and base primes that every segment shares.
+    5 bytes per odd cell for odd_lpf and odd_primality, 4 per prime for
+    the uint32 prime list that the scalar queries build on first use
+    (pi(x) < 1.25506 x / ln x; Rosser & Schoenfeld 1962), and the ramp
+    and base primes that every segment shares while the table is sieved.
+    The list's fill runs after the ramp is freed, and the small prime
+    list (26 KB) fits in the bound's slack on pi.
     """
     primes = int(1.25506 * limit / log(limit)) + 1
-    return 5 * ((limit + 1) // 2) + 8 * primes + _SEGMENT_CELL_BYTES * SEGMENT
+    return 5 * ((limit + 1) // 2) + 4 * primes + _SEGMENT_CELL_BYTES * SEGMENT
 
 
 def _read_int(path: Path, key: str | None = None) -> int | None:
@@ -172,13 +193,43 @@ class PrimeTable:
 
     odd_lpf and odd_primality hold odd x only, cell j standing for
     x = 2j + 1 (module docstring); the scalar queries take any x.
+    small_odd_primes holds the odd primes below SMALL_PRIME_BOUND, all
+    of them when the limit is smaller.  The list of every prime up to
+    limit (_primes, and odd_primes, its view past 2) is built from
+    odd_primality on first use and then kept; small_odd_primes is its
+    prefix.
     """
 
     limit: int
     odd_lpf: np.ndarray
     odd_primality: np.ndarray
-    odd_primes: np.ndarray
-    _primes: np.ndarray = field(repr=False)
+    small_odd_primes: np.ndarray
+
+    @cached_property
+    def _primes(self) -> np.ndarray:
+        # uint32, filled SEGMENT cells at a time: np.flatnonzero over the
+        # whole table would allocate an int64 list (46 MB at 10^8) while
+        # odd_lpf and odd_primality are resident.
+        primality = self.odd_primality
+        primes = np.empty(np.count_nonzero(primality) + 1, dtype=np.uint32)
+        primes[0] = 2
+        at = 1
+        for c in range(0, primality.size, SEGMENT):
+            chunk = np.flatnonzero(primality[c : c + SEGMENT])
+            primes[at : at + chunk.size] = 2 * chunk + (2 * c + 1)
+            at += chunk.size
+        return primes
+
+    @property
+    def odd_primes(self) -> np.ndarray:
+        """Every odd prime up to limit, ascending (p_1 = 3)."""
+        return self._primes[1:]
+
+    def odd_primes_through(self, k: int) -> np.ndarray:
+        """The odd primes from p_1 on, through p_k where the table holds
+        k of them: the stored small list when it does, else the full one."""
+        small = self.small_odd_primes
+        return small if k <= small.size else self.odd_primes
 
     # -- scalar queries -------------------------------------------------
 
@@ -245,11 +296,10 @@ class PrimeTable:
     def odd_prime(self, k: int) -> int:
         if k < 1:
             raise PreconditionError(f"odd prime index must be >= 1, got {k}")
-        if k > self.odd_primes.size:
-            raise CoverageError(
-                f"odd prime #{k} requested but table holds {self.odd_primes.size}"
-            )
-        return int(self.odd_primes[k - 1])
+        odd = self.odd_primes_through(k)
+        if k > odd.size:
+            raise CoverageError(f"odd prime #{k} requested but table holds {odd.size}")
+        return int(odd[k - 1])
 
     def count_odd_primes_below(self, n: int) -> int:
         """Number of odd primes strictly less than n."""
@@ -326,20 +376,10 @@ def build_table(limit: int) -> PrimeTable:
             list(run(partial(_sieve_segment, odd_lpf, odd_primality, ramp, base), starts, ends))
             lo = end
     del ramp
-    # uint32, filled SEGMENT cells at a time: np.flatnonzero over the
-    # whole table would allocate an int64 list (46 MB at 10^8) while
-    # odd_lpf and odd_primality are resident.
-    primes = np.empty(np.count_nonzero(odd_primality) + 1, dtype=np.uint32)
-    primes[0] = 2
-    at = 1
-    for c in range(0, cells, SEGMENT):
-        chunk = np.flatnonzero(odd_primality[c : c + SEGMENT])
-        primes[at : at + chunk.size] = 2 * chunk + (2 * c + 1)
-        at += chunk.size
+    small = 2 * np.flatnonzero(odd_primality[: SMALL_PRIME_BOUND >> 1]) + 1
     return PrimeTable(
         limit=limit,
         odd_lpf=odd_lpf,
         odd_primality=odd_primality,
-        odd_primes=primes[1:],
-        _primes=primes,
+        small_odd_primes=small.astype(np.uint32),
     )

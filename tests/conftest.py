@@ -16,7 +16,7 @@ import pytest
 from hypothesis import settings
 
 from factorwitness.bruteforce import BruteOracle
-from factorwitness.sieve import PrimeTable, build_table
+from factorwitness.sieve import SMALL_PRIME_BOUND, PrimeTable, build_table
 
 # The property tests draw the same examples on every run, seeded from
 # each test function (and so with no example database), so their cost
@@ -62,8 +62,11 @@ def make_doctored(
     not_prime: odd values whose primality bit is forced off (the scan
     will treat them as composite; their lpf entries are untouched).
     lpf_overrides: {odd value: fake_largest_factor}.
-    primes: full replacement for the sorted prime array (odd_primes is
-    derived from it); used to sabotage next_prime.
+    primes: full replacement for the sorted prime array; used to
+    sabotage next_prime and to cut the scan short.  It seeds both the
+    small list (its odd primes below SMALL_PRIME_BOUND) and the list the
+    table would otherwise build on demand.  Without it both are table's,
+    so a prime whose primality bit is forced off stays in the lists.
     The table stores odd x only, in cell x >> 1, so an even value is
     refused.
     """
@@ -84,13 +87,15 @@ def make_doctored(
         all_primes = np.asarray(primes, dtype=np.int64)
     else:
         all_primes = table._primes
-    return PrimeTable(
+    odd = all_primes[1:]
+    doctored = PrimeTable(
         limit=table.limit,
         odd_lpf=lpf,
         odd_primality=primality,
-        odd_primes=all_primes[1:],
-        _primes=all_primes,
+        small_odd_primes=odd[odd < SMALL_PRIME_BOUND],
     )
+    doctored.__dict__["_primes"] = all_primes  # where cached_property keeps it
+    return doctored
 
 
 def scalar_first_hits(table: PrimeTable, lo: int, hi: int) -> list[int]:

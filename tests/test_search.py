@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import factorwitness
-from factorwitness import search
-from factorwitness.bruteforce import trial_is_prime
+from factorwitness import bruteforce, search
+from factorwitness.bruteforce import BruteOracle, trial_is_prime
 from factorwitness.conjecture import (
     OutcomeKind,
     evaluate_instance,
@@ -48,7 +48,7 @@ from factorwitness.search import (
     verify_range,
     witness_statistics,
 )
-from factorwitness.sieve import build_table
+from factorwitness.sieve import PrimeTable, build_table
 
 from conftest import expand_hits, make_doctored, scalar_first_hits, table_digests
 
@@ -194,6 +194,7 @@ def test_canonical_digest(request, fixture):
         assert (sweep.count, sweep.failures, sweep.max_scan) == (
             49_999_998, (), (182, 60_119_912)
         )
+        assert "_primes" not in table.__dict__  # neither built the prime list
 
 
 # -- merging ------------------------------------------------------------------
@@ -1020,3 +1021,66 @@ def test_exhaustion_of_prime_list_is_clean():
     assert s.strict_count == 4   # running max 13 beats p_1..p_4
     assert s.equal_count == 1    # and equals p_5 = 13
     assert s.clean
+
+
+# -- the small prime list -----------------------------------------------------
+
+
+def test_honest_sweeps_never_build_the_prime_list():
+    # The sweep reads the odd primes below 2^16 that the table stores;
+    # no honest row scans past them, so none builds the full list.
+    table = build_table(10**6)
+    for workers in (1, 2):
+        job = job_for(6, 10**6, table, workers=workers)
+        assert summary_digest(verify_range(table, job)) == CANONICAL[10**6][0]
+    assert decompose_range(table, 6, 10**6).max_scan == (98, 503222)
+    assert len(enumerate_edge_cases(table, 10**6)) > 0
+    assert witness_statistics(table, 10**6).witnessed_count > 0
+    assert "_primes" not in table.__dict__
+
+
+def test_scan_past_the_small_prime_list_is_exact():
+    # Hide n - p for every odd prime p < 2^16: n = 150,214 then first
+    # hits at p_6570 = 65,777, 29 primes into the full list, which the
+    # sweep must build and read.  The table is built here, not with
+    # make_doctored, so that it starts without its list; the list it
+    # builds from the doctored primality lacks the hidden primes, all
+    # at least n - 65,521 = 84,693, far past any prime the span reads.
+    n, lo, hi = 150_214, 150_114, 150_314
+    table = build_table(hi)
+    hidden = {n - p for p in table.small_odd_primes.tolist()}
+    primality = table.odd_primality.copy()
+    primality[[q >> 1 for q in hidden]] = False
+    doctored = PrimeTable(
+        limit=table.limit,
+        odd_lpf=table.odd_lpf,
+        odd_primality=primality,
+        small_odd_primes=table.small_odd_primes,
+    )
+    assert "_primes" not in doctored.__dict__
+    engine = verify_range(doctored, job_for(lo, hi, doctored))
+    assert "_primes" in doctored.__dict__
+    sweep = decompose_range(doctored, lo, hi)
+    first = scalar_first_hits(doctored, lo, hi)
+    assert expand_hits(_first_hits(doctored, lo, hi), lo, hi) == first
+    assert first[(n - lo) // 2] == 6_570 and doctored.odd_prime(6_570) == 65_777
+    below = n - 65_521
+    assert np.array_equal(
+        doctored.odd_primes[doctored.odd_primes < below],
+        table.odd_primes[table.odd_primes < below],
+    )
+
+    # The brute-force oracle, with the same primes hidden from its trial
+    # division.
+    oracle = BruteOracle(hi)
+    real_is_prime = bruteforce.trial_is_prime
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bruteforce, "trial_is_prime", lambda v: v not in hidden and real_is_prime(v))
+        brute = oracle.summarize(lo, hi)
+        pairs = [oracle.goldbach_pair(m) for m in range(lo, hi + 1, 2)]
+    for f in dataclasses.fields(engine):
+        if f.name not in ("elapsed_seconds", "evens_per_second"):
+            assert getattr(engine, f.name) == getattr(brute, f.name), f.name
+    assert first == [i for _, _, i in pairs]
+    depth = max(first)
+    assert sweep.failures == () and sweep.max_scan == (depth, lo + 2 * first.index(depth))

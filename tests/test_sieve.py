@@ -1,5 +1,6 @@
 """Table construction and lookups."""
 
+import dataclasses
 import os
 import random
 import threading
@@ -57,16 +58,56 @@ def test_prime_list_is_the_primality_mask(request, fixture, limit):
     table = request.getfixturevalue(fixture) if fixture else build_table(limit)
     assert table._primes.dtype == np.uint32
     assert np.array_equal(table._primes, np.flatnonzero(expand_table(table)[1]))
+    # The stored small list is the list's prefix below 2^16.
+    odd = table.odd_primes
+    assert table.small_odd_primes.dtype == np.uint32
+    assert np.array_equal(table.small_odd_primes, odd[odd < sieve.SMALL_PRIME_BOUND])
 
 
 def test_table_holds_odd_cells_only(table1m):
-    # One uint32 largest factor and one bool per odd x, and the uint32
-    # prime list, of which odd_primes is a view.
+    # One uint32 largest factor and one bool per odd x, and the 6,541
+    # uint32 odd primes below 2^16.  The full prime list, of which
+    # odd_primes is a view, is built on demand and is no field.
     assert table1m.odd_lpf.dtype == np.uint32 and table1m.odd_primality.dtype == bool
     assert table1m.odd_lpf.size == table1m.odd_primality.size == 500_000
+    assert [f.name for f in dataclasses.fields(table1m)] == [
+        "limit", "odd_lpf", "odd_primality", "small_odd_primes"
+    ]
+    arrays = (table1m.odd_lpf, table1m.odd_primality, table1m.small_odd_primes)
+    assert sum(a.nbytes for a in arrays) == 5 * 500_000 + 4 * 6_541
     assert table1m.odd_primes.base is table1m._primes
-    arrays = (table1m.odd_lpf, table1m.odd_primality, table1m._primes)
-    assert sum(a.nbytes for a in arrays) == 5 * 500_000 + 4 * 78_498
+
+
+def test_scalar_queries_at_the_small_list_seam():
+    # The table keeps p_1 .. p_6541 = 65,521, the odd primes below 2^16,
+    # and builds the full list on first use.  Every query must read the
+    # same on a fresh table, whose first query past the small list builds
+    # the list, and once it is built.
+    primes = [x for x in range(2, 66_200) if trial_is_prime(x)]
+    odd = primes[1:]
+    assert odd[6_540] == 65_521 < sieve.SMALL_PRIME_BOUND < odd[6_541]
+    ks = range(6_530, 6_561)
+    table = build_table(10**6)
+    assert [table.odd_prime(k) for k in ks[:12]] == odd[6_529:6_541]
+    assert "_primes" not in table.__dict__
+    for _ in ("fresh", "built"):  # the first pass builds it at k = 6,542
+        assert [table.odd_prime(k) for k in ks] == odd[6_529:6_560]
+        assert "_primes" in table.__dict__
+    xs = range(65_000, 66_101)
+    want = [
+        (bisect_left(odd, x), bisect_right(primes, x),
+         primes[bisect_right(primes, x)] if trial_is_prime(x) else None)
+        for x in xs
+    ]
+    table = build_table(10**6)
+    for _ in ("fresh", "built"):
+        got = [
+            (table.count_odd_primes_below(x), table.prime_count(x),
+             table.next_prime(x) if table.is_prime(x) else None)
+            for x in xs
+        ]
+        assert got == want
+        assert "_primes" in table.__dict__
 
 
 def test_factor_tables_against_trial_division(table1m):
@@ -164,10 +205,11 @@ def test_preflight_refuses_before_allocating(monkeypatch):
 
 
 def test_preflight_estimate():
-    # 5 B per odd cell and 4 B per prime are the arrays a table keeps;
-    # the estimate adds 4 B per prime and the ramp and base primes.
+    # 5 B per odd cell are the arrays a table keeps, and 4 B per prime
+    # the list its scalar queries build on demand; the estimate adds the
+    # ramp and base primes.
     assert sieve.estimate_table_bytes(10**6) >= 5 * 500_000 + 4 * 78_498
-    assert sieve.estimate_table_bytes(10**8) >= 5 * 5 * 10**7 + 8 * 5_761_455
+    assert sieve.estimate_table_bytes(10**8) >= 5 * 5 * 10**7 + 4 * 5_761_455
     assert sieve.estimate_table_bytes(10**8) < 300 << 20
     # pi(x) > x / ln x for x >= 17 (Rosser & Schoenfeld 1962).
     limit = sieve.MAX_LIMIT
@@ -176,15 +218,24 @@ def test_preflight_estimate():
 
 def test_preflight_estimate_bounds_the_build():
     # Past the first wave of two segments, so that tracemalloc also sees
-    # what the pool's threads allocate.
+    # what the pool's threads allocate.  The build makes no prime list,
+    # so it must fit the estimate less the list's 4 B per prime: 1 MiB
+    # above the tables and the 4 MiB ramp, which so must not outlive the
+    # waves into any larger allocation.  The list, built on first use
+    # after the ramp is freed, must fit the whole estimate.
     limit = 2**23 + 1
+    list_bytes = 4 * (int(1.25506 * limit / log(limit)) + 1)
     tracemalloc.start()
     try:
-        build_table(limit)
-        peak = tracemalloc.get_traced_memory()[1]
+        table = build_table(limit)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table.odd_primes
+        list_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sieve.estimate_table_bytes(limit)
+    assert build_peak <= sieve.estimate_table_bytes(limit) - list_bytes
+    assert list_peak <= sieve.estimate_table_bytes(limit)
 
 
 def test_memory_file_reader(tmp_path):
