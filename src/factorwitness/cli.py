@@ -14,7 +14,8 @@ Exit codes:
   2  bad arguments (including lemma's k with p_k >= n), mismatched
      checkpoint, or invalid configuration, including a prime table too
      large for the available memory
-  4  I/O failure (unwritable output, ...)
+  4  I/O failure: a failed write, or an --output, --manifest or
+     --checkpoint that could not be written, refused before the build
   5  counterexample candidate found
   6  unit anomaly found (some n - p_i equal to 1)
 
@@ -30,8 +31,10 @@ the build, so they too exit 2 without allocating.  An engine error the
 arguments cannot cause, such as a table too small for its request, is
 internal and exits 1.
 
-Record streams go to --output (default stdout) and never contain timing,
-so byte-identical reruns are expected; measurements land on stderr.
+Every record stream goes to --output (default stdout) through one writer,
+report.write_records; an interrupted file write ends with a partial_output
+marker line that parsers reject.  Streams never contain timing, so
+byte-identical reruns are expected; measurements land on stderr.
 """
 
 from __future__ import annotations
@@ -67,18 +70,19 @@ from .report import (
     FORMATS,
     NDJSON,
     RunManifest,
+    check_writable,
     emit_records,
-    render_edge_cases,
     render_proof_trace,
-    render_stats,
     summary_digest,
     summary_to_records,
+    write_records,
 )
 from .search import (
     DEFAULT_BLOCK_EVENS,
     RangeJob,
     check_stop_request,
     enumerate_edge_cases,
+    to_record,
     verify_range,
     witness_statistics,
 )
@@ -123,15 +127,6 @@ def _resolve_workers(flag: int | None) -> int:
     return usable_cpus()
 
 
-def _write_out(path, text: str) -> None:
-    if path in (None, "-"):
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorwitness",
@@ -167,17 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("edge-cases", help="list equality cases with n <= --max")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=_cmd_edge_cases)
-
-    p = sub.add_parser("stats", help="first-witness-index distribution for n <= --max")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=_cmd_stats)
+    for name, what in (
+        ("edge-cases", "list equality cases with n <= --max"),
+        ("stats", "first-witness-index distribution for n <= --max"),
+    ):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--max", type=int, required=True)
+        p.add_argument("--workers", type=int, default=None)
+        add_common(p)
+        p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("goldbach", help="decompose one even n into two primes")
     p.add_argument("--n", type=_even, required=True)
@@ -212,6 +205,10 @@ def _cmd_verify(args) -> int:
         checkpoint_interval=args.checkpoint_interval,
     )
     check_stop_request(args.checkpoint, args.stop_after_blocks)
+    # each checkpoint save writes the last path, then renames it over the checkpoint
+    check_writable(
+        args.output, args.manifest, args.checkpoint and f"{args.checkpoint}.tmp.{os.getpid()}"
+    )
     table = build_table(args.max)
     t0 = time.perf_counter()
     summary = verify_range(
@@ -241,24 +238,20 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_edge_cases(args) -> int:
+def _cmd_query(args) -> int:
+    """edge-cases and stats: one projection of the sweep of [6, --max]."""
     workers = _resolve_workers(args.workers)
+    check_writable(args.output)
     table = build_table(max(args.max, 6))
-    cases = enumerate_edge_cases(table, args.max, workers=workers)
-    _write_out(args.output, render_edge_cases(cases, args.format))
-    print(f"{len(cases)} equality case(s) with n <= {args.max}", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_stats(args) -> int:
-    workers = _resolve_workers(args.workers)
-    table = build_table(max(args.max, 6))
-    stats = witness_statistics(table, args.max, workers=workers)
-    _write_out(args.output, render_stats(stats, args.format))
-    print(
-        f"{stats.witnessed_count} witnessed instance(s) with n <= {args.max}",
-        file=sys.stderr,
-    )
+    if args.command == "edge-cases":
+        rows = enumerate_edge_cases(table, args.max, workers=workers)
+        kind, found = "equality_case", f"{len(rows)} equality case(s)"
+    else:
+        rows = (witness_statistics(table, args.max, workers=workers),)
+        kind, found = "witness_stats", f"{rows[0].witnessed_count} witnessed instance(s)"
+    dest = sys.stdout if args.output in (None, "-") else args.output
+    write_records([to_record(kind, row) for row in rows], (kind,), args.format, dest)
+    print(f"{found} with n <= {args.max}", file=sys.stderr)
     return EXIT_OK
 
 

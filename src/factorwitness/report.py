@@ -12,12 +12,13 @@ fields or output format.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 from .conjecture import DescentTrace, LemmaTrace
@@ -131,14 +132,19 @@ def render_records(summary: RangeSummary, fmt: str = NDJSON, include_timing: boo
 
 
 def emit_records(summary: RangeSummary, fmt, dest, include_timing: bool = True) -> int:
-    """Write the record stream to dest (path or text file object).
+    """Write the record stream of summary to dest; see write_records."""
+    return write_records(summary_to_records(summary, include_timing), SUMMARY_KINDS, fmt, dest)
 
+
+def write_records(records: list[dict], kinds, fmt, dest) -> int:
+    """Write records to dest (path or text file object): every stream's writer.
+
+    kinds, the record kinds the stream can hold, fix the CSV header.
     Returns the number of records written.  On an I/O failure a partial
-    marker record is appended if at all possible and ReportWriteError is
-    raised; a stream without its trailing summary record never parses.
+    marker record is appended on a line of its own if at all possible and
+    ReportWriteError is raised; a stream holding the marker never parses.
     """
-    records = summary_to_records(summary, include_timing)
-    text = _render(records, fmt, SUMMARY_KINDS)
+    text = _render(records, fmt, kinds)
     own = isinstance(dest, (str, bytes, os.PathLike))
     if own:
         try:
@@ -149,26 +155,37 @@ def emit_records(summary: RangeSummary, fmt, dest, include_timing: bool = True) 
         fh = dest
     try:
         fh.write(text)
+        fh.flush()
         if own:
             fh.close()
-        else:
-            fh.flush()
     except OSError as exc:
-        try:
-            # the marker's own line, without a CSV header
-            marker = _render([{"record": PARTIAL_MARKER}], fmt, SUMMARY_KINDS)
-            fh.write(marker.splitlines(keepends=True)[-1])
+        with contextlib.suppress(OSError, ValueError):  # ValueError: fh is closed
+            # the marker on a line of its own, without a CSV header
+            marker = _render([{"record": PARTIAL_MARKER}], fmt, kinds)
+            fh.write("\n" + marker.splitlines(keepends=True)[-1])
             fh.flush()
-        except OSError:
-            pass
-        finally:
-            if own:
-                try:
-                    fh.close()
-                except OSError:
-                    pass
+        if own:
+            with contextlib.suppress(OSError):
+                fh.close()
         raise ReportWriteError(f"failed writing {fmt} records: {exc}") from exc
     return len(records)
+
+
+def check_writable(*paths) -> None:
+    """Refuse, with ReportWriteError, a path that could not be written.
+
+    An existing path must be a writable file, a new one needs an existing,
+    writable directory, and None and "-" (stdout) pass.  Nothing is
+    created or truncated.
+    """
+    for path in paths:
+        if path in (None, "-"):
+            continue
+        if os.path.isdir(path):
+            raise ReportWriteError(f"cannot write {path!r}: it is a directory")
+        target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+        if not os.access(target, os.W_OK):
+            raise ReportWriteError(f"cannot write {path!r}: {target!r} is missing or not writable")
 
 
 def parse_records(src, fmt: str = NDJSON) -> RangeSummary:
@@ -244,28 +261,12 @@ class RunManifest:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tool_version": self.tool_version,
-                "created_utc": self.created_utc,
-                "job": self.job,
-                "record_count": self.record_count,
-                "digest": self.digest,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         raw = json.loads(text)
-        return cls(
-            tool_version=raw["tool_version"],
-            created_utc=raw["created_utc"],
-            job=raw["job"],
-            record_count=int(raw["record_count"]),
-            digest=raw["digest"],
-        )
+        return cls(**{f.name: raw[f.name] for f in fields(cls)})
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

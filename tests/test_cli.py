@@ -1,6 +1,9 @@
 """Exit codes, argument handling, and end-to-end command flows."""
 
+import contextlib
+import errno
 import hashlib
+import io
 import json
 import os
 import signal
@@ -16,6 +19,8 @@ from factorwitness.errors import (
     ProofViolationError,
 )
 from factorwitness.report import parse_records, summary_digest
+
+from conftest import make_doctored
 
 
 def run(*argv):
@@ -167,6 +172,97 @@ def test_verify_unwritable_output(tmp_path, capsys):
     dest = tmp_path / "missing" / "out.ndjson"
     assert run("verify", "--max", "100", "--output", str(dest)) == cli.EXIT_IO
     capsys.readouterr()
+
+
+def _no_build(limit):
+    raise AssertionError(f"build_table({limit}) ran before the output paths were checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--output", "{missing}/out.ndjson"),
+        ("verify", "--output", "{dir}"),
+        ("verify", "--manifest", "{missing}/manifest.json"),
+        ("verify", "--checkpoint", "{missing}/ck.json"),
+        ("edge-cases", "--output", "{missing}/out.ndjson"),
+        ("stats", "--format", "csv", "--output", "{missing}/out.csv"),
+    ],
+    ids=[
+        "verify-output", "verify-output-is-a-directory", "verify-manifest",
+        "verify-checkpoint", "edge-cases-output", "stats-output",
+    ],
+)
+def test_unwritable_destination_is_refused_before_the_build(
+    monkeypatch, tmp_path, capsys, argv
+):
+    # The check creates and truncates nothing: the existing output file
+    # keeps its bytes, and the missing directory stays missing.
+    monkeypatch.setattr(cli, "build_table", _no_build)
+    kept = tmp_path / "kept.ndjson"
+    kept.write_text("earlier run\n")
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+    argv = [arg.format(**paths) for arg in argv]
+    if "--output" not in argv:
+        argv += ["--output", str(kept)]
+    assert run(*argv, "--max", "30000000") == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.ndjson"]
+    assert kept.read_text() == "earlier run\n"
+
+
+def test_existing_writable_output_is_accepted(tmp_path, capsys):
+    out = tmp_path / "out.ndjson"
+    out.write_text("earlier run\n")
+    assert run("stats", "--max", "100", "--output", str(out)) == cli.EXIT_OK
+    assert json.loads(out.read_text())["histogram"] == {"1": 36, "2": 1}
+    capsys.readouterr()
+
+
+class _FailsHalfway(io.StringIO):
+    """A stream whose first write stores half of its text, then fails."""
+
+    failed = False
+
+    def write(self, text):
+        if self.failed:
+            return super().write(text)
+        self.failed = True
+        super().write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+@pytest.mark.parametrize("command", ["edge-cases", "stats"])
+def test_query_write_failure_leaves_the_partial_marker(capsys, command, fmt):
+    # edge-cases and stats write through the writer verify uses: the
+    # marker follows whatever half line went out, on a line of its own.
+    assert run(command, "--max", "10000", "--format", fmt) == cli.EXIT_OK
+    whole = capsys.readouterr().out
+    out = _FailsHalfway()
+    with contextlib.redirect_stdout(out):
+        code = run(command, "--max", "10000", "--format", fmt)
+    assert code == cli.EXIT_IO
+    text = out.getvalue()
+    head, marker = text.rsplit("\n", 2)[:2]
+    assert whole.startswith(head) and text.endswith("\n")
+    if fmt == "ndjson":
+        assert json.loads(marker) == {"record": "partial_output"}
+    else:
+        header = whole.splitlines()[0].split(",")
+        assert marker.split(",") == ["partial_output"] + [""] * (len(header) - 1)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: failed writing {fmt} records") and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["verify", "edge-cases", "stats"])
+def test_full_device_is_an_io_failure(capsys, command):
+    # The write fails when the file is flushed; no traceback, exit 4.
+    assert run(command, "--max", "100", "--output", "/dev/full") == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err
 
 
 def test_verify_checkpoint_stop_and_resume(tmp_path, capsys):
@@ -355,6 +451,59 @@ def test_killed_worker_exits_one_and_leaves_a_resumable_checkpoint(
     assert summary_digest(summary) == (
         "528e467fde3190c5db61358c89de683a93261a5fca80523521e510a5dd43f387"
     )
+
+
+# -- failure exit codes from real results, through doctored tables -----------
+
+
+@pytest.fixture()
+def sick_table(table1m):
+    # n = 20 is a counterexample candidate for k = 3..6 and hits the unit
+    # at k = 7 (p_7 = 19); n = 6 hits it at k = 2 (6 - 5 = 1).
+    return make_doctored(
+        table1m, not_prime=(17, 15, 13, 9, 7, 3), lpf_overrides={17: 3, 13: 3}
+    )
+
+
+def test_verify_counterexamples_exit_five_after_the_stream(
+    monkeypatch, tmp_path, capsys, sick_table
+):
+    monkeypatch.setattr(cli, "build_table", lambda limit: sick_table)
+    out = tmp_path / "out.ndjson"
+    code = run("verify", "--max", "60", "--workers", "1", "--output", str(out))
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    assert "4 counterexample candidate(s), 2 anomaly(ies)" in capsys.readouterr().err
+    s = parse_records(out, "ndjson")
+    assert s.counterexamples == tuple((20, k) for k in range(3, 7))
+    assert s.anomalies == ((6, 2), (20, 7))
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_verify_anomaly_alone_exits_six_after_the_stream(monkeypatch, capsys, table1m, fmt):
+    # Hiding 5 and 3 leaves 8 - 7 = 1 as n = 8's first informative hit.
+    doctored = make_doctored(table1m, not_prime=(5, 3))
+    monkeypatch.setattr(cli, "build_table", lambda limit: doctored)
+    code = run("verify", "--min", "8", "--max", "8", "--workers", "1", "--format", fmt)
+    assert code == cli.EXIT_ANOMALY
+    captured = capsys.readouterr()
+    assert "0 counterexample candidate(s), 1 anomaly(ies)" in captured.err
+    s = parse_records(captured.out, fmt)
+    assert (s.anomalies, s.counterexamples, s.instances_evaluated) == (((8, 3),), (), 3)
+
+
+@pytest.mark.parametrize(
+    "k, code, line",
+    [
+        (3, cli.EXIT_COUNTEREXAMPLE, "(n=20, k=3) is a counterexample candidate: "
+         "largest factors [3, 5, 3] all below p_3 = 7"),
+        (7, cli.EXIT_ANOMALY, "(n=20, k=7) hits the unit: n - p_7 = 1"),
+    ],
+    ids=["counterexample", "unit"],
+)
+def test_lemma_exit_codes_from_a_doctored_table(monkeypatch, capsys, sick_table, k, code, line):
+    monkeypatch.setattr(cli, "build_table", lambda limit: sick_table)
+    assert run("lemma", "--n", "20", "--k", str(k)) == code
+    assert capsys.readouterr().out == line + "\n"
 
 
 # -- other subcommands --------------------------------------------------------

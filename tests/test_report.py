@@ -170,6 +170,27 @@ def test_manifest_write(summary, tmp_path):
     assert RunManifest.from_json(path.read_text()) == manifest
 
 
+def test_manifest_bytes_pinned(tmp_path):
+    # Keys sorted, two-space indent, one trailing newline in the file.
+    manifest = RunManifest(
+        tool_version="0.1.0",
+        created_utc="2026-01-02T03:04:05+00:00",
+        job={"n_min": 6, "n_max": 1000},
+        record_count=4,
+        digest="ab" * 32,
+    )
+    text = (
+        '{\n  "created_utc": "2026-01-02T03:04:05+00:00",\n'
+        f'  "digest": "{"ab" * 32}",\n'
+        '  "job": {\n    "n_max": 1000,\n    "n_min": 6\n  },\n'
+        '  "record_count": 4,\n  "tool_version": "0.1.0"\n}'
+    )
+    assert manifest.to_json() == text
+    manifest.write(tmp_path / "manifest.json")
+    assert (tmp_path / "manifest.json").read_bytes() == (text + "\n").encode()
+    assert RunManifest.from_json(text) == manifest
+
+
 def test_render_lemma_traces(table1m):
     inst = make_instance(table1m, 98, 6)
     tr = construct_lemma_prime(table1m, inst, evaluate_instance(table1m, inst))

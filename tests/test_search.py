@@ -31,7 +31,15 @@ from factorwitness.errors import (
     PreconditionError,
     SweepInterrupted,
 )
-from factorwitness.report import canonical_bytes, summary_digest, summary_to_records
+from factorwitness.report import (
+    CSV,
+    NDJSON,
+    canonical_bytes,
+    parse_records,
+    render_records,
+    summary_digest,
+    summary_to_records,
+)
 from factorwitness.search import (
     DEFAULT_BLOCK_EVENS,
     HEAD_MIN_ALIVE,
@@ -216,6 +224,31 @@ def test_merge_rejects_gaps_and_overlap(table1m):
     c = verify_range(table1m, job_for(100, 200, table1m))
     with pytest.raises(PreconditionError):
         merge_summaries(a, c)  # overlap at 100
+
+
+def _ratio_summary(n_min, n_max, ratio):
+    """A hand-built summary of [n_min, n_max] whose only witness has ratio."""
+    return search.RangeSummary(
+        n_min=n_min, n_max=n_max, instances_evaluated=1, vacuous_count=0,
+        strict_count=1, equal_count=0, counterexamples=(), anomalies=(),
+        equality_cases=(), witness_index_histogram={ratio[0]: 1},
+        max_first_witness_index=(ratio[0], ratio[2], ratio[3]),
+        max_witness_ratio=ratio, elapsed_seconds=0.0, evens_per_second=0.0,
+    )
+
+
+@pytest.mark.parametrize("larger_on_the_left", [True, False])
+def test_merge_keeps_the_larger_witness_ratio(larger_on_the_left):
+    # 3/2 > 4/3 although 4 > 3: merging compares the fractions fwi/k,
+    # whichever of the two adjacent ranges holds the larger one.
+    if larger_on_the_left:
+        ratios = [(3, 2, 100, 2), (4, 3, 200, 3)]
+    else:
+        ratios = [(4, 3, 100, 3), (3, 2, 200, 2)]
+    left = _ratio_summary(6, 100, ratios[0])
+    right = _ratio_summary(102, 200, ratios[1])
+    larger = ratios[0] if larger_on_the_left else ratios[1]
+    assert merge_summaries(left, right).max_witness_ratio == larger
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -542,6 +575,28 @@ def test_sweep_records_counterexamples_and_anomalies(sick_table):
     assert s.equal_count == 2
     assert not s.clean
     assert s.instances_evaluated == 7
+
+
+def test_anomalies_survive_streams_and_checkpoints(sick_table, monkeypatch, tmp_path):
+    # Spans of 5 evens: stopped after 2, the checkpoint covers [6, 24]
+    # and holds both anomalies and all four counterexample candidates.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 1)
+    job = job_for(6, 60, sick_table, checkpoint_interval=5)
+    whole = verify_range(sick_table, job)
+    assert whole.anomalies == ((6, 2), (20, 7))
+    assert whole.counterexamples == tuple((20, k) for k in range(3, 7))
+    for fmt in (NDJSON, CSV):
+        assert parse_records(render_records(whole, fmt), fmt) == whole
+    ck = tmp_path / "ck.json"
+    with pytest.raises(SweepInterrupted):
+        verify_range(sick_table, job, checkpoint_path=ck, stop_after_blocks=2)
+    prefix, _ = checkpoint_resume(ck, job)
+    assert prefix.n_max == 24
+    assert (prefix.anomalies, prefix.counterexamples) == (
+        whole.anomalies, whole.counterexamples
+    )
+    resumed = verify_range(sick_table, job, checkpoint_path=ck)
+    assert canonical_bytes(resumed) == canonical_bytes(whole)
 
 
 def scalar_sweep(table, lo, hi):
