@@ -205,7 +205,10 @@ def _cmd_verify(args) -> int:
         checkpoint_interval=args.checkpoint_interval,
     )
     check_stop_request(args.checkpoint, args.stop_after_blocks)
-    # each checkpoint save writes the last path, then renames it over the checkpoint
+    # Each checkpoint save writes the last path, then renames it over the
+    # checkpoint, which so may be a read-only file but not a directory.
+    if args.checkpoint and os.path.isdir(args.checkpoint):
+        raise ReportWriteError(f"cannot write {args.checkpoint!r}: it is a directory")
     check_writable(
         args.output, args.manifest, args.checkpoint and f"{args.checkpoint}.tmp.{os.getpid()}"
     )

@@ -30,7 +30,6 @@ from .search import (
     RangeSummary,
     summary_from_records,
     summary_to_records,
-    to_record,
 )
 
 NDJSON = "ndjson"
@@ -223,16 +222,6 @@ def canonical_bytes(summary: RangeSummary) -> bytes:
 
 def summary_digest(summary: RangeSummary) -> str:
     return hashlib.sha256(canonical_bytes(summary)).hexdigest()
-
-
-def render_edge_cases(cases, fmt: str = NDJSON) -> str:
-    """Record stream for a bare equality-case enumeration (no summary)."""
-    return _render([to_record("equality_case", rec) for rec in cases], fmt, ("equality_case",))
-
-
-def render_stats(stats, fmt: str = NDJSON) -> str:
-    """Record stream for a witness-index statistics query."""
-    return _render([to_record("witness_stats", stats)], fmt, ("witness_stats",))
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,25 @@ cells); every other wave runs on the calling thread, so a table below
 before build_table returns.
 
 Each cell of a segment starts as x itself, added from one read-only
-ramp 0, 2, 4, ... that all segments share.  Each odd base prime p (p*p
-< hi, read from the finished primality) then strikes its odd multiples
-x = p*m >= p*p with lpf(x) = max(p, lpf(m)), one ufunc per prime that
-writes every p-th cell and reads the cells of m contiguously: that
-identity holds for every prime p dividing x, not only the smallest,
-and m <= x/3 < lo is already final, so every write is the cell's exact
-value and the primes strike in any order.  An odd x is then prime
-exactly when lpf(x) > lo, one contiguous compare: an odd composite x <
-2*lo has lpf(x) <= x/3 < lo.  No step divides or gathers, and a
-segment allocates nothing.
+ramp 0, 2, 4, ... that all segments share.  The odd base primes p (p*p
+< hi, read from the finished primality) split at c = icbrt(end - 1) + 1
+of their wave [L, end), so that c**3 > end - 1.  Each p below c strikes
+its odd multiples x = p*m >= p*p with lpf(x) = max(p, lpf(m)), one
+ufunc per prime that writes every p-th cell and reads the cells of m
+contiguously: that identity holds for every prime p dividing x, not only
+the smallest, and m <= x/3 < lo is already final, so every write is the
+cell's exact value and the primes strike in any order.  A composite x <
+end whose least prime factor p is at least c is p*q with q prime and
+q >= p, so lpf(x) = q; every other multiple of such a p has a prime
+factor below c, whose strike writes it.  So each p >= c writes only its
+semiprimes, with q from the wave's list of odd primes below end / c < L
+(its cofactors): a gather and a scatter of at most _SCATTER_PAIRS
+(p, q) pairs at a time, so a thread holds about 0.1 MiB of index arrays
+at any limit.  At 10^8 those primes write 3,764,915 cells in 955
+scatters, where striking took 38,570 ufuncs over 19,100,976 cells, each
+write at a stride of 8p bytes and so mostly a cache miss.  An odd x is
+then prime exactly when lpf(x) > lo, one contiguous compare: an odd
+composite x < 2*lo has lpf(x) <= x/3 < lo.
 
 Beside the two arrays the table keeps one more, the odd primes below
 SMALL_PRIME_BOUND = 2^16 (6,541 of them, 26 KB), which is all that an
@@ -83,15 +92,19 @@ MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # at 10^7) the sweep took 183-249 faults, and it takes 183 when the list
 # is built before it: likely the list, left on the heap, keeps glibc from
 # trimming the pages that the sweep's spans then reuse (not traced).
+# Each wave's base primes and cofactors are gathered from the ramp too,
+# which so must cover MAX_LIMIT / icbrt(MAX_LIMIT) (793,650 odd cells).
 SEGMENT = 1 << 20
-# Bytes per odd cell of one segment held while the table is sieved: the
-# shared uint32 ramp, plus one for the base-prime lists (the current
-# wave's and, while it is built, the next one's; at MAX_LIMIT a list
-# holds 4,647 primes, about 0.22 MB).
-_SEGMENT_CELL_BYTES = 5
 # The table stores the odd primes below this bound; the full prime list
 # is built on demand (module docstring).
 SMALL_PRIME_BOUND = 1 << 16
+# (p, q) pairs per semiprime scatter of a segment's large base primes,
+# which caps a thread's scatter at 128 KiB at any limit.
+_SCATTER_PAIRS = 1 << 12
+# Bytes held per (p, q) pair of a semiprime scatter: the pair index and
+# its prime's index (int64), q and the gathered p (uint32), and the
+# multiply's cast of their product into the int64 cell index.
+_PAIR_BYTES = 32
 
 
 def usable_cpus() -> int:
@@ -102,19 +115,42 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _icbrt(n: int) -> int:
+    """The integer cube root of n >= 0."""
+    r = round(n ** (1 / 3))
+    while r**3 > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
+
+
+def _prime_count_bound(x: int) -> int:
+    """An upper bound on pi(x) for x >= 2: pi(x) < 1.25506 x / ln x
+    (Rosser & Schoenfeld 1962)."""
+    return int(1.25506 * x / log(x)) + 1
+
+
 def estimate_table_bytes(limit: int) -> int:
     """Upper estimate of the bytes a table for limit takes, the on-demand
     prime list included.
 
-    5 bytes per odd cell for odd_lpf and odd_primality, 4 per prime for
-    the uint32 prime list that the scalar queries build on first use
-    (pi(x) < 1.25506 x / ln x; Rosser & Schoenfeld 1962), and the ramp
-    and base primes that every segment shares while the table is sieved.
-    The list's fill runs after the ramp is freed, and the small prime
-    list (26 KB) fits in the bound's slack on pi.
+    5 bytes per odd cell for odd_lpf and odd_primality and 4 per prime
+    for the uint32 prime list that the scalar queries build on first use,
+    plus what the sieve holds while it runs: the uint32 ramp of one
+    segment; one wave's base primes and cofactors (uint32; the cofactors
+    run up to limit / icbrt(limit)), with 40 B more for the Python int
+    of a base prime that strikes; and on each of usable_cpus() threads,
+    a segment's five int64 arrays over its large base primes and one
+    scatter of _SCATTER_PAIRS pairs.  The list's fill runs after the
+    ramp is freed, and the small prime list (26 KB) fits in the bound's
+    slack on pi.
     """
-    primes = int(1.25506 * limit / log(limit)) + 1
-    return 5 * ((limit + 1) // 2) + 4 * primes + _SEGMENT_CELL_BYTES * SEGMENT
+    base = _prime_count_bound(isqrt(limit))
+    wave = 44 * base + 4 * _prime_count_bound(limit // _icbrt(limit))
+    thread = 40 * base + _PAIR_BYTES * _SCATTER_PAIRS
+    cells = (limit + 1) // 2
+    return 5 * cells + 4 * _prime_count_bound(limit) + 4 * SEGMENT + wave + usable_cpus() * thread
 
 
 def _read_int(path: Path, key: str | None = None) -> int | None:
@@ -317,29 +353,82 @@ def _sieve_segment(
     odd_lpf: np.ndarray,
     odd_primality: np.ndarray,
     ramp: np.ndarray,
-    base: list[int],
+    small: list[int],
+    large: np.ndarray,
+    cofactors: np.ndarray,
     lo: int,
     hi: int,
 ) -> None:
     """Fill the odd cells of [lo, hi), reading only cells below lo.
 
-    Needs lo even, hi <= 2*lo, ramp[k] = 2k over the segment's cells and
-    every odd prime p with p*p < hi in base (larger ones strike nothing).
-    Allocates no array, so segments can run on threads.
+    Needs lo even, hi <= 2*lo and ramp[k] = 2k over the segment's cells.
+    The odd primes p with p*p < hi come split at some c with c**3 >= hi:
+    small holds those below c, which strike, and large (uint32,
+    ascending) the rest, which write only their semiprimes; cofactors
+    (uint32, ascending) holds the odd primes through (hi - 1) // c.  The
+    strikes allocate nothing and a scatter at most _SCATTER_PAIRS pairs'
+    worth of index arrays, so segments can run on threads.
     """
     cells = odd_lpf[lo >> 1 : hi >> 1]  # odd x = lo + 1, lo + 3, ... < hi
     np.add(ramp[: cells.size], np.uint32(lo + 1), out=cells)
-    # Each odd base prime p strikes its odd multiples x = p*m >= p*p in
-    # the segment with lpf(x) = max(p, lpf(m)): every p-th cell, from the
+    # Each small p strikes its odd multiples x = p*m >= p*p in the
+    # segment with lpf(x) = max(p, lpf(m)): every p-th cell, from the
     # contiguous cells of m.  m <= x/3 < lo is final, and every write is
     # lpf(x) itself, so the primes strike in any order.  A segment
     # holding no such multiple gets an empty out.
-    for p in base:
+    for p in small:
         m = max(p, -(-lo // p) | 1)  # the least odd m >= p with p*m >= lo
         out = odd_lpf[(p * m) >> 1 : hi >> 1 : p]
         np.maximum(odd_lpf[m >> 1 : (m >> 1) + out.size], p, out=out)
+    # A composite x < hi <= c**3 whose least prime factor p is at least c
+    # is p*q with q prime, q >= p, and lpf(x) = q; any other multiple of
+    # a large p has a prime factor below c, whose strike writes it.  So
+    # each large p writes only the cells p*q, for the q of cofactors in
+    # [max(p, lo/p), (hi - 1)/p], in scatters of at most _SCATTER_PAIRS
+    # (p, q) pairs: pair k belongs to the prime i with ends[i - 1] <= k <
+    # ends[i], and its q is cofactors[shift[i] + k].
+    if large.size:
+        first = np.searchsorted(cofactors, np.maximum(large, (lo - 1) // large + 1))
+        count = np.searchsorted(cofactors, (hi - 1) // large, side="right") - first
+        np.maximum(count, 0, out=count)
+        ends = np.cumsum(count)
+        shift = first + count - ends
+        pairs = int(ends[-1])
+        for start in range(0, pairs, _SCATTER_PAIRS):
+            k = np.arange(start, min(start + _SCATTER_PAIRS, pairs))
+            i = np.searchsorted(ends, k, side="right")
+            k += shift[i]
+            q = cofactors[k]
+            np.multiply(large[i], q, out=k)  # p*q < hi, exact in uint32
+            k >>= 1
+            odd_lpf[k] = q
     # An odd composite x < 2*lo has lpf(x) <= x/3 < lo; a prime keeps x.
     np.greater(cells, lo, out=odd_primality[lo >> 1 : hi >> 1])
+
+
+def _odd_primes_through(odd_primality: np.ndarray, ramp: np.ndarray, x: int) -> np.ndarray:
+    """The odd primes up to x, uint32, from odd_primality's cells 1 (x = 3)
+    on, gathered from ramp[k] = 2k, which must hold one entry per cell."""
+    cells = odd_primality[1 : (x + 1) >> 1]
+    primes = ramp[: cells.size][cells]
+    primes += 3
+    return primes
+
+
+def _wave(odd_lpf: np.ndarray, odd_primality: np.ndarray, ramp: np.ndarray, end: int) -> partial:
+    """_sieve_segment bound to the base primes of a wave that ends at end.
+
+    The odd primes up to isqrt(end - 1) split at c = icbrt(end - 1) + 1,
+    so c**3 > end - 1.  The large ones' cofactors, up to (end - 1) / c <
+    end / 2, lie below the wave, in finished cells.
+    """
+    c = _icbrt(end - 1) + 1
+    base = _odd_primes_through(odd_primality, ramp, isqrt(end - 1))
+    split = int(np.searchsorted(base, c))
+    cofactors = _odd_primes_through(odd_primality, ramp, (end - 1) // c)
+    return partial(
+        _sieve_segment, odd_lpf, odd_primality, ramp, base[:split].tolist(), base[split:], cofactors
+    )
 
 
 def build_table(limit: int) -> PrimeTable:
@@ -368,12 +457,10 @@ def build_table(limit: int) -> PrimeTable:
             # The wave [lo, end) reads only [2, lo), so its segments are
             # independent.  Only a wave of two or more runs on the pool.
             end = min(2 * lo, limit + 1)
-            # The odd primes up to isqrt(end - 1), from cell 1 (x = 3) on.
-            base = (2 * np.flatnonzero(odd_primality[1 : (isqrt(end - 1) + 1) >> 1]) + 3).tolist()
             starts = range(lo, end, step)
             ends = [*starts[1:], end]  # each segment ends where the next starts
             run = pool.map if threads > 1 and len(starts) > 1 else map
-            list(run(partial(_sieve_segment, odd_lpf, odd_primality, ramp, base), starts, ends))
+            list(run(_wave(odd_lpf, odd_primality, ramp, end), starts, ends))
             lo = end
     del ramp
     small = 2 * np.flatnonzero(odd_primality[: SMALL_PRIME_BOUND >> 1]) + 1

@@ -185,12 +185,14 @@ def _no_build(limit):
         ("verify", "--output", "{dir}"),
         ("verify", "--manifest", "{missing}/manifest.json"),
         ("verify", "--checkpoint", "{missing}/ck.json"),
+        ("verify", "--checkpoint", "{dir}"),
         ("edge-cases", "--output", "{missing}/out.ndjson"),
         ("stats", "--format", "csv", "--output", "{missing}/out.csv"),
     ],
     ids=[
         "verify-output", "verify-output-is-a-directory", "verify-manifest",
-        "verify-checkpoint", "edge-cases-output", "stats-output",
+        "verify-checkpoint", "verify-checkpoint-is-a-directory", "edge-cases-output",
+        "stats-output",
     ],
 )
 def test_unwritable_destination_is_refused_before_the_build(
@@ -285,6 +287,26 @@ def test_verify_checkpoint_stop_and_resume(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert not ck.exists()
     assert parse_records(out, "ndjson").n_max == 20000
+    capsys.readouterr()
+
+
+def test_read_only_checkpoint_file_is_resumed(tmp_path, capsys):
+    # A save renames a new file over the checkpoint, so a read-only
+    # checkpoint in a writable directory passes the pre-build check and
+    # is resumed and replaced.
+    ck = tmp_path / "ck.json"
+    argv = (
+        "verify", "--max", "20000", "--workers", "1", "--checkpoint", str(ck),
+        "--checkpoint-interval", "1000", "--output", str(tmp_path / "out.ndjson"),
+    )
+    assert run(*argv, "--stop-after-blocks", "3") == cli.EXIT_OK
+    ck.chmod(0o444)
+    assert run(*argv, "--stop-after-blocks", "3") == cli.EXIT_OK
+    assert ck.stat().st_mode & 0o200  # a new file took its place
+    ck.chmod(0o444)
+    assert run(*argv) == cli.EXIT_OK
+    assert not ck.exists()
+    assert parse_records(tmp_path / "out.ndjson", "ndjson").n_max == 20000
     capsys.readouterr()
 
 

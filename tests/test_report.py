@@ -21,14 +21,13 @@ from factorwitness.report import (
     canonical_bytes,
     emit_records,
     parse_records,
-    render_edge_cases,
     render_proof_trace,
     render_records,
-    render_stats,
     summary_digest,
     summary_to_records,
+    write_records,
 )
-from factorwitness.search import RangeJob, verify_range, witness_statistics
+from factorwitness.search import RangeJob, to_record, verify_range, witness_statistics
 
 
 @pytest.fixture(scope="module")
@@ -219,14 +218,21 @@ def test_render_rejects_unknown_type():
         render_proof_trace(object())
 
 
+def _one_kind_stream(kind, rows, fmt):
+    """The stream cli's edge-cases and stats write for rows of one kind."""
+    out = io.StringIO()
+    write_records([to_record(kind, row) for row in rows], (kind,), fmt, out)
+    return out.getvalue()
+
+
 def test_render_edge_cases_shapes(table1m):
     from factorwitness.search import enumerate_edge_cases
 
     cases = enumerate_edge_cases(table1m, 100)
-    nd = render_edge_cases(cases, NDJSON)
+    nd = _one_kind_stream("equality_case", cases, NDJSON)
     rows = [json.loads(line) for line in nd.splitlines()]
     assert [(r["n"], r["k"]) for r in rows] == [(12, 1), (30, 1), (30, 2), (84, 1)]
-    cs = render_edge_cases(cases, CSV).splitlines()
+    cs = _one_kind_stream("equality_case", cases, CSV).splitlines()
     assert cs[0] == "record,n,k,factors,family,r"
     assert len(cs) == 5
     assert "30,2,3;5,known_30_2," in cs[3]
@@ -234,11 +240,11 @@ def test_render_edge_cases_shapes(table1m):
 
 def test_render_stats_shapes(table1m):
     stats = witness_statistics(table1m, 100)
-    rec = json.loads(render_stats(stats, NDJSON))
+    rec = json.loads(_one_kind_stream("witness_stats", [stats], NDJSON))
     assert rec["record"] == "witness_stats"
     assert rec["histogram"] == {"1": 36, "2": 1}
     assert rec["max_first_witness_index"] == [2, 30, 2]
-    lines = render_stats(stats, CSV).splitlines()
+    lines = _one_kind_stream("witness_stats", [stats], CSV).splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("witness_stats,100,37,")
 

@@ -325,6 +325,34 @@ def test_tables_match_trial_division_at_segment_seams(table10m):
     _assert_matches_trial_division(table10m, range(limit - 64, limit + 1))
 
 
+def test_icbrt():
+    for n in [*range(10_000), *(c**3 + d for c in range(22, 1300) for d in (-1, 0, 1))]:
+        r = sieve._icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3, n
+
+
+def test_ramp_covers_the_last_wave_lists():
+    # The cofactors of the wave that ends at MAX_LIMIT + 1, the longest
+    # list gathered from the ramp, take this many odd cells from x = 3 on.
+    c = sieve._icbrt(sieve.MAX_LIMIT) + 1
+    assert ((sieve.MAX_LIMIT // c + 1) >> 1) - 1 <= SEGMENT
+
+
+def test_tables_match_trial_division_where_the_split_moves(table10m):
+    # A wave ending at end strikes with its base primes below
+    # c = icbrt(end - 1) + 1 and lets the rest write only their
+    # semiprimes: c is 162 for [2^21, 2^22) and 204 for [2^22, 2^23), so
+    # a prime in [162, 204) writes semiprimes below 2^22 and strikes
+    # above it.  Every odd x on both sides of that seam.
+    assert [sieve._icbrt(end - 1) + 1 for end in (2**22, 2**23)] == [162, 204]
+    lo, hi = 2**22 - 2**13, 2**22 + 2**14
+    cells = slice(lo >> 1, hi >> 1)  # odd x = lo + 1, lo + 3, ... < hi
+    lpf, primality = table10m.odd_lpf[cells].tolist(), table10m.odd_primality[cells].tolist()
+    for x, largest, prime in zip(range(lo + 1, hi, 2), lpf, primality):
+        assert largest == trial_largest_factor(x), x
+        assert prime == trial_is_prime(x), x
+
+
 # sha256 prefixes of the largest factors' and the primality's bytes over
 # every x in [0, limit] (conftest.expand_table), as a table over every
 # integer held them.
@@ -439,10 +467,13 @@ def _prefix_limits():
     odd base prime strikes, and 2^k - 1, 2^k and 2^k + 1 around the
     doubling segment starts: a final segment that is short, one cell
     long, or holds no multiple of some base prime (an empty strike).
+    c^3 - 1, c^3 and c^3 + 1 move the last wave's split between the base
+    primes that strike and those that write only their semiprimes.
     """
     odd_primes = [p for p in range(3, 224) if trial_is_prime(p)]
     limits = set(range(6, 14))
-    for centre in [p * p for p in odd_primes] + [2**k for k in range(3, 16)]:
+    centres = [p * p for p in odd_primes] + [2**k for k in range(3, 16)]
+    for centre in centres + [c**3 for c in range(2, 37)]:
         limits.update((centre - 1, centre, centre + 1))
     return sorted(limits)
 
