@@ -21,15 +21,16 @@ Exit codes:
 
 Every subcommand sizes its prime table by its request: the largest n it
 uses (selftest by its own --limit).  Before allocating, the table build
-compares its estimated bytes (5 per odd integer, about 2.5 per integer,
-4 per prime for the prime list that goldbach, lemma and selftest build
-on demand, plus segment scratch; about 5.1 GiB at --max 2000000000)
-with the memory available to the process (MemAvailable, or a smaller
-cgroup v1 or v2 limit) and refuses with exit 2 if the table would not
-fit.  verify, edge-cases and stats check their other arguments before
-the build, so they too exit 2 without allocating.  An engine error the
-arguments cannot cause, such as a table too small for its request, is
-internal and exits 1.
+compares its estimated bytes (4 bytes and 1 bit per odd integer, about
+2.06 per integer, 4 per prime for the prime list that goldbach, lemma
+and selftest build on demand, plus segment scratch; about 4.3 GiB at
+--max 2000000000) with the memory available to the process
+(MemAvailable, or a smaller cgroup v1 or v2 limit) and refuses with exit
+2 if the table would not fit.  goldbach and lemma refuse an n below 6,
+as they refuse an odd n, when they parse it.  verify, edge-cases and
+stats check their other arguments before the build, so they too exit 2
+without allocating.  An engine error the arguments cannot cause, such as
+a table too small for its request, is internal and exits 1.
 
 Every record stream goes to --output (default stdout) through one writer,
 report.write_records; an interrupted file write ends with a partial_output
@@ -105,6 +106,14 @@ def _even(text: str) -> int:
     return value
 
 
+def _even_n(text: str) -> int:
+    """goldbach's and lemma's n: even and at least 6, as in the paper."""
+    value = _even(text)
+    if value < 6:
+        raise argparse.ArgumentTypeError(f"{value} is below 6; an even n >= 6 is required")
+    return value
+
+
 def _resolve_workers(flag: int | None) -> int:
     """The worker count: the flag, else the environment, else the usable CPUs.
 
@@ -173,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("goldbach", help="decompose one even n into two primes")
-    p.add_argument("--n", type=_even, required=True)
+    p.add_argument("--n", type=_even_n, required=True)
     p.set_defaults(func=_cmd_goldbach)
 
     p = sub.add_parser("lemma", help="run the constructive step for (n, k)")
-    p.add_argument("--n", type=_even, required=True)
+    p.add_argument("--n", type=_even_n, required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_lemma)
 

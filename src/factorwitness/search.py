@@ -8,10 +8,11 @@ the sweep reads, n - p for an odd prime p, is odd, and the table holds
 odd x only, in cell (x - 1) / 2, so the values n - p of consecutive
 even n sit in consecutive cells.
 
-Phase 1, the first-hit scan (_first_hits), reads primality only.  Its
-head advances every row in lockstep over the first odd primes with live
-rows held as bits, 64 to a word: one window of cells, negated to mark
-the composite values, is packed at each of its 8 bit phases, and each
+Phase 1, the first-hit scan (_first_hits), reads primality only, from
+the table's bits.  Its head advances every row in lockstep over the
+first odd primes with live rows held as bits, 64 to a word: one window
+of cells, negated to mark the composite values and unpacked, is packed
+again at each of its 8 bit phases, and each
 step is one bitwise and of the last step's row set with a slice of a
 phase, kept as that step's mask.  The head stops once few rows are
 alive; its tail lists the survivors from the last mask's nonzero words
@@ -39,9 +40,10 @@ It computes i* only for the rows that need it.
   i* >= 2.
 
   Hard rows, the rest (9,519 of the 4,999,998 rows of [6, 10^7]), take
-  one flat pass over their instances: F_j = lpf(n - p_j) for j < i*,
-  gathered at the cells (n - p_j) / 2 rounded down and laid end to end,
-  row r lifted by r * (limit + 1), so that one running max is every
+  a flat pass over their instances, in chunks of rows of about
+  PHASE2_CHUNK instances: F_j = lpf(n - p_j) for j < i*, gathered at
+  the cells (n - p_j) / 2 rounded down and laid end to end, row r of a
+  chunk lifted by r * (limit + 1), so that one running max is every
   row's running max M.  M_k against p_k classifies (n, k) (strict, equal
   or counterexample candidate), and the first witness index, the least
   j with F_j >= p_k, is the least j with M_j >= p_k, found by one
@@ -103,7 +105,7 @@ from .errors import (
     ReportFormatError,
     SweepInterrupted,
 )
-from .sieve import PrimeTable
+from .sieve import PrimeTable, gather_bits, unpack_bits
 
 # Evens per span at least, and the default block size.  A span pays
 # ~200 numpy calls, a merge and a checkpoint save whatever its width; at
@@ -432,13 +434,13 @@ def _better_ratio(a, b):
 
 
 # Phase 1 costs on the 2-vCPU Xeon VM of perfbench/README.md, per span
-# of 2^18 rows near 5 * 10^6 and 5 * 10^7: the window's negation, one
-# contiguous read of 2^18 bools, ~16 us; packing it at 8 bit phases,
-# ~165-170 us; a head step, one and over 32 KB, ~5-8 us, and the count of
-# live words every HEAD_CHECK_STEPS steps ~3 us; listing the survivors
-# from the nonzero words, ~45 us (unpacking the whole span took 110-140
-# us); the tail, ~90-125 us for its ~200-400 survivors; 0.7-1.0 ms in
-# all.  Phase 2 (_sweep_run) then takes 2.0-2.6 ms per such span: the
+# of 2^18 rows near 5 * 10^6 and 5 * 10^7: the window's negation and
+# unpacking, 32 KB of bits to 2^18 bools, ~20-35 us; packing it at 8 bit
+# phases, ~165-170 us; a head step, one and over 32 KB, ~5-8 us, and the
+# count of live words every HEAD_CHECK_STEPS steps ~3 us; listing the
+# survivors from the nonzero words, ~45 us (unpacking the whole span took
+# 110-140 us); the tail, ~90-125 us for its ~200-400 survivors; 0.7-1.0
+# ms in all.  Phase 2 (_sweep_run) then takes 2.0-2.6 ms per such span: the
 # masks' popcount, ~280-360 us (np.bitwise_count alone ~200-235 us); the
 # f1 <= p_{done-1} test over every row, a contiguous 1 MB, ~260-630 us;
 # the candidates' mask bits, ~225-370 us, and their i*, ~135-215 us; the
@@ -464,6 +466,11 @@ HEAD_CHECK_STEPS = 4
 # 0.057 and 0.060 s of verify_range over [6, 10^7], the same within the
 # VM's noise (medians of 16 alternating runs).
 TAIL_CELLS = 4096
+# Phase 2 tests its candidate rows this many at a time, and flat-passes
+# its hard rows in chunks of about this many cells, so that the first
+# span of a sweep from small n, which has the most of both, peaks no
+# higher than the others: its index arrays stay below the head's masks.
+PHASE2_CHUNK = 1 << 13
 
 if hasattr(np, "bitwise_count"):
 
@@ -532,7 +539,6 @@ class _Hits(NamedTuple):
 
 def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
     """Phase 1: the first prime hit of every even n in [lo, hi]."""
-    primality = table.odd_primality
     odd = table.small_odd_primes
     rows = (hi - lo) // 2 + 1
     # The head below spans only the odd primes under its least n, so a
@@ -561,7 +567,9 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
         # and step j ands the bytes of phase c % 8 from c // 8 on,
         # c = (p_h - p_j) / 2.
         top = int(odd[h - 1])
-        composite = ~primality[(base - top) >> 1 : (hi - 2) >> 1]
+        composite = unpack_bits(
+            table.odd_prime_bits, (base - top) >> 1, (hi - 2) >> 1, negated=True
+        )
         phases = np.zeros((8, composite.size // 8 + 9), dtype=np.uint8)
         for b in range(8):
             bits = np.packbits(composite[b:], bitorder="little")
@@ -573,6 +581,7 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
             s += 1
             if s % HEAD_CHECK_STEPS == 0 and np.count_nonzero(words[s]) * HEAD_MIN_ALIVE < width:
                 break
+        del composite, phases, bits  # 0.5 MiB, not alive beside the tail's arrays
     masks = masks[: s + 1]
     low, left = np.arange(head), head + _set_bits(masks[s])
     first = (_tail(table, lo + 2 * low, 0), _tail(table, lo + 2 * left, s))
@@ -582,7 +591,7 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
 def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
     """The first hits (as in _Hits.first) of the ascending even n, none of
     which hit among the first i odd primes."""
-    primality = table.odd_primality
+    bits = table.odd_prime_bits
     odd = table.small_odd_primes
     first = np.empty(n.size, dtype=np.int64)
     act = n
@@ -603,7 +612,7 @@ def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
         w = min(max(TAIL_CELLS // act.size, 1), odd.size - i)
         ps = odd[i : i + w]
         if w > 1 and ps[-1] < act[0]:
-            cells = primality[(act >> 1)[:, None] - ((ps + 1) >> 1)]
+            cells = gather_bits(bits, (act >> 1)[:, None] - ((ps + 1) >> 1))
             pos = cells.argmax(axis=1)
             hit = cells[np.arange(act.size), pos]
             first[np.searchsorted(n, act[hit])] = i + 1 + pos[hit]
@@ -618,7 +627,7 @@ def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
             act = act[~spent]
             if act.size == 0:
                 break
-        hit = primality[(act - p) >> 1]
+        hit = gather_bits(bits, (act - p) >> 1)
         first[np.searchsorted(n, act[hit])] = i
         # compress copies the survivors faster than act[~hit] does.
         act = np.compress(~hit, act)
@@ -629,7 +638,9 @@ def _head_steps(hits: _Hits, rows: np.ndarray) -> np.ndarray:
     """i* of rows (int64, each >= hits.head) that hit within the head."""
     r = rows - hits.head
     masks = hits.masks[:-1]
-    return ((masks[:, r >> 3] >> (r & 7)) & 1).sum(axis=0, dtype=np.int64)
+    # In uint8: an int64 shift would make the (steps, rows) bit matrix 8x
+    # larger, 0.45 MB for the 1,294 hard rows of the span at n = 6.
+    return ((masks[:, r >> 3] >> (r & 7).astype(np.uint8)) & 1).sum(axis=0, dtype=np.int64)
 
 
 def _deepest_hit(hits: _Hits) -> tuple[int, int] | None:
@@ -690,14 +701,20 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     # survivor, so only J < done, f1 <= p_{done-1}, can make it hard.
     hard = np.zeros(0, dtype=np.int64)
     if done > 1:
-        cand = head + np.flatnonzero(f1[head:] <= odd[done - 2])
+        r = np.flatnonzero(f1[head:] <= odd[done - 2])  # the candidates, less head
         # J by lookup: a search per candidate costs ~10x more.
         jtab = np.searchsorted(odd[: done - 1], np.arange(odd[done - 2] + 1, dtype=odd.dtype))
         jtab += 1
-        r = cand - head
-        cells = jtab.take(f1[cand]) * masks.shape[1] + (r >> 3)
-        live = masks.ravel().take(cells) & ~masks[done].take(r >> 3)
-        hard = cand[(live >> (r & 7)) & 1 == 1]
+        # PHASE2_CHUNK candidates at a time: the first span of a sweep
+        # from small n, where lpf(n - 3) is often small, has 33,568 of
+        # them, where a span near 5 * 10^6 has 14,375.
+        keep = np.empty(r.size, dtype=bool)
+        for c in range(0, r.size, PHASE2_CHUNK):
+            part = r[c : c + PHASE2_CHUNK]
+            cells = jtab.take(f1[head:].take(part)) * masks.shape[1] + (part >> 3)
+            live = masks.ravel().take(cells) & ~masks[done].take(part >> 3)
+            keep[c : c + PHASE2_CHUNK] = (live >> (part & 7)) & 1
+        hard = head + r[keep]
     hard_steps = _head_steps(hits, hard)
     # The non-easy rows, ascending: the hard ones and those without a hit.
     rows = np.concatenate((hits.rows[~easy], hard))
@@ -743,18 +760,23 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     # The non-easy rows take one flat pass over their instances k = 1 ..
     # count[r], all nonvacuous and free of units; the rows ascend, so the
     # order of the cells is the (n, k) order that breaks ties between
-    # extremes.  The masks (2 MiB) are freed first: in the first spans of
-    # a sweep the pass's arrays take about as much again.
+    # extremes.  The masks (2 MiB) are freed first, and the pass runs over
+    # chunks of rows whose first cells lie in one PHASE2_CHUNK stretch, so
+    # its dozen arrays stay small whatever the span's hard rows.
     del hits, masks
     rest = rows_steps - spent
     rows, count = rows[rest > 0], rest[rest > 0]
     equality_pairs: list[tuple[int, int]] = []
     cex_pairs: list[tuple[int, int]] = []
-    if rows.size:
-        hn = lo + 2 * rows
-        seg = np.repeat(np.arange(rows.size), count)
+    firsts = np.cumsum(count) - count
+    cuts = np.searchsorted(firsts, np.arange(PHASE2_CHUNK, int(count.sum()), PHASE2_CHUNK)).tolist()
+    for a, b in zip([0, *cuts], [*cuts, rows.size]):
+        if a == b:
+            continue
+        hn, part = lo + 2 * rows[a:b], count[a:b]
+        seg = np.repeat(np.arange(b - a), part)
         cell = np.arange(seg.size)
-        start = (np.cumsum(count) - count)[seg]  # the cell of (n, 1)
+        start = (firsts[a:b] - firsts[a])[seg]  # the cell of (n, 1)
         col = cell - start  # k - 1
         pk = odd[col].astype(np.int64)
         # Row r is lifted by r * (limit + 1), above any lpf value, so one
@@ -774,16 +796,16 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
             )
         lt = ~(gt | eq)
         strict += int(np.count_nonzero(gt))
-        equality_pairs = list(zip(hn[seg[eq]].tolist(), (col[eq] + 1).tolist()))
-        cex_pairs = list(zip(hn[seg[lt]].tolist(), (col[lt] + 1).tolist()))
+        equality_pairs += zip(hn[seg[eq]].tolist(), (col[eq] + 1).tolist())
+        cex_pairs += zip(hn[seg[lt]].tolist(), (col[lt] + 1).tolist())
         fwi = (pos - start)[witnessed] + 1
         if fwi.size:
             for ix, c in enumerate(np.bincount(fwi).tolist()):
                 if c:
                     hist[ix] = hist.get(ix, 0) + c
             wn, wk = hn[seg[witnessed]], col[witnessed] + 1
-            # The first maximum is the least (n, k); equal fractions of
-            # integers divide to equal doubles.
+            # The first maximum is the least (n, k) of the chunk; equal
+            # fractions of integers divide to equal doubles.
             j = int(fwi.argmax())
             best_fwi = _better_fwi(best_fwi, (int(fwi[j]), int(wn[j]), int(wk[j])))
             j = int((fwi / wk).argmax())
@@ -1085,7 +1107,7 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     The range is walked in the same ascending spans of
     DEFAULT_BLOCK_EVENS evens that verify_range uses by default, each
     scanned to completion before the next starts, so working memory is one
-    span's arrays, however wide the range: a tracemalloc peak of 2.7 MiB
+    span's arrays, however wide the range: a tracemalloc peak of 2.6 MiB
     over [6, 10^7], the span at n = 6 included, most of it the head's 65
     masks (2.0 MiB).  Spans merge in order: failures are concatenated, and
     max_scan keeps the deepest first hit, the least n within a span and

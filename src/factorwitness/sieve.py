@@ -5,8 +5,12 @@ single segmented sieve pass produces, for every odd x in [1, limit], in
 cell j = (x - 1) / 2 of two arrays:
 
   * odd_lpf[j] -- the largest prime factor of x (x itself when x is
-    prime, and 1 for x = 1),
-  * odd_primality[j] -- whether x is prime.
+    prime, and 1 for x = 1), a uint32;
+  * odd_prime_bits -- whether x is prime, one bit per cell: bit j & 7 of
+    byte j >> 3, in little bit order, the bits past the last cell clear
+    (6.0 MiB at 10^8, where a bool per cell took 47.7 MiB).  Every
+    reader goes through unpack_bits, which unpacks a cell range to
+    bools, or gather_bits, which reads the bits of given cells.
 
 Only odd x are stored, the wheel of 2 (Pritchard, Acta Inf. 17, 1982),
 because the scan reads only the odd values n - p_i.  The scalar
@@ -43,8 +47,11 @@ semiprimes, with q from the wave's list of odd primes below end / c < L
 at any limit.  At 10^8 those primes write 3,764,915 cells in 955
 scatters, where striking took 38,570 ufuncs over 19,100,976 cells, each
 write at a stride of 8p bytes and so mostly a cache miss.  An odd x is
-then prime exactly when lpf(x) > lo, one contiguous compare: an odd
-composite x < 2*lo has lpf(x) <= x/3 < lo.
+then prime exactly when lpf(x) > lo, a contiguous compare that each
+segment packs into its own bytes of odd_prime_bits: an odd composite x <
+2*lo has lpf(x) <= x/3 < lo.  From lo = 16 on every wave and segment
+starts at a multiple of 8 cells, so no two threads write the same byte;
+the waves below 16 share byte 0 and run on the calling thread.
 
 Beside the two arrays the table keeps one more, the odd primes below
 SMALL_PRIME_BOUND = 2^16 (6,541 of them, 26 KB), which is all that an
@@ -58,10 +65,10 @@ small list), or by a scan that runs past the small list, which takes a
 doctored table.
 
 Tables are uint32, so the supported ceiling is bounded by 2**32 - 1; the
-practical ceiling here is memory (5 bytes per odd integer resident,
-about 2.5 per integer), so build_table estimates its bytes first and
-refuses a limit that does not fit in the memory available to the
-process.
+practical ceiling here is memory (4 bytes and 1 bit per odd integer
+resident, about 2.06 bytes per integer), so build_table estimates its
+bytes first and refuses a limit that does not fit in the memory
+available to the process.
 """
 
 from __future__ import annotations
@@ -105,6 +112,12 @@ _SCATTER_PAIRS = 1 << 12
 # its prime's index (int64), q and the gathered p (uint32), and the
 # multiply's cast of their product into the int64 cell index.
 _PAIR_BYTES = 32
+# Cells per packed compare of a segment's primality: a 64 KiB bool chunk
+# and its 8 KiB of bits, where one compare over a segment would allocate
+# 1 MiB.
+_PACK_CELLS = 1 << 16
+# The set bits of each byte value, to count the primes of odd_prime_bits.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def usable_cpus() -> int:
@@ -135,22 +148,26 @@ def estimate_table_bytes(limit: int) -> int:
     """Upper estimate of the bytes a table for limit takes, the on-demand
     prime list included.
 
-    5 bytes per odd cell for odd_lpf and odd_primality and 4 per prime
-    for the uint32 prime list that the scalar queries build on first use,
-    plus what the sieve holds while it runs: the uint32 ramp of one
-    segment; one wave's base primes and cofactors (uint32; the cofactors
-    run up to limit / icbrt(limit)), with 40 B more for the Python int
-    of a base prime that strikes; and on each of usable_cpus() threads,
-    a segment's five int64 arrays over its large base primes and one
-    scatter of _SCATTER_PAIRS pairs.  The list's fill runs after the
+    4 bytes and 1 bit per odd cell for odd_lpf and odd_prime_bits and 4
+    per prime for the uint32 prime list that the scalar queries build on
+    first use, plus what the sieve holds while it runs: the uint32 ramp
+    of one segment; one wave's base primes and cofactors (uint32; the
+    cofactors run up to limit / icbrt(limit)), the cofactors' cells
+    unpacked to bools (1 B per odd x up to there), and 40 B more for the
+    Python int of a base prime that strikes; and on each of usable_cpus()
+    threads, a segment's five int64 arrays over its large base primes,
+    one scatter of _SCATTER_PAIRS pairs, and one packed compare of
+    _PACK_CELLS cells (bools and bits).  The list's fill runs after the
     ramp is freed, and the small prime list (26 KB) fits in the bound's
     slack on pi.
     """
     base = _prime_count_bound(isqrt(limit))
-    wave = 44 * base + 4 * _prime_count_bound(limit // _icbrt(limit))
-    thread = 40 * base + _PAIR_BYTES * _SCATTER_PAIRS
+    top = limit // _icbrt(limit)
+    wave = 44 * base + 4 * _prime_count_bound(top) + (top >> 1) + 16
+    thread = 40 * base + _PAIR_BYTES * _SCATTER_PAIRS + _PACK_CELLS + (_PACK_CELLS >> 3)
     cells = (limit + 1) // 2
-    return 5 * cells + 4 * _prime_count_bound(limit) + 4 * SEGMENT + wave + usable_cpus() * thread
+    table = 4 * cells + ((cells + 7) >> 3)
+    return table + 4 * _prime_count_bound(limit) + 4 * SEGMENT + wave + usable_cpus() * thread
 
 
 def _read_int(path: Path, key: str | None = None) -> int | None:
@@ -223,35 +240,64 @@ def _odd_part(x: int) -> int:
     return x >> ((x & -x).bit_length() - 1)
 
 
+def unpack_bits(bits: np.ndarray, start: int, stop: int, *, negated: bool = False) -> np.ndarray:
+    """The bits of cells start .. stop - 1 of a packed bit array (cell j
+    is bit j & 7 of byte j >> 3, little bit order) as a bool array, or
+    their negations: the bytes are negated before they are unpacked, 8x
+    fewer values than the bools."""
+    skip = start & 7
+    window = bits[start >> 3 : (stop + 7) >> 3]
+    flags = np.unpackbits(~window if negated else window, bitorder="little")
+    return flags[skip : skip + max(stop - start, 0)].view(bool)
+
+
+def gather_bits(bits: np.ndarray, cells):
+    """The bits of the given cells of a packed bit array (as unpack_bits
+    reads them): a bool array for an integer index array of any shape, a
+    bool for one integer cell."""
+    if isinstance(cells, np.ndarray):
+        flags = bits[cells >> 3]
+        flags >>= cells.astype(np.uint8) & 7  # the cast keeps the low bits
+        flags &= 1
+        return flags.view(bool)
+    return bool(bits.item(cells >> 3) >> (cells & 7) & 1)
+
+
 @dataclass(frozen=True)
 class PrimeTable:
     """Immutable primality and factor tables for integers in [2, limit].
 
-    odd_lpf and odd_primality hold odd x only, cell j standing for
-    x = 2j + 1 (module docstring); the scalar queries take any x.
-    small_odd_primes holds the odd primes below SMALL_PRIME_BOUND, all
-    of them when the limit is smaller.  The list of every prime up to
-    limit (_primes, and odd_primes, its view past 2) is built from
-    odd_primality on first use and then kept; small_odd_primes is its
-    prefix.
+    odd_lpf (uint32) and odd_prime_bits (uint8, one bit per cell) hold
+    odd x only, cell j standing for x = 2j + 1 (module docstring); the
+    scalar queries take any x.  small_odd_primes holds the odd primes
+    below SMALL_PRIME_BOUND, all of them when the limit is smaller.  The
+    list of every prime up to limit (_primes, and odd_primes, its view
+    past 2) is built from odd_prime_bits on first use and then kept;
+    small_odd_primes is its prefix.
     """
 
     limit: int
     odd_lpf: np.ndarray
-    odd_primality: np.ndarray
+    odd_prime_bits: np.ndarray
     small_odd_primes: np.ndarray
 
     @cached_property
     def _primes(self) -> np.ndarray:
-        # uint32, filled SEGMENT cells at a time: np.flatnonzero over the
-        # whole table would allocate an int64 list (46 MB at 10^8) while
-        # odd_lpf and odd_primality are resident.
-        primality = self.odd_primality
-        primes = np.empty(np.count_nonzero(primality) + 1, dtype=np.uint32)
+        # uint32, counted and then filled SEGMENT cells at a time:
+        # np.flatnonzero over the whole table would allocate an int64 list
+        # (46 MB at 10^8), and its unpacked bools 50 MB, beside the table.
+        # numpy < 2.0 has no popcount ufunc, so the count reads each
+        # byte's from a table of 256.
+        bits = self.odd_prime_bits
+        count = sum(
+            int(_BYTE_BITS.take(bits[b : b + (SEGMENT >> 3)]).sum())
+            for b in range(0, bits.size, SEGMENT >> 3)
+        )
+        primes = np.empty(count + 1, dtype=np.uint32)
         primes[0] = 2
         at = 1
-        for c in range(0, primality.size, SEGMENT):
-            chunk = np.flatnonzero(primality[c : c + SEGMENT])
+        for c in range(0, (self.limit + 1) >> 1, SEGMENT):
+            chunk = np.flatnonzero(unpack_bits(bits, c, c + SEGMENT))
             primes[at : at + chunk.size] = 2 * chunk + (2 * c + 1)
             at += chunk.size
         return primes
@@ -288,7 +334,7 @@ class PrimeTable:
 
     def is_prime(self, x: int) -> bool:
         self._check(x)
-        return bool(self.odd_primality[x >> 1] if x & 1 else x == 2)
+        return gather_bits(self.odd_prime_bits, x >> 1) if x & 1 else x == 2
 
     def largest_prime_factor(self, x: int) -> int:
         self._check(x)
@@ -302,7 +348,7 @@ class PrimeTable:
         x is not checked: this is for loops over many values already known
         to lie there, such as n - p for an odd prime p < n <= limit.
         """
-        return self.odd_primality.item(x >> 1), self.odd_lpf.item(x >> 1)
+        return gather_bits(self.odd_prime_bits, x >> 1), self.odd_lpf.item(x >> 1)
 
     def factorize(self, x: int) -> tuple[int, ...]:
         """Prime factors of x in nondecreasing order, with multiplicity."""
@@ -351,7 +397,7 @@ class PrimeTable:
 
 def _sieve_segment(
     odd_lpf: np.ndarray,
-    odd_primality: np.ndarray,
+    odd_prime_bits: np.ndarray,
     ramp: np.ndarray,
     small: list[int],
     large: np.ndarray,
@@ -366,8 +412,10 @@ def _sieve_segment(
     small holds those below c, which strike, and large (uint32,
     ascending) the rest, which write only their semiprimes; cofactors
     (uint32, ascending) holds the odd primes through (hi - 1) // c.  The
-    strikes allocate nothing and a scatter at most _SCATTER_PAIRS pairs'
-    worth of index arrays, so segments can run on threads.
+    strikes allocate nothing, a scatter at most _SCATTER_PAIRS pairs'
+    worth of index arrays and the packing _PACK_CELLS cells' bools, so
+    segments can run on threads.  The segment's bits are or-ed into
+    odd_prime_bits, which so must start clear.
     """
     cells = odd_lpf[lo >> 1 : hi >> 1]  # odd x = lo + 1, lo + 3, ... < hi
     np.add(ramp[: cells.size], np.uint32(lo + 1), out=cells)
@@ -403,19 +451,27 @@ def _sieve_segment(
             k >>= 1
             odd_lpf[k] = q
     # An odd composite x < 2*lo has lpf(x) <= x/3 < lo; a prime keeps x.
-    np.greater(cells, lo, out=odd_primality[lo >> 1 : hi >> 1])
+    # The compare is false below lo as well, so it runs from the first
+    # cell of the byte that holds cell lo >> 1, which is that cell itself
+    # from lo = 16 on, and is or-ed in: the bits of cells below lo stay.
+    stop = hi >> 1
+    for c in range((lo >> 1) & ~7, stop, _PACK_CELLS):
+        flags = np.greater(odd_lpf[c : min(c + _PACK_CELLS, stop)], lo)
+        odd_prime_bits[c >> 3 : (c >> 3) + ((flags.size + 7) >> 3)] |= np.packbits(
+            flags, bitorder="little"
+        )
 
 
-def _odd_primes_through(odd_primality: np.ndarray, ramp: np.ndarray, x: int) -> np.ndarray:
-    """The odd primes up to x, uint32, from odd_primality's cells 1 (x = 3)
+def _odd_primes_through(odd_prime_bits: np.ndarray, ramp: np.ndarray, x: int) -> np.ndarray:
+    """The odd primes up to x, uint32, from odd_prime_bits's cells 1 (x = 3)
     on, gathered from ramp[k] = 2k, which must hold one entry per cell."""
-    cells = odd_primality[1 : (x + 1) >> 1]
+    cells = unpack_bits(odd_prime_bits, 1, (x + 1) >> 1)
     primes = ramp[: cells.size][cells]
     primes += 3
     return primes
 
 
-def _wave(odd_lpf: np.ndarray, odd_primality: np.ndarray, ramp: np.ndarray, end: int) -> partial:
+def _wave(odd_lpf: np.ndarray, odd_prime_bits: np.ndarray, ramp: np.ndarray, end: int) -> partial:
     """_sieve_segment bound to the base primes of a wave that ends at end.
 
     The odd primes up to isqrt(end - 1) split at c = icbrt(end - 1) + 1,
@@ -423,12 +479,11 @@ def _wave(odd_lpf: np.ndarray, odd_primality: np.ndarray, ramp: np.ndarray, end:
     end / 2, lie below the wave, in finished cells.
     """
     c = _icbrt(end - 1) + 1
-    base = _odd_primes_through(odd_primality, ramp, isqrt(end - 1))
+    base = _odd_primes_through(odd_prime_bits, ramp, isqrt(end - 1))
     split = int(np.searchsorted(base, c))
-    cofactors = _odd_primes_through(odd_primality, ramp, (end - 1) // c)
-    return partial(
-        _sieve_segment, odd_lpf, odd_primality, ramp, base[:split].tolist(), base[split:], cofactors
-    )
+    cofactors = _odd_primes_through(odd_prime_bits, ramp, (end - 1) // c)
+    small, large = base[:split].tolist(), base[split:]
+    return partial(_sieve_segment, odd_lpf, odd_prime_bits, ramp, small, large, cofactors)
 
 
 def build_table(limit: int) -> PrimeTable:
@@ -447,7 +502,7 @@ def build_table(limit: int) -> PrimeTable:
     cells = (limit + 1) >> 1  # odd x = 1, 3, ..., up to limit
     odd_lpf = np.empty(cells, dtype=np.uint32)
     odd_lpf[0] = 1  # x = 1, which no segment covers
-    odd_primality = np.zeros(cells, dtype=bool)
+    odd_prime_bits = np.zeros((cells + 7) >> 3, dtype=np.uint8)
     step = 2 * SEGMENT
     ramp = np.arange(0, min(step, limit + 1), 2, dtype=np.uint32)
     threads = usable_cpus()
@@ -460,13 +515,13 @@ def build_table(limit: int) -> PrimeTable:
             starts = range(lo, end, step)
             ends = [*starts[1:], end]  # each segment ends where the next starts
             run = pool.map if threads > 1 and len(starts) > 1 else map
-            list(run(_wave(odd_lpf, odd_primality, ramp, end), starts, ends))
+            list(run(_wave(odd_lpf, odd_prime_bits, ramp, end), starts, ends))
             lo = end
+    small = _odd_primes_through(odd_prime_bits, ramp, min(limit, SMALL_PRIME_BOUND - 1))
     del ramp
-    small = 2 * np.flatnonzero(odd_primality[: SMALL_PRIME_BOUND >> 1]) + 1
     return PrimeTable(
         limit=limit,
         odd_lpf=odd_lpf,
-        odd_primality=odd_primality,
-        small_odd_primes=small.astype(np.uint32),
+        odd_prime_bits=odd_prime_bits,
+        small_odd_primes=small,
     )

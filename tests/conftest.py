@@ -50,6 +50,15 @@ def oracle10m() -> BruteOracle:
     return BruteOracle(10_000_000)
 
 
+def clear_bits(bits: np.ndarray, xs) -> np.ndarray:
+    """A copy of a table's odd_prime_bits with the bits of the odd xs clear."""
+    bits = bits.copy()
+    for x in xs:
+        j = x >> 1
+        bits[j >> 3] &= 0xFF ^ (1 << (j & 7))
+    return bits
+
+
 def make_doctored(
     table: PrimeTable,
     *,
@@ -73,11 +82,7 @@ def make_doctored(
     for x in (*not_prime, *(lpf_overrides or ())):
         if x % 2 == 0:
             raise ValueError(f"the table stores odd values only, cannot doctor {x}")
-    primality = table.odd_primality
-    if not_prime:
-        primality = primality.copy()
-        for x in not_prime:
-            primality[x >> 1] = False
+    bits = clear_bits(table.odd_prime_bits, not_prime) if not_prime else table.odd_prime_bits
     lpf = table.odd_lpf
     if lpf_overrides:
         lpf = lpf.copy()
@@ -91,7 +96,7 @@ def make_doctored(
     doctored = PrimeTable(
         limit=table.limit,
         odd_lpf=lpf,
-        odd_primality=primality,
+        odd_prime_bits=bits,
         small_odd_primes=odd[odd < SMALL_PRIME_BOUND],
     )
     doctored.__dict__["_primes"] = all_primes  # where cached_property keeps it
@@ -159,9 +164,15 @@ def expand_table(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
         np.maximum(table.odd_lpf[: cells.size], 2, out=cells)
         a *= 2
     primality = np.zeros(table.limit + 1, dtype=bool)
-    primality[1::2] = table.odd_primality
+    primality[1::2] = odd_primality(table)
     primality[2] = True
     return lpf, primality
+
+
+def odd_primality(table: PrimeTable) -> np.ndarray:
+    """The table's primality bits unpacked, one bool per odd x in [1, limit]."""
+    cells = table.odd_lpf.size
+    return np.unpackbits(table.odd_prime_bits, count=cells, bitorder="little").view(bool)
 
 
 def digests(*arrays: np.ndarray) -> tuple[str, ...]:
@@ -170,5 +181,6 @@ def digests(*arrays: np.ndarray) -> tuple[str, ...]:
 
 
 def table_digests(table: PrimeTable) -> tuple[str, str]:
-    """sha256 prefixes of the stored odd_lpf and odd_primality bytes."""
-    return digests(table.odd_lpf, table.odd_primality)
+    """sha256 prefixes of the stored odd_lpf bytes and of the primality
+    bits unpacked to one bool byte per odd x."""
+    return digests(table.odd_lpf, odd_primality(table))

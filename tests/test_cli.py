@@ -45,6 +45,23 @@ def test_odd_bound_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("goldbach", "--n", "4"), ("goldbach", "--n", "0"), ("lemma", "--n", "4", "--k", "1")],
+)
+def test_n_below_six_is_refused_by_the_parser(argv, monkeypatch, capsys):
+    # The parser refuses it as it refuses an odd n, naming --n rather
+    # than the table's internal limit, and nothing is built.
+    def no_build(limit):
+        raise AssertionError("the table must not be built")
+
+    monkeypatch.setattr(cli, "build_table", no_build)
+    assert run(*argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument --n: {argv[2]} is below 6" in err
+    assert "limit" not in err and "Traceback" not in err
+
+
 def test_version(capsys):
     assert run("--version") == 0
     assert "factorwitness" in capsys.readouterr().out

@@ -69,5 +69,5 @@ def test_tracer_hooks_cover_a_resumed_sweep(rounds, tmp_path):
     whole = search.verify_range(table, search.RangeJob(n_min=6, n_max=N_MAX, table_limit=N_MAX))
     assert report.summary_digest(whole) == digest
 
-    arrays = (table.odd_lpf, table.odd_primality, table.small_odd_primes)
+    arrays = (table.odd_lpf, table.odd_prime_bits, table.small_odd_primes)
     assert rounds.table_mb(table) == sum(a.nbytes for a in arrays) / 2**20

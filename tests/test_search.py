@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -58,7 +59,7 @@ from factorwitness.search import (
 )
 from factorwitness.sieve import PrimeTable, build_table
 
-from conftest import expand_hits, make_doctored, scalar_first_hits, table_digests
+from conftest import clear_bits, expand_hits, make_doctored, scalar_first_hits, table_digests
 
 
 def job_for(n_min, n_max, table, **kw):
@@ -551,6 +552,39 @@ def test_pool_forks_after_a_threaded_build():
     job = job_for(6, 10**6, table, workers=2)
     assert summary_digest(verify_range(table, job)) == CANONICAL[10**6][0]
 
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_phase2_chunk_is_invisible(table1m, monkeypatch, chunk):
+    # Phase 2 tests its candidate rows and flat-passes its hard rows
+    # PHASE2_CHUNK at a time: chunks of any size give the same summary,
+    # ties between extremes included, and the same equality pairs.
+    spans = [(6, 20_000), (600_000, 640_000)]
+    monkeypatch.setattr(search, "PHASE2_CHUNK", 1 << 40)
+    whole = [search._sweep_run(table1m, lo, hi) for lo, hi in spans]
+    monkeypatch.setattr(search, "PHASE2_CHUNK", chunk)
+    assert [search._sweep_run(table1m, lo, hi) for lo, hi in spans] == whole
+
+
+def test_first_span_peaks_no_higher_than_a_later_one(table10m):
+    # The first span of a sweep from n = 6, where lpf(n - 3) is often
+    # small, has the most phase-2 candidates (33,568, against 14,375 in
+    # the span near 5 * 10^6) and hard-row cells (22,491, against about
+    # 11,000).  Taken PHASE2_CHUNK at a time, their index arrays stay
+    # below the head's window and masks, where every span peaks.
+    spans = search._block_bounds(6, 10**7, DEFAULT_BLOCK_EVENS)
+    near = next(span for span in spans if span[0] <= 5 * 10**6 <= span[1])
+    peaks = []
+    for lo, hi in (spans[0], near):
+        search._sweep_run(table10m, lo, hi)
+        tracemalloc.start()
+        try:
+            search._sweep_run(table10m, lo, hi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
 # -- failure surfacing --------------------------------------------------------
 
 
@@ -802,12 +836,12 @@ except EngineError as exc:
     print("classifier:", exc)
 
 # 1 marked prime counts n = 8, k = 3 (8 - 7 = 1) both as vacuous and as
-# a unit anomaly once the earlier hits 5 and 3 are hidden (cells 0, 1
-# and 2 hold x = 1, 3 and 5).
-primality = table.odd_primality.copy()
-primality[[0, 1, 2]] = (True, False, False)
+# a unit anomaly once the earlier hits 5 and 3 are hidden (bits 0, 1
+# and 2 of byte 0 hold x = 1, 3 and 5).
+bits = table.odd_prime_bits.copy()
+bits[0] = (int(bits[0]) & ~0b110) | 0b001
 try:
-    _sweep_run(dataclasses.replace(table, odd_primality=primality), 8, 8)
+    _sweep_run(dataclasses.replace(table, odd_prime_bits=bits), 8, 8)
 except EngineError as exc:
     print("conservation:", exc)
 """
@@ -1099,17 +1133,15 @@ def test_scan_past_the_small_prime_list_is_exact():
     # hits at p_6570 = 65,777, 29 primes into the full list, which the
     # sweep must build and read.  The table is built here, not with
     # make_doctored, so that it starts without its list; the list it
-    # builds from the doctored primality lacks the hidden primes, all
+    # builds from the doctored primality bits lacks the hidden primes, all
     # at least n - 65,521 = 84,693, far past any prime the span reads.
     n, lo, hi = 150_214, 150_114, 150_314
     table = build_table(hi)
     hidden = {n - p for p in table.small_odd_primes.tolist()}
-    primality = table.odd_primality.copy()
-    primality[[q >> 1 for q in hidden]] = False
     doctored = PrimeTable(
         limit=table.limit,
         odd_lpf=table.odd_lpf,
-        odd_primality=primality,
+        odd_prime_bits=clear_bits(table.odd_prime_bits, hidden),
         small_odd_primes=table.small_odd_primes,
     )
     assert "_primes" not in doctored.__dict__

@@ -25,7 +25,7 @@ from factorwitness.errors import (
 )
 from factorwitness.sieve import SEGMENT, build_table
 
-from conftest import digests, expand_table, table_digests
+from conftest import digests, expand_table, odd_primality, table_digests
 
 # pi(x) reference points; classical values, double-checked against the
 # bytearray oracle sieve in test_bruteforce.
@@ -65,16 +65,16 @@ def test_prime_list_is_the_primality_mask(request, fixture, limit):
 
 
 def test_table_holds_odd_cells_only(table1m):
-    # One uint32 largest factor and one bool per odd x, and the 6,541
-    # uint32 odd primes below 2^16.  The full prime list, of which
+    # One uint32 largest factor and one primality bit per odd x, and the
+    # 6,541 uint32 odd primes below 2^16.  The full prime list, of which
     # odd_primes is a view, is built on demand and is no field.
-    assert table1m.odd_lpf.dtype == np.uint32 and table1m.odd_primality.dtype == bool
-    assert table1m.odd_lpf.size == table1m.odd_primality.size == 500_000
+    assert table1m.odd_lpf.dtype == np.uint32 and table1m.odd_prime_bits.dtype == np.uint8
+    assert table1m.odd_lpf.size == 8 * table1m.odd_prime_bits.size == 500_000
     assert [f.name for f in dataclasses.fields(table1m)] == [
-        "limit", "odd_lpf", "odd_primality", "small_odd_primes"
+        "limit", "odd_lpf", "odd_prime_bits", "small_odd_primes"
     ]
-    arrays = (table1m.odd_lpf, table1m.odd_primality, table1m.small_odd_primes)
-    assert sum(a.nbytes for a in arrays) == 5 * 500_000 + 4 * 6_541
+    arrays = (table1m.odd_lpf, table1m.odd_prime_bits, table1m.small_odd_primes)
+    assert sum(a.nbytes for a in arrays) == 4 * 500_000 + 62_500 + 4 * 6_541
     assert table1m.odd_primes.base is table1m._primes
 
 
@@ -205,15 +205,16 @@ def test_preflight_refuses_before_allocating(monkeypatch):
 
 
 def test_preflight_estimate():
-    # 5 B per odd cell are the arrays a table keeps, and 4 B per prime
-    # the list its scalar queries build on demand; the estimate adds the
-    # ramp and base primes.
-    assert sieve.estimate_table_bytes(10**6) >= 5 * 500_000 + 4 * 78_498
-    assert sieve.estimate_table_bytes(10**8) >= 5 * 5 * 10**7 + 4 * 5_761_455
+    # 4 B and 1 bit per odd cell are the arrays a table keeps, and 4 B
+    # per prime the list its scalar queries build on demand; the
+    # estimate adds the ramp and base primes.
+    assert sieve.estimate_table_bytes(10**6) >= 4 * 500_000 + 62_500 + 4 * 78_498
+    assert sieve.estimate_table_bytes(10**8) >= 4 * 5 * 10**7 + 6_250_000 + 4 * 5_761_455
     assert sieve.estimate_table_bytes(10**8) < 300 << 20
     # pi(x) > x / ln x for x >= 17 (Rosser & Schoenfeld 1962).
     limit = sieve.MAX_LIMIT
-    assert sieve.estimate_table_bytes(limit) >= 5 * limit // 2 + 4 * limit / log(limit)
+    cells = limit // 2
+    assert sieve.estimate_table_bytes(limit) >= 4 * cells + cells // 8 + 4 * limit / log(limit)
 
 
 def test_preflight_estimate_bounds_the_build():
@@ -307,7 +308,7 @@ def test_tables_match_trial_division_exhaustively():
     _assert_matches_trial_division(table, range(2, 50_001))
     _assert_matches_trial_division(build_table(50_001), [50_001])
     assert table.odd_lpf[0] == 1  # x = 1
-    assert not table.odd_primality[0]
+    assert not odd_primality(table)[0]
 
 
 def test_tables_match_trial_division_at_segment_seams(table10m):
@@ -347,7 +348,7 @@ def test_tables_match_trial_division_where_the_split_moves(table10m):
     assert [sieve._icbrt(end - 1) + 1 for end in (2**22, 2**23)] == [162, 204]
     lo, hi = 2**22 - 2**13, 2**22 + 2**14
     cells = slice(lo >> 1, hi >> 1)  # odd x = lo + 1, lo + 3, ... < hi
-    lpf, primality = table10m.odd_lpf[cells].tolist(), table10m.odd_primality[cells].tolist()
+    lpf, primality = table10m.odd_lpf[cells].tolist(), odd_primality(table10m)[cells].tolist()
     for x, largest, prime in zip(range(lo + 1, hi, 2), lpf, primality):
         assert largest == trial_largest_factor(x), x
         assert prime == trial_is_prime(x), x
@@ -360,8 +361,9 @@ PINNED_TABLE_BYTES = {
     "table1m": ("b4d3078b5f86878f", "1d8537de67d9eab4"),
     "table10m": ("6976b4a993421c9e", "ab158d028a45c741"),
 }
-# sha256 prefixes of the stored odd_lpf and odd_primality bytes, which
-# are the odd x of the above; test_search.test_canonical_digest pins the
+# sha256 prefixes of the stored odd_lpf bytes and of the primality bits
+# unpacked to one bool byte per odd x (conftest.table_digests), which are
+# the odd x of the above; test_search.test_canonical_digest pins the
 # 10^8 table's.
 PINNED_ODD_BYTES = {
     "table1m": ("527061693fb14a78", "c4a6ae653a2c3e60"),
@@ -374,6 +376,53 @@ def test_table_bytes_pinned(name, request):
     table = request.getfixturevalue(name)
     assert digests(*expand_table(table)) == PINNED_TABLE_BYTES[name]
     assert table_digests(table) == PINNED_ODD_BYTES[name]
+
+
+# -- the packed primality -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [*range(6, 64), *(2**22 + d for d in (-17, -16, -15, -1, 0, 1, 15, 16, 17)), 2**23 + 1],
+)
+def test_prime_bits_layout(limit):
+    # Cell j, x = 2j + 1, is bit j & 7 of byte j >> 3 in little bit
+    # order, and the bits past the last cell are clear: the bytes are
+    # np.packbits of the odd x's primality, which holds exactly where
+    # lpf(x) = x > 1.  The limits below 64 end a table at every bit of
+    # its first bytes, where the waves below 16 share byte 0; those
+    # around 2^22 end it where the first wave of two segments starts,
+    # and 2^23 + 1 just past that wave, whose segments run on threads
+    # when two CPUs are usable.
+    table = build_table(limit)
+    lpf, primality = expand_table(table)
+    x = np.arange(limit + 1)
+    assert np.array_equal(primality, (lpf == x) & (x > 1))
+    assert table.odd_prime_bits.dtype == np.uint8
+    assert np.array_equal(table.odd_prime_bits, np.packbits(primality[1::2], bitorder="little"))
+    if limit < 64:
+        assert primality.tolist() == [x > 1 and trial_is_prime(x) for x in range(limit + 1)]
+
+
+def test_bit_readers_match_the_unpacked_bits(table1m):
+    # unpack_bits, plain and negated, over ranges that start and stop at
+    # every bit of a byte, empty ones included; gather_bits over an index
+    # array of any shape and over one int cell.
+    bits, want = table1m.odd_prime_bits, odd_primality(table1m)
+    cells = want.size
+    for start in [*range(17), 4_093, cells - 9]:
+        for stop in range(start, min(start + 19, cells + 1)):
+            got = sieve.unpack_bits(bits, start, stop)
+            assert got.dtype == bool and np.array_equal(got, want[start:stop]), (start, stop)
+            got = sieve.unpack_bits(bits, start, stop, negated=True)
+            assert got.dtype == bool and np.array_equal(got, ~want[start:stop]), (start, stop)
+    assert np.array_equal(sieve.unpack_bits(bits, 0, cells), want)
+    rng = np.random.default_rng(23)
+    for shape in [(0,), (1,), (999,), (37, 41)]:
+        index = rng.integers(0, cells, shape)
+        got = sieve.gather_bits(bits, index)
+        assert got.dtype == bool and np.array_equal(got, want[index])
+    assert [sieve.gather_bits(bits, j) for j in range(64)] == want[:64].tolist()
 
 
 # -- the wave-parallel build --------------------------------------------------
@@ -392,7 +441,7 @@ def test_wave_seams_are_prefixes(limit, table10m):
     table = build_table(limit)
     cells = (limit + 1) // 2
     assert np.array_equal(table.odd_lpf, table10m.odd_lpf[:cells])
-    assert np.array_equal(table.odd_primality, table10m.odd_primality[:cells])
+    assert np.array_equal(odd_primality(table), odd_primality(table10m)[:cells])
     assert np.array_equal(table._primes, table10m._primes[: table._primes.size])
 
 
@@ -488,6 +537,6 @@ def test_table_is_a_prefix_of_a_larger_one(limit, table50k):
     table = build_table(limit)
     cells = (limit + 1) // 2
     assert np.array_equal(table.odd_lpf, table50k.odd_lpf[:cells])
-    assert np.array_equal(table.odd_primality, table50k.odd_primality[:cells])
+    assert np.array_equal(odd_primality(table), odd_primality(table50k)[:cells])
     assert np.array_equal(table._primes, table50k._primes[: table._primes.size])
     assert table._primes.size == table50k.prime_count(limit)
