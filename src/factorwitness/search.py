@@ -69,10 +69,13 @@ evens, at least 2^18, the one unit of work: one task, serial or pooled,
 runs both phases once over a span and yields a RangeSummary of its
 range, and spans are merged (merge_summaries) strictly in ascending
 order whatever the worker count, so summaries and their digests are
-worker-count independent.  The checkpoint is saved after every merged
-span and holds the summary of the covered prefix [n_min, x], so a resume
-restarts at x + 2 with any block size or worker count, and a requested
-stop or a fail-fast error leaves the prefix through the span it stopped on.
+worker-count independent.  A pool forks W = min(workers, spans) children,
+which share the table copy-on-write; child w pipes back spans w, w + W,
+..., so the parent reads span i from child i mod W.  The checkpoint is
+saved after every merged span and holds the summary of the covered
+prefix [n_min, x], so a resume restarts at x + 2 with any block size or
+worker count, and a requested stop or a fail-fast error leaves the
+prefix through the span it stopped on.
 """
 
 from __future__ import annotations
@@ -80,10 +83,12 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -901,12 +906,25 @@ def checkpoint_resume(path, job: RangeJob) -> tuple[RangeSummary, float]:
 # drivers
 # ---------------------------------------------------------------------------
 
-_SHARED_TABLE: PrimeTable | None = None
-
-
-def _pool_sweep(span: tuple[int, int]) -> _Block:
-    # Looks _sweep_run up in the forked worker's copy of this module.
-    return _sweep_run(_SHARED_TABLE, *span)
+def _sweep_child(table: PrimeTable, spans: list, wfd: int, inherited: list) -> NoReturn:
+    """In a forked child: pipe (True, block) per span to wfd, or (False,
+    exception) and stop; leave by os._exit (no atexit handler, no flush)."""
+    try:
+        for fh in inherited:
+            fh.close()
+        with os.fdopen(wfd, "wb") as out:
+            for lo, hi in spans:
+                try:
+                    reply = (True, _sweep_run(table, lo, hi))
+                except Exception as exc:
+                    reply = (False, exc)
+                pickle.dump(reply, out)
+                out.flush()
+                if not reply[0]:
+                    break
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def _block_bounds(n_min: int, n_max: int, evens_per_block: int) -> list[tuple[int, int]]:
@@ -945,7 +963,7 @@ def verify_range(
     stop_after_blocks: sweep only the next B blocks of checkpoint_interval
     evens, then raise SweepInterrupted, whose blocks_done counts the blocks
     covered from n_min; exists so interruption can be exercised on demand.
-    A worker that dies raises EngineError.
+    A worker's error is raised here, and a worker that dies raises EngineError.
     """
     if table.limit < job.table_limit:
         raise CoverageError(
@@ -985,26 +1003,33 @@ def verify_range(
         for lo, hi in spans:
             merge(_sweep_run(table, lo, hi))
     else:
-        # Imported here: these modules add ~1.3 MiB of resident memory,
-        # which a serial sweep would pay for nothing.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        global _SHARED_TABLE
-        _SHARED_TABLE = table
-        pool = ProcessPoolExecutor(
-            min(job.workers, len(spans)), mp_context=multiprocessing.get_context("fork")
-        )
+        width = min(job.workers, len(spans))
+        pids, replies = [], []
         try:
-            for swept in pool.map(_pool_sweep, spans):
-                merge(swept)
-        except BrokenProcessPool as exc:
-            raise EngineError(f"a sweep worker died: {exc}") from exc
+            for w in range(width):
+                r, wfd = os.pipe()
+                replies.append(os.fdopen(r, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _sweep_child(table, spans[w::width], wfd, replies)
+                    pids.append(pid)
+                finally:
+                    os.close(wfd)
+            for i, span in enumerate(spans):
+                try:
+                    ok, value = pickle.load(replies[i % width])
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    raise EngineError(f"a sweep worker died before span {span}") from exc
+                if not ok:
+                    raise value
+                merge(value)
         finally:
-            # After an early exit, spans not yet started are dropped.
-            pool.shutdown(cancel_futures=True)
-            _SHARED_TABLE = None
+            for fh in replies:
+                fh.close()
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
     if agg.n_max < job.n_max:
         covered = (agg.n_max - job.n_min) // 2 + 1

@@ -10,11 +10,14 @@ original (PrimeTable is frozen; arrays are copied on demand).
 from __future__ import annotations
 
 import hashlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import factorwitness
 from factorwitness.bruteforce import BruteOracle
 from factorwitness.sieve import SMALL_PRIME_BOUND, PrimeTable, build_table
 
@@ -48,6 +51,15 @@ def oracle1m() -> BruteOracle:
 @pytest.fixture(scope="session")
 def oracle10m() -> BruteOracle:
     return BruteOracle(10_000_000)
+
+
+def src_env() -> dict:
+    """This environment with the imported package's source first on PYTHONPATH,
+    for tests that run the package in a fresh interpreter."""
+    src = str(Path(factorwitness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def clear_bits(bits: np.ndarray, xs) -> np.ndarray:

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -20,7 +22,7 @@ from factorwitness.errors import (
 )
 from factorwitness.report import parse_records, summary_digest
 
-from conftest import make_doctored
+from conftest import make_doctored, src_env
 
 
 def run(*argv):
@@ -490,6 +492,62 @@ def test_killed_worker_exits_one_and_leaves_a_resumable_checkpoint(
     assert summary_digest(summary) == (
         "528e467fde3190c5db61358c89de683a93261a5fca80523521e510a5dd43f387"
     )
+
+
+# Runs the CLI on argv[2:] with os.fork logging each child's pid to argv[1].
+_FORK_LOGGER = """
+import os, sys
+from factorwitness import cli
+
+fork = os.fork
+
+
+def logged_fork():
+    pid = fork()
+    if pid:
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{pid}\\n")
+    return pid
+
+
+os.fork = logged_fork
+sys.exit(cli.run(sys.argv[2:]))
+"""
+
+
+def test_interrupted_pooled_sweep_leaves_no_worker_and_a_resumable_checkpoint(tmp_path):
+    # SIGINT reaches the parent of a 2-worker [6, 10^8] sweep once its
+    # first span is checkpointed.  The parent dies of it, with its
+    # KeyboardInterrupt traceback, but kills and reaps both workers on
+    # the way out, and the checkpoint resumes to the pinned digest.
+    env = src_env()
+    ck, pids = tmp_path / "ck", tmp_path / "pids"
+    argv = ["verify", "--max", "100000000", "--checkpoint", str(ck), "--output", os.devnull]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FORK_LOGGER, str(pids), *argv, "--workers", "2"],
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        while not ck.exists() and proc.poll() is None:
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGINT)
+        err = proc.communicate(timeout=120)[1]
+    finally:
+        proc.kill()
+    assert proc.returncode == -signal.SIGINT and "KeyboardInterrupt" in err, err
+    workers = [int(pid) for pid in pids.read_text().split()]
+    assert len(workers) == 2
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert ck.exists()
+    resumed = subprocess.run(
+        [sys.executable, "-m", "factorwitness.cli", *argv, "--workers", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    assert "digest 5370fac573ec2c1f" in resumed.stderr
+    assert not ck.exists()
 
 
 # -- failure exit codes from real results, through doctored tables -----------

@@ -9,12 +9,10 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import factorwitness
 from factorwitness import bruteforce, search
 from factorwitness.bruteforce import BruteOracle, trial_is_prime
 from factorwitness.conjecture import (
@@ -29,6 +27,7 @@ from factorwitness.errors import (
     ConfigurationError,
     CounterexampleFoundError,
     CoverageError,
+    EngineError,
     PreconditionError,
     SweepInterrupted,
 )
@@ -59,7 +58,9 @@ from factorwitness.search import (
 )
 from factorwitness.sieve import PrimeTable, build_table
 
-from conftest import clear_bits, expand_hits, make_doctored, scalar_first_hits, table_digests
+from conftest import (
+    clear_bits, expand_hits, make_doctored, scalar_first_hits, src_env, table_digests,
+)
 
 
 def job_for(n_min, n_max, table, **kw):
@@ -544,13 +545,71 @@ def test_pool_over_many_spans(table1m, tmp_path, workers, monkeypatch):
 
 
 def test_pool_forks_after_a_threaded_build():
-    # A table past 2**22 is sieved partly on threads; the sweep's fork
-    # pool must still start from a single-threaded parent (from Python
-    # 3.12 a fork with live threads warns, an error under
-    # -W error::DeprecationWarning).
+    # A table past 2**22 is sieved partly on threads; the sweep forks its
+    # workers itself and starts no thread, so it must fork after the
+    # build has joined its threads (from Python 3.12 a fork with live
+    # threads warns, an error under -W error::DeprecationWarning).
     table = build_table(2**23)
     job = job_for(6, 10**6, table, workers=2)
     assert summary_digest(verify_range(table, job)) == CANONICAL[10**6][0]
+
+
+def assert_no_child_left():
+    # Every worker the sweep forked has been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_span_error_reaches_the_caller(table1m, tmp_path, workers, monkeypatch):
+    # In spans of 10^5 evens, [6, 10^6] makes 5; the third, [400006,
+    # 600004], raises in whichever worker sweeps it.  The caller gets
+    # that error, and the checkpoint holds the two spans before it.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
+    sweep_run = search._sweep_run
+
+    def fails_on_the_third_span(table, lo, hi):
+        if lo == 400_006:
+            raise EngineError(f"span [{lo}, {hi}] failed")
+        return sweep_run(table, lo, hi)
+
+    monkeypatch.setattr(search, "_sweep_run", fails_on_the_third_span)
+    ck = tmp_path / "sweep.ckpt"
+    job = job_for(6, 10**6, table1m, checkpoint_interval=10_000, workers=workers)
+    with pytest.raises(EngineError) as info:
+        verify_range(table1m, job, checkpoint_path=ck)
+    assert type(info.value) is EngineError
+    assert str(info.value) == "span [400006, 600004] failed"
+    assert checkpoint_resume(ck, job)[0].n_max == 400_004
+    assert_no_child_left()
+
+
+def test_pooled_fail_fast_raises_counterexample(sick_table, monkeypatch):
+    # 10 spans of 200 evens; the first holds n = 20, so the sweep stops
+    # while the workers still have spans to sweep.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 1)
+    job = job_for(6, 4_000, sick_table, checkpoint_interval=200, workers=2)
+    with pytest.raises(CounterexampleFoundError) as info:
+        verify_range(sick_table, job, fail_fast=True)
+    assert (20, 3) in info.value.pairs
+    assert_no_child_left()
+
+
+def test_pooled_sweep_imports_no_process_pool():
+    # The pool is forked by hand, so a pooled sweep imports neither
+    # multiprocessing nor concurrent.futures' process pool.
+    probe = (
+        "import sys\n"
+        "from factorwitness import RangeJob, build_table, verify_range\n"
+        "job = RangeJob(n_min=6, n_max=10**6, table_limit=10**6, workers=2)\n"
+        "verify_range(build_table(10**6), job)\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
@@ -849,12 +908,9 @@ except EngineError as exc:
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
 def test_sweep_invariants_raise_engine_error(flags):
-    src = str(Path(factorwitness.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _INVARIANT_PROBE],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
