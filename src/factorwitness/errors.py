@@ -3,10 +3,14 @@
 Everything raised deliberately by this package derives from EngineError,
 so callers can catch one type at the boundary.  The command line layer
 maps the leaf types onto distinct exit codes.
+
+An exception pickles as its type and args, which here hold the message
+alone, so each error with its own constructor arguments rebuilds itself
+from them (__reduce__): a pooled sweep's worker pipes the error of its
+span to the caller as a pickle.
 """
 
 from __future__ import annotations
-
 
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
@@ -40,6 +44,9 @@ class ProofViolationError(EngineError):
         super().__init__(f"proof step violated: {detail}")
         self.detail = detail
 
+    def __reduce__(self):
+        return type(self), (self.detail,)
+
 
 class CounterexampleFoundError(EngineError):
     """A sweep found (n, k) pairs where every n - p_i has only small factors.
@@ -53,6 +60,9 @@ class CounterexampleFoundError(EngineError):
         head = ", ".join(f"(n={n}, k={k})" for n, k in self.pairs[:5])
         super().__init__(f"counterexample candidates found: {head}")
 
+    def __reduce__(self):
+        return type(self), (self.pairs,)
+
 
 class AnomalyFoundError(EngineError):
     """A sweep hit n - p_i == 1, which has no prime factor at all."""
@@ -61,6 +71,9 @@ class AnomalyFoundError(EngineError):
         self.pairs = list(pairs)
         head = ", ".join(f"(n={n}, i={i})" for n, i in self.pairs[:5])
         super().__init__(f"unit anomaly: n - p_i = 1 at {head}")
+
+    def __reduce__(self):
+        return type(self), (self.pairs,)
 
 
 class GoldbachCounterexampleError(EngineError):
@@ -74,7 +87,11 @@ class GoldbachCounterexampleError(EngineError):
     def __init__(self, n: int, detail: str, evidence=None):
         super().__init__(f"no two-prime decomposition for n={n}: {detail}")
         self.n = n
+        self.detail = detail
         self.evidence = evidence
+
+    def __reduce__(self):
+        return type(self), (self.n, self.detail, self.evidence)
 
 
 class CheckpointMismatchError(EngineError):
@@ -90,6 +107,9 @@ class SweepInterrupted(EngineError):
         )
         self.path = path
         self.blocks_done = blocks_done
+
+    def __reduce__(self):
+        return type(self), (self.path, self.blocks_done)
 
 
 class ReportFormatError(EngineError):

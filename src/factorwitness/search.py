@@ -10,9 +10,9 @@ even n sit in consecutive cells.
 
 Phase 1, the first-hit scan (_first_hits), reads primality only, from
 the table's bits.  Its head advances every row in lockstep over the
-first odd primes with live rows held as bits, 64 to a word: one window
-of cells, negated to mark the composite values and unpacked, is packed
-again at each of its 8 bit phases, and each
+first odd primes with live rows held as bits, 64 to a word: the bytes of
+one window of cells, negated to mark the composite values, give its 8
+bit phases, one shift of their little-endian uint16 pairs each, and each
 step is one bitwise and of the last step's row set with a slice of a
 phase, kept as that step's mask.  The head stops once few rows are
 alive; its tail lists the survivors from the last mask's nonzero words
@@ -110,7 +110,7 @@ from .errors import (
     ReportFormatError,
     SweepInterrupted,
 )
-from .sieve import PrimeTable, gather_bits, unpack_bits
+from .sieve import PrimeTable, gather_bits
 
 # Evens per span at least, and the default block size.  A span pays
 # ~200 numpy calls, a merge and a checkpoint save whatever its width; at
@@ -438,18 +438,17 @@ def _better_ratio(a, b):
     return a if (a[2], a[3]) <= (b[2], b[3]) else b
 
 
-# Phase 1 costs on the 2-vCPU Xeon VM of perfbench/README.md, per span
-# of 2^18 rows near 5 * 10^6 and 5 * 10^7: the window's negation and
-# unpacking, 32 KB of bits to 2^18 bools, ~20-35 us; packing it at 8 bit
-# phases, ~165-170 us; a head step, one and over 32 KB, ~5-8 us, and the
-# count of live words every HEAD_CHECK_STEPS steps ~3 us; listing the
-# survivors from the nonzero words, ~45 us (unpacking the whole span took
-# 110-140 us); the tail, ~90-125 us for its ~200-400 survivors; 0.7-1.0
-# ms in all.  Phase 2 (_sweep_run) then takes 2.0-2.6 ms per such span: the
-# masks' popcount, ~280-360 us (np.bitwise_count alone ~200-235 us); the
-# f1 <= p_{done-1} test over every row, a contiguous 1 MB, ~260-630 us;
-# the candidates' mask bits, ~225-370 us, and their i*, ~135-215 us; the
-# hard rows' flat pass over 11,000-17,000 cells, ~520-840 us.
+# Costs on the 2-vCPU Xeon VM of perfbench/README.md, per span of 2^18
+# rows near 5 * 10^6 and 5 * 10^7 (medians of 60 calls, 3 processes).
+# Phase 1, 0.5-0.7 ms: the window's 8 bit phases from its byte pairs,
+# ~55-75 us (unpacking it to bools and packing those 8 times took
+# ~120-220 us); a head step, one and over 32 KB, ~2-4 us, and the count
+# of live words every HEAD_CHECK_STEPS steps ~1-3 us; listing the
+# survivors, ~20-40 us; the tail, ~65-160 us.  Phase 2 (the rest of
+# _sweep_run), 1.1-1.8 ms: the masks' popcount, ~200-270 us; _hard_rows,
+# ~215-430 us, most of it listing the 1,200-2,600 candidates (the f1
+# test's flatnonzero listed 6,600-14,400 in ~200-480 us), and their i*,
+# ~40-100 us; the rest, mostly the flat pass, ~630-1,060 us.
 #
 # The head spans the first HEAD_PRIMES odd primes at most, so the window
 # overhangs the rows by (p_64 - 3) / 2 = 155 cells.  Near 10^8 about 1
@@ -499,10 +498,10 @@ def _set_bits(mask: np.ndarray) -> np.ndarray:
     """The positions of the set bits of a packed row set, ascending."""
     # Only the nonzero 64-row words are unpacked: a few in a thousand
     # rows outlive the head.  flatnonzero is ~7x faster over bools than
-    # over uint8.
+    # over uint8, and take ~15x faster than indexing rows of 8 bytes.
     nz = np.flatnonzero(mask.view("<u8"))
-    words = mask.reshape(-1, 8)[nz]
-    bits = np.flatnonzero(np.unpackbits(words, bitorder="little").view(bool))
+    bits = np.unpackbits(mask.view("<u8").take(nz).view(np.uint8), bitorder="little")
+    bits = np.flatnonzero(bits.view(bool))
     return 64 * nz[bits >> 6] + (bits & 63)
 
 
@@ -566,27 +565,29 @@ def _first_hits(table: PrimeTable, lo: int, hi: int) -> _Hits:
     s = 0
     if h:
         # Step j reads the cells of n - p_j, consecutive for consecutive
-        # even n, which are the slice from (p_h - p_j) / 2 of one window
-        # of cells, x = base - p_h to hi - 3.  The window's negation marks
-        # the composite x; it is packed once at each of its 8 bit phases,
-        # and step j ands the bytes of phase c % 8 from c // 8 on,
-        # c = (p_h - p_j) / 2.
+        # even n: the slice from c = (p_h - p_j) / 2 of one window of
+        # cells from x = base - p_h on.  Its bytes, negated to mark the
+        # composite x and read as little-endian uint16 pairs, give each of
+        # its 8 bit phases by one shift and a cast to uint8, and step j
+        # ands the bytes of phase c % 8 from c // 8 on.
         top = int(odd[h - 1])
-        composite = unpack_bits(
-            table.odd_prime_bits, (base - top) >> 1, (hi - 2) >> 1, negated=True
-        )
-        phases = np.zeros((8, composite.size // 8 + 9), dtype=np.uint8)
+        start, size = (base - top) >> 1, masks.shape[1]
+        length = ((top - 3) >> 4) + size  # through step 1's slice, c = (p_h - 3) / 2
+        window = table.odd_prime_bits[start >> 3 : (start >> 3) + length + 2]
+        pairs = np.zeros(length + 2, dtype="<u2")  # zero past the table's last byte
+        pairs[: window.size] = ~window
+        pairs = pairs[:-1] | pairs[1:] << 8
+        phases = np.empty((8, length), dtype=np.uint8)
         for b in range(8):
-            bits = np.packbits(composite[b:], bitorder="little")
-            phases[b, : bits.size] = bits
-        size = masks.shape[1]
+            o = (start & 7) + b  # the phase's bit offset in the window's first byte
+            phases[b] = pairs[o >> 3 : (o >> 3) + length] >> (o & 7)
         words = masks.view("<u8")
         for c in ((top - odd[:h]) >> 1).tolist():
             np.bitwise_and(masks[s], phases[c & 7, c >> 3 : (c >> 3) + size], out=masks[s + 1])
             s += 1
             if s % HEAD_CHECK_STEPS == 0 and np.count_nonzero(words[s]) * HEAD_MIN_ALIVE < width:
                 break
-        del composite, phases, bits  # 0.5 MiB, not alive beside the tail's arrays
+        del window, pairs, phases  # 0.3 MiB, not alive beside the tail's arrays
     masks = masks[: s + 1]
     low, left = np.arange(head), head + _set_bits(masks[s])
     first = (_tail(table, lo + 2 * low, 0), _tail(table, lo + 2 * left, s))
@@ -668,6 +669,35 @@ def _deepest_hit(hits: _Hits) -> tuple[int, int] | None:
     return best
 
 
+def _hard_rows(hits: _Hits, f1: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The rows the head settled that are not easy, ascending; f1[r] = lpf(n - 3)."""
+    head, masks, done = hits.head, hits.masks, hits.masks.shape[0] - 1
+    if done < 2:
+        return np.zeros(0, dtype=np.int64)
+    # Such a row is alive after step J, p_J the least odd prime >= f1, so
+    # J < done, f1 <= p_{done-1} (a row alive after step done is a
+    # survivor), and if f1 > p_15 it is alive after step 16.  The
+    # candidates, less head, are the set bits of that packed row set.
+    cand = np.zeros(masks.shape[1], dtype=np.uint8)
+    packed = cand[: -(-(f1.size - head) // 8)]
+    packed[:] = np.packbits(f1[head:] <= odd[done - 2], bitorder="little")
+    if done > 16:
+        packed &= masks[16, : packed.size]
+        packed |= np.packbits(f1[head:] <= odd[14], bitorder="little")
+    r = _set_bits(cand)
+    # J by lookup: a search per candidate costs ~10x more.
+    jtab = np.searchsorted(odd[: done - 1], np.arange(odd[done - 2] + 1, dtype=odd.dtype)) + 1
+    # PHASE2_CHUNK candidates at a time: the first span of a sweep from
+    # small n, where lpf(n - 3) is often small, has the most.
+    keep = np.empty(r.size, dtype=bool)
+    for c in range(0, r.size, PHASE2_CHUNK):
+        part = r[c : c + PHASE2_CHUNK]
+        cells = jtab.take(f1[head:].take(part)) * masks.shape[1] + (part >> 3)
+        live = masks.ravel().take(cells) & ~masks[done].take(part >> 3)
+        keep[c : c + PHASE2_CHUNK] = (live >> (part & 7).astype(np.uint8)) & 1
+    return head + r[keep]
+
+
 # A swept span: its summary without equality cases, and their (n, k).
 _Block = tuple[RangeSummary, list[tuple[int, int]]]
 
@@ -701,25 +731,7 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     bar = np.zeros(deepest + 2, dtype=np.uint32)
     bar[2:] = odd[:deepest] + 1
     easy = found & (f1[hits.rows] >= bar.take(steps))
-    # A row the head settled is hard exactly when it is alive after step
-    # J, p_J the least odd prime >= f1; a row alive after step done is a
-    # survivor, so only J < done, f1 <= p_{done-1}, can make it hard.
-    hard = np.zeros(0, dtype=np.int64)
-    if done > 1:
-        r = np.flatnonzero(f1[head:] <= odd[done - 2])  # the candidates, less head
-        # J by lookup: a search per candidate costs ~10x more.
-        jtab = np.searchsorted(odd[: done - 1], np.arange(odd[done - 2] + 1, dtype=odd.dtype))
-        jtab += 1
-        # PHASE2_CHUNK candidates at a time: the first span of a sweep
-        # from small n, where lpf(n - 3) is often small, has 33,568 of
-        # them, where a span near 5 * 10^6 has 14,375.
-        keep = np.empty(r.size, dtype=bool)
-        for c in range(0, r.size, PHASE2_CHUNK):
-            part = r[c : c + PHASE2_CHUNK]
-            cells = jtab.take(f1[head:].take(part)) * masks.shape[1] + (part >> 3)
-            live = masks.ravel().take(cells) & ~masks[done].take(part >> 3)
-            keep[c : c + PHASE2_CHUNK] = (live >> (part & 7)) & 1
-        hard = head + r[keep]
+    hard = _hard_rows(hits, f1, odd)
     hard_steps = _head_steps(hits, hard)
     # The non-easy rows, ascending: the hard ones and those without a hit.
     rows = np.concatenate((hits.rows[~easy], hard))

@@ -8,9 +8,10 @@ cell j = (x - 1) / 2 of two arrays:
     prime, and 1 for x = 1), a uint32;
   * odd_prime_bits -- whether x is prime, one bit per cell: bit j & 7 of
     byte j >> 3, in little bit order, the bits past the last cell clear
-    (6.0 MiB at 10^8, where a bool per cell took 47.7 MiB).  Every
-    reader goes through unpack_bits, which unpacks a cell range to
-    bools, or gather_bits, which reads the bits of given cells.
+    (6.0 MiB at 10^8, where a bool per cell took 47.7 MiB).  Readers
+    go through unpack_bits, which unpacks a cell range to bools, or
+    gather_bits, which reads the bits of given cells; the sweep's head
+    reads a window of the bytes itself.
 
 Only odd x are stored, the wheel of 2 (Pritchard, Acta Inf. 17, 1982),
 because the scan reads only the odd values n - p_i.  The scalar
@@ -240,14 +241,11 @@ def _odd_part(x: int) -> int:
     return x >> ((x & -x).bit_length() - 1)
 
 
-def unpack_bits(bits: np.ndarray, start: int, stop: int, *, negated: bool = False) -> np.ndarray:
+def unpack_bits(bits: np.ndarray, start: int, stop: int) -> np.ndarray:
     """The bits of cells start .. stop - 1 of a packed bit array (cell j
-    is bit j & 7 of byte j >> 3, little bit order) as a bool array, or
-    their negations: the bytes are negated before they are unpacked, 8x
-    fewer values than the bools."""
+    is bit j & 7 of byte j >> 3, little bit order) as a bool array."""
     skip = start & 7
-    window = bits[start >> 3 : (stop + 7) >> 3]
-    flags = np.unpackbits(~window if negated else window, bitorder="little")
+    flags = np.unpackbits(bits[start >> 3 : (stop + 7) >> 3], bitorder="little")
     return flags[skip : skip + max(stop - start, 0)].view(bool)
 
 

@@ -56,7 +56,7 @@ from factorwitness.search import (
     verify_range,
     witness_statistics,
 )
-from factorwitness.sieve import PrimeTable, build_table
+from factorwitness.sieve import PrimeTable, build_table, unpack_bits
 
 from conftest import (
     clear_bits, expand_hits, make_doctored, scalar_first_hits, src_env, table_digests,
@@ -584,6 +584,29 @@ def test_pooled_span_error_reaches_the_caller(table1m, tmp_path, workers, monkey
     assert_no_child_left()
 
 
+def test_pooled_span_error_keeps_its_type(table1m, monkeypatch):
+    # An error with its own constructor arguments, raised in a worker,
+    # crosses the pipe as a pickle and reaches the caller as itself.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
+    sweep_run = search._sweep_run
+
+    def finds_a_counterexample(table, lo, hi):
+        if lo == 400_006:
+            raise CounterexampleFoundError([(lo, 3), (lo + 2, 5)])
+        return sweep_run(table, lo, hi)
+
+    monkeypatch.setattr(search, "_sweep_run", finds_a_counterexample)
+    job = job_for(6, 10**6, table1m, checkpoint_interval=10_000, workers=2)
+    with pytest.raises(CounterexampleFoundError) as info:
+        verify_range(table1m, job)
+    assert type(info.value) is CounterexampleFoundError
+    assert info.value.pairs == [(400_006, 3), (400_008, 5)]
+    assert str(info.value) == (
+        "counterexample candidates found: (n=400006, k=3), (n=400008, k=5)"
+    )
+    assert_no_child_left()
+
+
 def test_pooled_fail_fast_raises_counterexample(sick_table, monkeypatch):
     # 10 spans of 200 evens; the first holds n = 20, so the sweep stops
     # while the workers still have spans to sweep.
@@ -1028,6 +1051,118 @@ def test_first_hits_rows_outlive_the_primes_inside_a_tail_chunk(table1m):
     assert got.tolist() == scalar_first_hits(doctored, 98_000, 103_000)
     assert set(got[got <= 0].tolist()) == {-167}
     assert 400 <= np.count_nonzero(got <= 0) < TAIL_CELLS // 2
+
+
+def unpacked_head(table, lo, hi, hits):
+    """The masks, rows and first that _first_hits gives for [lo, hi],
+    built for hits' head and step count from bools: the primality of each
+    step's cells from sieve.unpack_bits, the live rows packed by np.packbits."""
+    odd, bits = table.small_odd_primes, table.odd_prime_bits
+    head, done = hits.head, hits.masks.shape[0] - 1
+    rows = (hi - lo) // 2 + 1
+    alive = np.ones((done + 1, rows - head), dtype=bool)
+    for s in range(1, done + 1):
+        cell = (lo + 2 * head - int(odd[s - 1])) >> 1  # of n - p_s at the first head row
+        alive[s] = alive[s - 1] & ~unpack_bits(bits, cell, cell + rows - head)
+    masks = np.zeros((done + 1, -(-(rows - head) // 64) * 8), dtype=np.uint8)
+    packed = np.packbits(alive, axis=1, bitorder="little")
+    masks[:, : packed.shape[1]] = packed
+    left = np.concatenate((np.arange(head), head + np.flatnonzero(alive[done])))
+    return masks, left, np.array(scalar_first_hits(table, lo, hi), dtype=np.int64)[left]
+
+
+def assert_head_matches_unpacked(table, lo, hi):
+    hits = _first_hits(table, lo, hi)
+    masks, rows, first = unpacked_head(table, lo, hi, hits)
+    assert np.array_equal(hits.masks, masks), (lo, hi)
+    assert np.array_equal(hits.rows, rows) and np.array_equal(hits.first, first), (lo, hi)
+
+
+def test_head_phases_match_unpacked_bits(table1m):
+    # The head's 8 bit phases come from byte pairs of the window, whose
+    # first cell, (base - p_h) / 2, lies at any of the 8 bit offsets of
+    # its byte; a span from 200,314 + 2a starts its window at cell
+    # 100,000 + a.  Row counts off a whole word leave a partial last word.
+    p_head = int(table1m.small_odd_primes[HEAD_PRIMES - 1])
+    for a in range(8):
+        lo = 2 * (100_000 + a) + p_head + 1
+        assert ((lo - p_head) >> 1) & 7 == a
+        assert_head_matches_unpacked(table1m, lo, lo + 2 * (2_000 + 13 * a))
+    # The first span of a sweep from small n, whose head starts at 314.
+    for lo, hi in ((6, 20_000), (300, 5_000), (312, 314)):
+        assert _first_hits(table1m, lo, hi).head > 0
+        assert_head_matches_unpacked(table1m, lo, hi)
+    # Tables below 1,000, whose every window reaches the last byte; the
+    # one of 300 holds fewer odd primes than HEAD_PRIMES.
+    for limit in (997, 300):
+        small = build_table(limit)
+        for lo in (6, 8, 100, 250, 298):
+            assert_head_matches_unpacked(small, lo, limit - limit % 2)
+
+
+@pytest.mark.parametrize("limit", [2**22 + d for d in range(-17, 18)])
+def test_head_phases_at_the_table_end(limit):
+    # A span that ends at the table's last even n reads its window's
+    # byte pairs up to and past the table's last byte, which the head
+    # pads with zeros.
+    table = build_table(limit)
+    hi = limit - limit % 2
+    for rows in (1, 64, 1_000):
+        assert_head_matches_unpacked(table, hi - 2 * (rows - 1), hi)
+
+
+def flatnonzero_hard_rows(hits, f1, odd):
+    """The rows the head settled that are not easy, by the rule that lists
+    every row with f1 <= p_{done-1} by flatnonzero: such a row is hard when
+    alive after step J, p_J the least odd prime >= f1, and not after the
+    head's last step."""
+    done = hits.masks.shape[0] - 1
+    if done < 2:
+        return []
+    r = np.flatnonzero(f1[hits.head :] <= odd[done - 2])
+    j = np.searchsorted(odd, f1[hits.head :][r]) + 1
+
+    def alive(s, r):
+        return (hits.masks[s, r >> 3] >> (r & 7).astype(np.uint8)) & 1 == 1
+
+    return (hits.head + r[alive(j, r) & ~alive(done, r)]).tolist()
+
+
+def assert_hard_rows_match_flatnonzero(table, lo, hi):
+    hits = _first_hits(table, lo, hi)
+    f1 = table.odd_lpf[(lo - 3) >> 1 : (hi - 1) >> 1]
+    odd = table.small_odd_primes
+    want = flatnonzero_hard_rows(hits, f1, odd)
+    assert search._hard_rows(hits, f1, odd).tolist() == want, (lo, hi)
+    return hits.masks.shape[0] - 1, len(want)
+
+
+def test_hard_rows_match_flatnonzero_on_every_span(table10m):
+    # Phase 2 lists its candidates from packed row sets: those with f1 <=
+    # p_{done-1} alive after step 16, and every row with f1 <= p_15.
+    spans = search._block_bounds(6, 10**7, DEFAULT_BLOCK_EVENS)
+    found = [assert_hard_rows_match_flatnonzero(table10m, lo, hi) for lo, hi in spans]
+    assert min(done for done, _ in found) > 16
+    assert sum(hard for _, hard in found) > 0
+
+
+@pytest.mark.parametrize("head_primes, min_alive", [
+    (HEAD_PRIMES, 1), (1, HEAD_MIN_ALIVE), (2, HEAD_MIN_ALIVE), (16, HEAD_MIN_ALIVE),
+    (17, HEAD_MIN_ALIVE),
+])
+def test_hard_rows_match_flatnonzero_when_the_head_stops_early(
+    table1m, monkeypatch, head_primes, min_alive
+):
+    # A head that stops at or before step 16 skips the masks[16] cut.
+    monkeypatch.setattr(search, "HEAD_PRIMES", head_primes)
+    monkeypatch.setattr(search, "HEAD_MIN_ALIVE", min_alive)
+    steps = set()
+    for lo, hi in ((6, 200_000), (400_000, 600_000), (999_000, 10**6)):
+        steps.add(assert_hard_rows_match_flatnonzero(table1m, lo, hi)[0])
+    assert steps == ({4} if min_alive == 1 else {head_primes})
+    small = build_table(997)
+    for lo in (6, 100, 500):
+        assert_hard_rows_match_flatnonzero(small, lo, 996)
 
 
 @pytest.mark.parametrize("kind", ["empty", "full", "last-word", "sparse", "dense"])
