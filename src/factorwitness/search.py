@@ -25,29 +25,31 @@ list, which the table then builds, and so does phase 2.
 decompose_range reads the rows that never hit and the deepest hit from
 the tail, and from the last mask that lost a row.
 
-Phase 2 classifies each row from i* and f1 = lpf(n - 3), which for
-consecutive even n is a contiguous slice of the table, read in place.
-It computes i* only for the rows that need it.
+Phase 2 classifies each row from i* and f1 = min(lpf(n - 3), LPF_CAP),
+which for consecutive even n is a contiguous slice of the table, read in
+place.  It computes i* only for the rows that need it.
 
   Easy rows.  If i* == 1 or f1 > p_{i*-1}, every k < i* is a strict
   witness with first witness index 1, since lpf(n - p_1) = f1 > p_{i*-1}
   >= p_k.  f1 is an odd prime p_J, so a row is not easy exactly when it
   is alive after step J: one bit of mask J for a row the head settled,
   and f1 >= bar[i*] for a survivor, where bar[1] = 0 and bar[s] =
-  p_{s-1} + 1.  Such a row adds i* - 1 strict instances and one vacuous
-  one, which the popcounts of the masks add up, and the easy rows'
-  extremes are (1, n0, 1) and (1, 1, n0, 1) for the least easy n0 with
-  i* >= 2.
+  p_{s-1} + 1 (a capped f1 understates, so its row at worst takes the
+  exact flat pass).  Such a row adds i* - 1 strict instances and one
+  vacuous one, which the popcounts of the masks add up, and the easy
+  rows' extremes are (1, n0, 1) and (1, 1, n0, 1) for the least easy n0
+  with i* >= 2.
 
   Hard rows, the rest (9,519 of the 4,999,998 rows of [6, 10^7]), take
   a flat pass over their instances, in chunks of rows of about
   PHASE2_CHUNK instances: F_j = lpf(n - p_j) for j < i*, gathered at
   the cells (n - p_j) / 2 rounded down and laid end to end, row r of a
   chunk lifted by r * (limit + 1), so that one running max is every
-  row's running max M.  M_k against p_k classifies (n, k) (strict, equal
-  or counterexample candidate), and the first witness index, the least
-  j with F_j >= p_k, is the least j with M_j >= p_k, found by one
-  searchsorted over the lifted M.
+  row's running max M; a chunk whose p_k reaches the cap, which takes a
+  doctored table, refills its capped F_j exactly.  M_k against p_k
+  classifies (n, k) (strict, equal or counterexample candidate), and the
+  first witness index, the least j with F_j >= p_k, is the least j with
+  M_j >= p_k, found by one searchsorted over the lifted M.
 
 A row with a hit holds no unit anomaly: n - p_{i*} is an odd prime, so
 p_{i*} <= n - 3 < n - 1.  Only a row whose scan runs out of odd primes
@@ -110,7 +112,7 @@ from .errors import (
     ReportFormatError,
     SweepInterrupted,
 )
-from .sieve import PrimeTable, gather_bits
+from .sieve import LPF_CAP, PrimeTable, gather_bits
 
 # Evens per span at least, and the default block size.  A span pays
 # ~200 numpy calls, a merge and a checkpoint save whatever its width; at
@@ -677,13 +679,15 @@ def _hard_rows(hits: _Hits, f1: np.ndarray, odd: np.ndarray) -> np.ndarray:
     # Such a row is alive after step J, p_J the least odd prime >= f1, so
     # J < done, f1 <= p_{done-1} (a row alive after step done is a
     # survivor), and if f1 > p_15 it is alive after step 16.  The
-    # candidates, less head, are the set bits of that packed row set.
+    # candidates, less head, are the set bits of that packed row set.  The
+    # bounds are Python ints, which compare in f1's own dtype: a uint32
+    # scalar casts a uint16 f1 cell by cell, 48 against 14 us a span.
     cand = np.zeros(masks.shape[1], dtype=np.uint8)
     packed = cand[: -(-(f1.size - head) // 8)]
-    packed[:] = np.packbits(f1[head:] <= odd[done - 2], bitorder="little")
+    packed[:] = np.packbits(f1[head:] <= odd.item(done - 2), bitorder="little")
     if done > 16:
         packed &= masks[16, : packed.size]
-        packed |= np.packbits(f1[head:] <= odd[14], bitorder="little")
+        packed |= np.packbits(f1[head:] <= odd.item(14), bitorder="little")
     r = _set_bits(cand)
     # J by lookup: a search per candidate costs ~10x more.
     jtab = np.searchsorted(odd[: done - 1], np.arange(odd[done - 2] + 1, dtype=odd.dtype)) + 1
@@ -724,7 +728,7 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     vacuous = size - int(np.count_nonzero(~found))
     deepest = max(done, int(steps.max(initial=0)))  # no row has more instances
     odd = table.odd_primes_through(deepest)  # the full list only past the small one
-    f1 = table.odd_lpf[(lo - 3) >> 1 : (hi - 1) >> 1]  # lpf(n - 3) of row r, in place
+    f1 = table.odd_lpf[(lo - 3) >> 1 : (hi - 1) >> 1]  # min(lpf(n - 3), LPF_CAP), in place
 
     # A hit row of s instances is easy exactly when lpf(n - 3) >= bar[s],
     # that is s == 1 or f1 > p_{s-1}; the rows the head left are tested so.
@@ -800,7 +804,12 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
         # running max over the rows laid end to end is each row's running
         # max M, lifted, and stays sorted for the first-witness search.
         lift = seg * (table.limit + 1)
-        run = np.maximum.accumulate(table.odd_lpf[(hn[seg] - pk) >> 1].astype(np.int64) + lift)
+        value = hn[seg] - pk
+        lpf = table.odd_lpf[value >> 1].astype(np.int64)
+        if pk.max() >= LPF_CAP:
+            capped = np.flatnonzero(lpf == LPF_CAP)
+            lpf[capped] = [table.exact_lpf(x) for x in value[capped].tolist()]
+        run = np.maximum.accumulate(lpf + lift)
         m = run - lift
         gt, eq = m > pk, m == pk
         # The first witness index of (n, k), the least j with lpf(n - p_j)

@@ -5,7 +5,7 @@ single segmented sieve pass produces, for every odd x in [1, limit], in
 cell j = (x - 1) / 2 of two arrays:
 
   * odd_lpf[j] -- the largest prime factor of x (x itself when x is
-    prime, and 1 for x = 1), a uint32;
+    prime, and 1 for x = 1) capped at LPF_CAP = 65,535, a uint16;
   * odd_prime_bits -- whether x is prime, one bit per cell: bit j & 7 of
     byte j >> 3, in little bit order, the bits past the last cell clear
     (6.0 MiB at 10^8, where a bool per cell took 47.7 MiB).  Readers
@@ -30,27 +30,27 @@ cells); every other wave runs on the calling thread, so a table below
 2**22, or any table on one CPU, starts no thread.  The pool is joined
 before build_table returns.
 
-Each cell of a segment starts as x itself, added from one read-only
-ramp 0, 2, 4, ... that all segments share.  The odd base primes p (p*p
-< hi, read from the finished primality) split at c = icbrt(end - 1) + 1
-of their wave [L, end), so that c**3 > end - 1.  Each p below c strikes
-its odd multiples x = p*m >= p*p with lpf(x) = max(p, lpf(m)), one
-ufunc per prime that writes every p-th cell and reads the cells of m
-contiguously: that identity holds for every prime p dividing x, not only
-the smallest, and m <= x/3 < lo is already final, so every write is the
-cell's exact value and the primes strike in any order.  A composite x <
-end whose least prime factor p is at least c is p*q with q prime and
-q >= p, so lpf(x) = q; every other multiple of such a p has a prime
-factor below c, whose strike writes it.  So each p >= c writes only its
-semiprimes, with q from the wave's list of odd primes below end / c < L
-(its cofactors): a gather and a scatter of at most _SCATTER_PAIRS
-(p, q) pairs at a time, so a thread holds about 0.1 MiB of index arrays
-at any limit.  At 10^8 those primes write 3,764,915 cells in 955
-scatters, where striking took 38,570 ufuncs over 19,100,976 cells, each
-write at a stride of 8p bytes and so mostly a cache miss.  An odd x is
-then prime exactly when lpf(x) > lo, a contiguous compare that each
-segment packs into its own bytes of odd_prime_bits: an odd composite x <
-2*lo has lpf(x) <= x/3 < lo.  From lo = 16 on every wave and segment
+Each cell of a segment starts at 0.  The odd base primes p (p*p < hi,
+read from the finished primality; all below LPF_CAP) split at c =
+icbrt(end - 1) + 1 of their wave [L, end), so that c**3 > end - 1.  Each
+p below c strikes its odd multiples x = p*m >= p*p with lpf(x) = max(p,
+lpf(m)), one ufunc per prime that writes every p-th cell and reads the
+cells of m contiguously: that identity holds for every prime p dividing
+x, not only the smallest, capped or not, and m <= x/3 < lo is already
+final, so every write is the cell's value and the primes strike in any
+order.  A composite x < end whose least prime factor p is at least c is
+p*q with q prime and q >= p, so lpf(x) = q; every other multiple of such
+a p has a prime factor below c, whose strike writes it.  So each p >= c
+writes only its semiprimes, with q from the wave's list of odd primes
+below end / c < L (its cofactors): a gather and a scatter of min(q,
+LPF_CAP) of at most _SCATTER_PAIRS (p, q) pairs at a time, so a thread
+holds about 0.1 MiB of index arrays at any limit.  At 10^8 those primes
+write 3,764,915 cells in 955 scatters, where striking took 38,570 ufuncs
+over 19,100,976 cells, each write at a stride of 2p bytes and so mostly
+a cache miss.  So every odd composite cell is written, and an odd x is
+prime exactly when its cell still holds 0, a contiguous compare that
+each segment packs into its own bytes of odd_prime_bits; then the prime
+cells take min(x, LPF_CAP).  From lo = 16 on every wave and segment
 starts at a multiple of 8 cells, so no two threads write the same byte;
 the waves below 16 share byte 0 and run on the calling thread.
 
@@ -63,13 +63,14 @@ up to the limit (5,761,455 at 10^8, 22 MiB) is built from the primality
 on first use and then kept: by the scalar queries that search it
 (count_odd_primes_below, next_prime, prime_count, and odd_prime past the
 small list), or by a scan that runs past the small list, which takes a
-doctored table.
+doctored table.  So a sweep, which compares lpf(n - p_j) only with p_k,
+reads the capped cells as exact; the scalar queries read exact_lpf.
 
-Tables are uint32, so the supported ceiling is bounded by 2**32 - 1; the
-practical ceiling here is memory (4 bytes and 1 bit per odd integer
-resident, about 2.06 bytes per integer), so build_table estimates its
-bytes first and refuses a limit that does not fit in the memory
-available to the process.
+The cofactors and products are uint32, so the supported ceiling is
+bounded by 2**32 - 1; the practical ceiling here is memory (2 bytes and
+1 bit per odd integer resident, about 1.06 bytes per integer), so
+build_table estimates its bytes first and refuses a limit that does not
+fit in the memory available to the process.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from .errors import ConfigurationError, CoverageError, OutOfRangeError, Precondi
 MIN_LIMIT = 6
 MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # Odd cells per sieve segment once the doubling start is past (2 * SEGMENT
-# integers), and the length of the uint32 ramp that all segments read x
+# integers), and the length of the uint32 ramp that the build reads x
 # from.  The 4 MiB ramp, freed when the build ends, also lifts glibc's
 # dynamic mmap threshold above the sweep's per-span arrays (the largest,
 # the head's 65 masks of a 2^18-row span, 2.0 MiB), which so reuse heap
@@ -106,6 +107,8 @@ SEGMENT = 1 << 20
 # The table stores the odd primes below this bound; the full prime list
 # is built on demand (module docstring).
 SMALL_PRIME_BOUND = 1 << 16
+# The largest value an odd_lpf cell holds (module docstring).
+LPF_CAP = (1 << 16) - 1
 # (p, q) pairs per semiprime scatter of a segment's large base primes,
 # which caps a thread's scatter at 128 KiB at any limit.
 _SCATTER_PAIRS = 1 << 12
@@ -149,7 +152,7 @@ def estimate_table_bytes(limit: int) -> int:
     """Upper estimate of the bytes a table for limit takes, the on-demand
     prime list included.
 
-    4 bytes and 1 bit per odd cell for odd_lpf and odd_prime_bits and 4
+    2 bytes and 1 bit per odd cell for odd_lpf and odd_prime_bits and 4
     per prime for the uint32 prime list that the scalar queries build on
     first use, plus what the sieve holds while it runs: the uint32 ramp
     of one segment; one wave's base primes and cofactors (uint32; the
@@ -167,7 +170,7 @@ def estimate_table_bytes(limit: int) -> int:
     wave = 44 * base + 4 * _prime_count_bound(top) + (top >> 1) + 16
     thread = 40 * base + _PAIR_BYTES * _SCATTER_PAIRS + _PACK_CELLS + (_PACK_CELLS >> 3)
     cells = (limit + 1) // 2
-    table = 4 * cells + ((cells + 7) >> 3)
+    table = 2 * cells + ((cells + 7) >> 3)
     return table + 4 * _prime_count_bound(limit) + 4 * SEGMENT + wave + usable_cpus() * thread
 
 
@@ -265,9 +268,10 @@ def gather_bits(bits: np.ndarray, cells):
 class PrimeTable:
     """Immutable primality and factor tables for integers in [2, limit].
 
-    odd_lpf (uint32) and odd_prime_bits (uint8, one bit per cell) hold
-    odd x only, cell j standing for x = 2j + 1 (module docstring); the
-    scalar queries take any x.  small_odd_primes holds the odd primes
+    odd_lpf (uint16, largest prime factors capped at LPF_CAP) and
+    odd_prime_bits (uint8, one bit per cell) hold odd x only, cell j
+    standing for x = 2j + 1 (module docstring); the scalar queries take
+    any x and answer exactly.  small_odd_primes holds the odd primes
     below SMALL_PRIME_BOUND, all of them when the limit is smaller.  The
     list of every prime up to limit (_primes, and odd_primes, its view
     past 2) is built from odd_prime_bits on first use and then kept;
@@ -334,11 +338,29 @@ class PrimeTable:
         self._check(x)
         return gather_bits(self.odd_prime_bits, x >> 1) if x & 1 else x == 2
 
+    def exact_lpf(self, x: int) -> int:
+        """The largest prime factor of an odd x in [1, limit], unchecked.
+
+        A cell below LPF_CAP holds it.  A capped x is prime, or x < 65,537^2
+        leaves one prime q >= 65,537 once its small odd primes divide out.
+        """
+        lpf = self.odd_lpf.item(x >> 1)
+        if lpf < LPF_CAP:
+            return lpf
+        x = int(x)
+        if gather_bits(self.odd_prime_bits, x >> 1):
+            return x
+        small = self.small_odd_primes
+        for p in small[x % small == 0].tolist():
+            while x % p == 0:
+                x //= p
+        return x
+
     def largest_prime_factor(self, x: int) -> int:
         self._check(x)
         if x & 1:
-            return int(self.odd_lpf[x >> 1])
-        return max(2, int(self.odd_lpf[_odd_part(int(x)) >> 1]))
+            return self.exact_lpf(x)
+        return max(2, self.exact_lpf(_odd_part(int(x))))
 
     def odd_entry(self, x: int) -> tuple[bool, int]:
         """(is_prime(x), largest_prime_factor(x)) for an odd x in [3, limit].
@@ -346,7 +368,7 @@ class PrimeTable:
         x is not checked: this is for loops over many values already known
         to lie there, such as n - p for an odd prime p < n <= limit.
         """
-        return gather_bits(self.odd_prime_bits, x >> 1), self.odd_lpf.item(x >> 1)
+        return gather_bits(self.odd_prime_bits, x >> 1), self.exact_lpf(x)
 
     def factorize(self, x: int) -> tuple[int, ...]:
         """Prime factors of x in nondecreasing order, with multiplicity."""
@@ -355,7 +377,7 @@ class PrimeTable:
         out = []
         v = m
         while v > 1:
-            p = int(self.odd_lpf[v >> 1])
+            p = self.exact_lpf(v)
             out.append(p)
             v //= p
         out += [2] * ((int(x) // m).bit_length() - 1)
@@ -405,7 +427,7 @@ def _sieve_segment(
 ) -> None:
     """Fill the odd cells of [lo, hi), reading only cells below lo.
 
-    Needs lo even, hi <= 2*lo and ramp[k] = 2k over the segment's cells.
+    Needs lo even, hi <= 2*lo and ramp[k] = 2k for k < min(hi / 2, _PACK_CELLS).
     The odd primes p with p*p < hi come split at some c with c**3 >= hi:
     small holds those below c, which strike, and large (uint32,
     ascending) the rest, which write only their semiprimes; cofactors
@@ -415,12 +437,11 @@ def _sieve_segment(
     segments can run on threads.  The segment's bits are or-ed into
     odd_prime_bits, which so must start clear.
     """
-    cells = odd_lpf[lo >> 1 : hi >> 1]  # odd x = lo + 1, lo + 3, ... < hi
-    np.add(ramp[: cells.size], np.uint32(lo + 1), out=cells)
+    odd_lpf[lo >> 1 : hi >> 1] = 0  # odd x = lo + 1, lo + 3, ... < hi
     # Each small p strikes its odd multiples x = p*m >= p*p in the
     # segment with lpf(x) = max(p, lpf(m)): every p-th cell, from the
     # contiguous cells of m.  m <= x/3 < lo is final, and every write is
-    # lpf(x) itself, so the primes strike in any order.  A segment
+    # min(lpf(x), LPF_CAP), so the primes strike in any order.  A segment
     # holding no such multiple gets an empty out.
     for p in small:
         m = max(p, -(-lo // p) | 1)  # the least odd m >= p with p*m >= lo
@@ -447,17 +468,26 @@ def _sieve_segment(
             q = cofactors[k]
             np.multiply(large[i], q, out=k)  # p*q < hi, exact in uint32
             k >>= 1
-            odd_lpf[k] = q
-    # An odd composite x < 2*lo has lpf(x) <= x/3 < lo; a prime keeps x.
-    # The compare is false below lo as well, so it runs from the first
-    # cell of the byte that holds cell lo >> 1, which is that cell itself
-    # from lo = 16 on, and is or-ed in: the bits of cells below lo stay.
+            odd_lpf[k] = np.minimum(q, LPF_CAP)
+    # Every odd composite cell is written, with a value >= 3, so a prime's
+    # cell alone still holds 0.  Cells below lo are final, so the compare
+    # runs from the first cell of the byte that holds cell lo >> 1, which
+    # is that cell itself from lo = 16 on, and is or-ed in: the bits of
+    # cells below lo stay.  Then each prime cell takes min(x, LPF_CAP): a
+    # subtract of the flags once every x of the chunk is past the cap (0
+    # - 1 wraps to LPF_CAP): 11 us a chunk, where a masked store took 80.
     stop = hi >> 1
     for c in range((lo >> 1) & ~7, stop, _PACK_CELLS):
-        flags = np.greater(odd_lpf[c : min(c + _PACK_CELLS, stop)], lo)
+        chunk = odd_lpf[c : min(c + _PACK_CELLS, stop)]
+        flags = chunk == 0
         odd_prime_bits[c >> 3 : (c >> 3) + ((flags.size + 7) >> 3)] |= np.packbits(
             flags, bitorder="little"
         )
+        if 2 * c + 1 > LPF_CAP:
+            np.subtract(chunk, flags.view(np.uint8), out=chunk)
+        else:
+            x = np.minimum(ramp[: chunk.size] + (2 * c + 1), LPF_CAP)
+            np.copyto(chunk, x, casting="unsafe", where=flags)
 
 
 def _odd_primes_through(odd_prime_bits: np.ndarray, ramp: np.ndarray, x: int) -> np.ndarray:
@@ -498,7 +528,7 @@ def build_table(limit: int) -> PrimeTable:
             f"but only {max(available, 0) >> 20} MiB of memory is available"
         )
     cells = (limit + 1) >> 1  # odd x = 1, 3, ..., up to limit
-    odd_lpf = np.empty(cells, dtype=np.uint32)
+    odd_lpf = np.empty(cells, dtype=np.uint16)
     odd_lpf[0] = 1  # x = 1, which no segment covers
     odd_prime_bits = np.zeros((cells + 7) >> 3, dtype=np.uint8)
     step = 2 * SEGMENT

@@ -19,7 +19,7 @@ from hypothesis import settings
 
 import factorwitness
 from factorwitness.bruteforce import BruteOracle
-from factorwitness.sieve import SMALL_PRIME_BOUND, PrimeTable, build_table
+from factorwitness.sieve import LPF_CAP, SMALL_PRIME_BOUND, PrimeTable, build_table
 
 # The property tests draw the same examples on every run, seeded from
 # each test function (and so with no example database), so their cost
@@ -161,19 +161,43 @@ def expand_hits(hits, lo: int, hi: int) -> list[int]:
     return first.tolist()
 
 
+def exact_odd_lpf(table: PrimeTable) -> np.ndarray:
+    """The exact largest prime factor of every odd x in [1, limit], uint32,
+    rebuilt from the capped cells without the table's scalar queries.
+
+    A cell below LPF_CAP is exact.  A capped odd x has a prime factor q >=
+    65,537, and q^2 > limit, so x = q * m for an odd m <= limit / 65,537 <
+    q and lpf(x) = q: one scatter of q into the cells q * m per m, with q
+    over the primes of the table's bits, refills them all.  Checks that
+    the stored cells are the result capped.
+    """
+    stored = table.odd_lpf
+    lpf = stored.astype(np.uint32)
+    q = 2 * np.flatnonzero(odd_primality(table)[LPF_CAP >> 1 :]) + LPF_CAP
+    for m in range(1, table.limit // (LPF_CAP + 2) + 1, 2):
+        x = q[: np.searchsorted(q, table.limit // m, side="right")]
+        lpf[(x * m) >> 1] = x
+    step = 1 << 20
+    for c in range(0, lpf.size, step):
+        assert np.array_equal(np.minimum(lpf[c : c + step], LPF_CAP), stored[c : c + step])
+    return lpf
+
+
 def expand_table(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     """The table's largest factors and primality over every x in [0, limit].
 
-    The odd cells give odd x; an even x = 2^a * m, m odd, has
-    lpf(x) = max(2, lpf(m)) and is prime iff x == 2.  lpf(0) = 0 and
-    lpf(1) = 1, as a table over every integer held them.
+    The odd cells, refilled past the cap (exact_odd_lpf), give odd x; an
+    even x = 2^a * m, m odd, has lpf(x) = max(2, lpf(m)) and is prime iff
+    x == 2.  lpf(0) = 0 and lpf(1) = 1, as a table over every integer held
+    them.
     """
+    odd = exact_odd_lpf(table)
     lpf = np.zeros(table.limit + 1, dtype=np.uint32)
-    lpf[1::2] = table.odd_lpf
+    lpf[1::2] = odd
     a = 2
     while a <= table.limit:  # x = a * (2j + 1), from lpf(2j + 1)
         cells = lpf[a :: 2 * a]
-        np.maximum(table.odd_lpf[: cells.size], 2, out=cells)
+        np.maximum(odd[: cells.size], 2, out=cells)
         a *= 2
     primality = np.zeros(table.limit + 1, dtype=bool)
     primality[1::2] = odd_primality(table)
@@ -193,6 +217,7 @@ def digests(*arrays: np.ndarray) -> tuple[str, ...]:
 
 
 def table_digests(table: PrimeTable) -> tuple[str, str]:
-    """sha256 prefixes of the stored odd_lpf bytes and of the primality
-    bits unpacked to one bool byte per odd x."""
-    return digests(table.odd_lpf, odd_primality(table))
+    """sha256 prefixes of the exact uint32 largest factors of the odd x
+    (exact_odd_lpf) and of the primality bits unpacked to one bool byte
+    per odd x."""
+    return digests(exact_odd_lpf(table), odd_primality(table))

@@ -1,7 +1,10 @@
 """Instance evaluation, equality classification, and the constructive steps."""
 
+import random
+
 import pytest
 
+from factorwitness.bruteforce import trial_is_prime, trial_largest_factor
 from factorwitness.conjecture import (
     Family,
     Instance,
@@ -177,6 +180,27 @@ def test_construct_equality_uses_bertrand(table1m):
     inst = make_instance(table1m, 12, 1)
     tr = construct_lemma_prime(table1m, inst, evaluate_instance(table1m, inst))
     assert (tr.value, tr.m, tr.produced_prime, tr.used_bertrand) == (9, 3, 5, True)
+
+
+def test_strict_factor_is_exact_past_the_cap(table10m):
+    # n = x + 3 makes lpf(x) the factor of the instance (n, 1): the
+    # table's cells stop at 65,535, the reported factor must not, and
+    # construct_lemma_prime's checks hold it to the exact value.
+    rng = random.Random(0x5EED)
+    xs = [q * m for q in (65_521, 65_537) for m in range(3, 153, 2)]
+    xs += [65_537, 65_539, 131_071, *(rng.randrange(3, 10**7 - 3, 2) for _ in range(2_000))]
+    for x in xs:
+        inst = make_instance(table10m, x + 3, 1)
+        out = evaluate_instance(table10m, inst)
+        if trial_is_prime(x):
+            assert (out.kind, out.prime_hit) == (OutcomeKind.VACUOUS, x), x
+            continue
+        largest = trial_largest_factor(x)
+        if largest == 3:
+            assert out.kind is OutcomeKind.WITNESS_EQUAL, x
+            continue
+        assert (out.kind, out.i, out.factor) == (OutcomeKind.WITNESS_STRICT, 1, largest), x
+        assert construct_lemma_prime(table10m, inst, out).produced_prime == largest, x
 
 
 def test_construct_rejects_non_witness(table1m):

@@ -908,10 +908,11 @@ table = build_table(2_000)
 
 # An lpf entry above the table's limit, which no honest table holds,
 # lifts the running max of the hard row n = 30 (30 - 5 = 25, cell 12)
-# past the row offsets of the first-witness search, so the search and
-# the classifier part ways on the next hard row.
+# past the row offsets of the first-witness search (rows 2,001 apart),
+# so the search and the classifier part ways on the next hard row.  The
+# entry fits the uint16 cells and stays below their cap.
 lpf = table.odd_lpf.copy()
-lpf[12] = 10**6
+lpf[12] = 50_000
 try:
     _sweep_run(dataclasses.replace(table, odd_lpf=lpf), 6, 2_000)
 except EngineError as exc:

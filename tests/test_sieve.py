@@ -65,16 +65,16 @@ def test_prime_list_is_the_primality_mask(request, fixture, limit):
 
 
 def test_table_holds_odd_cells_only(table1m):
-    # One uint32 largest factor and one primality bit per odd x, and the
-    # 6,541 uint32 odd primes below 2^16.  The full prime list, of which
-    # odd_primes is a view, is built on demand and is no field.
-    assert table1m.odd_lpf.dtype == np.uint32 and table1m.odd_prime_bits.dtype == np.uint8
+    # One uint16 capped largest factor and one primality bit per odd x,
+    # and the 6,541 uint32 odd primes below 2^16.  The full prime list, of
+    # which odd_primes is a view, is built on demand and is no field.
+    assert table1m.odd_lpf.dtype == np.uint16 and table1m.odd_prime_bits.dtype == np.uint8
     assert table1m.odd_lpf.size == 8 * table1m.odd_prime_bits.size == 500_000
     assert [f.name for f in dataclasses.fields(table1m)] == [
         "limit", "odd_lpf", "odd_prime_bits", "small_odd_primes"
     ]
     arrays = (table1m.odd_lpf, table1m.odd_prime_bits, table1m.small_odd_primes)
-    assert sum(a.nbytes for a in arrays) == 4 * 500_000 + 62_500 + 4 * 6_541
+    assert sum(a.nbytes for a in arrays) == 2 * 500_000 + 62_500 + 4 * 6_541
     assert table1m.odd_primes.base is table1m._primes
 
 
@@ -205,16 +205,16 @@ def test_preflight_refuses_before_allocating(monkeypatch):
 
 
 def test_preflight_estimate():
-    # 4 B and 1 bit per odd cell are the arrays a table keeps, and 4 B
+    # 2 B and 1 bit per odd cell are the arrays a table keeps, and 4 B
     # per prime the list its scalar queries build on demand; the
     # estimate adds the ramp and base primes.
-    assert sieve.estimate_table_bytes(10**6) >= 4 * 500_000 + 62_500 + 4 * 78_498
-    assert sieve.estimate_table_bytes(10**8) >= 4 * 5 * 10**7 + 6_250_000 + 4 * 5_761_455
+    assert sieve.estimate_table_bytes(10**6) >= 2 * 500_000 + 62_500 + 4 * 78_498
+    assert sieve.estimate_table_bytes(10**8) >= 2 * 5 * 10**7 + 6_250_000 + 4 * 5_761_455
     assert sieve.estimate_table_bytes(10**8) < 300 << 20
     # pi(x) > x / ln x for x >= 17 (Rosser & Schoenfeld 1962).
     limit = sieve.MAX_LIMIT
     cells = limit // 2
-    assert sieve.estimate_table_bytes(limit) >= 4 * cells + cells // 8 + 4 * limit / log(limit)
+    assert sieve.estimate_table_bytes(limit) >= 2 * cells + cells // 8 + 4 * limit / log(limit)
 
 
 def test_preflight_estimate_bounds_the_build():
@@ -300,6 +300,32 @@ def _assert_matches_trial_division(table, xs):
         assert table.factorize(x) == _trial_factors(x), x
 
 
+def _past_the_cap(limit, seed):
+    """x whose largest factor sits just below, at or past LPF_CAP: 65,521
+    (the last prime below 2^16) and 65,537 (the first above it) times each
+    odd m, the primes just past the cap, 2^a * 65,537, and a seeded
+    sample of [2, limit]."""
+    rng = random.Random(seed)
+    return [
+        *(q * m for q in (65_521, 65_537) for m in range(1, limit // q + 1, 2)),
+        65_537, 65_539, 131_071,
+        *(65_537 << a for a in range(1, (limit // 65_537).bit_length())),
+        *(rng.randrange(2, limit + 1) for _ in range(3_000)),
+    ]
+
+
+def test_scalar_queries_are_exact_past_the_cap(table10m):
+    # The cells hold min(lpf(x), LPF_CAP); the scalar queries read past
+    # the cap through PrimeTable.exact_lpf.
+    for x in _past_the_cap(table10m.limit, 0xCA9):
+        largest = trial_largest_factor(x)
+        assert table10m.largest_prime_factor(x) == largest, x
+        assert table10m.factorize(x) == _trial_factors(x), x
+        if x & 1:
+            assert table10m.odd_entry(x) == (trial_is_prime(x), largest), x
+            assert table10m.odd_lpf[x >> 1] == min(largest, sieve.LPF_CAP), x
+
+
 def test_tables_match_trial_division_exhaustively():
     # Every cell of every doubling segment [2^j, 2^(j+1)) up to 50,000,
     # and every even x between them through the scalar queries; x = limit
@@ -344,13 +370,16 @@ def test_tables_match_trial_division_where_the_split_moves(table10m):
     # c = icbrt(end - 1) + 1 and lets the rest write only their
     # semiprimes: c is 162 for [2^21, 2^22) and 204 for [2^22, 2^23), so
     # a prime in [162, 204) writes semiprimes below 2^22 and strikes
-    # above it.  Every odd x on both sides of that seam.
+    # above it.  Every odd x on both sides of that seam, its capped cell
+    # and its exact largest factor.
     assert [sieve._icbrt(end - 1) + 1 for end in (2**22, 2**23)] == [162, 204]
     lo, hi = 2**22 - 2**13, 2**22 + 2**14
     cells = slice(lo >> 1, hi >> 1)  # odd x = lo + 1, lo + 3, ... < hi
     lpf, primality = table10m.odd_lpf[cells].tolist(), odd_primality(table10m)[cells].tolist()
-    for x, largest, prime in zip(range(lo + 1, hi, 2), lpf, primality):
-        assert largest == trial_largest_factor(x), x
+    for x, capped, prime in zip(range(lo + 1, hi, 2), lpf, primality):
+        largest = trial_largest_factor(x)
+        assert capped == min(largest, sieve.LPF_CAP), x
+        assert table10m.largest_prime_factor(x) == largest, x
         assert prime == trial_is_prime(x), x
 
 
