@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import (
     CoverageError,
@@ -158,12 +159,13 @@ def _scan(table: PrimeTable, inst: Instance):
             f"instance carries p_{inst.k} = {inst.pk}, table says {table.odd_prime(inst.k)}"
         )
     # Each v = n - p_j is odd and lies in [1, n], within the table, so
-    # its entry is read unchecked.  The primes come from a memoryview one
-    # int at a time: a list of goldbach_decompose's 5,761,454 at 10^8
-    # would take ~200 MiB for a walk that stops after a few.
+    # its entry is read unchecked.  The primes come one int at a time from
+    # the memoryviews of the table's chunks: a list of goldbach_decompose's
+    # 5,761,454 at 10^8 would take ~200 MiB for a walk that stops after a few.
     entry = table.odd_entry
     factors = []
-    for j, p in enumerate(table.odd_primes_through(inst.k)[: inst.k].data, start=1):
+    primes = chain.from_iterable(chunk.data for chunk in table.odd_prime_chunks())
+    for j, p in zip(range(1, inst.k + 1), primes):
         v = inst.n - p
         if v == 1:
             return ("unit", j, None)

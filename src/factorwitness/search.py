@@ -611,8 +611,8 @@ def _tail(table: PrimeTable, n: np.ndarray, i: int) -> np.ndarray:
     while act.size:
         if i == odd.size:
             # Rows alive past every odd prime below 2^16 take a doctored
-            # table (the sieve's module docstring); they go on in the full
-            # list, built here on first use.
+            # table (the sieve's module docstring); they go on in every
+            # odd prime of the table, listed here from its bits.
             odd = table.odd_primes_through(i + 1)
             if i == odd.size:
                 first[np.searchsorted(n, act)] = -i
@@ -727,7 +727,7 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     instances = _popcount(masks[:done]) + int(steps.sum()) - done * survivors
     vacuous = size - int(np.count_nonzero(~found))
     deepest = max(done, int(steps.max(initial=0)))  # no row has more instances
-    odd = table.odd_primes_through(deepest)  # the full list only past the small one
+    odd = table.odd_primes_through(deepest)  # listed from the bits only past the small list
     f1 = table.odd_lpf[(lo - 3) >> 1 : (hi - 1) >> 1]  # min(lpf(n - 3), LPF_CAP), in place
 
     # A hit row of s instances is easy exactly when lpf(n - 3) >= bar[s],

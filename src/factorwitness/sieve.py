@@ -58,12 +58,10 @@ Beside the two arrays the table keeps one more, the odd primes below
 SMALL_PRIME_BOUND = 2^16 (6,541 of them, 26 KB), which is all that an
 honest sweep reads: no first hit up to 10^8 lies past p_182 = 1,093, and
 minimal Goldbach primes stay below 9,781 up to 4 * 10^18 (Oliveira e
-Silva, Herzog & Pardi, Math. Comp. 83, 2014).  The list of every prime
-up to the limit (5,761,455 at 10^8, 22 MiB) is built from the primality
-on first use and then kept: by the scalar queries that search it
-(count_odd_primes_below, next_prime, prime_count, and odd_prime past the
-small list), or by a scan that runs past the small list, which takes a
-doctored table.  So a sweep, which compares lpf(n - p_j) only with p_k,
+Silva, Herzog & Pardi, Math. Comp. 83, 2014).  The table's odd primes
+are that list followed by the primes the bits hold from there on, and no
+other copy is kept: the scalar queries past the small list count or
+list the bits.  So a sweep, which compares lpf(n - p_j) only with p_k,
 reads the capped cells as exact; the scalar queries read exact_lpf.
 
 The cofactors and products are uint32, so the supported ceiling is
@@ -78,7 +76,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from math import isqrt, log
 from pathlib import Path
 
@@ -104,8 +102,8 @@ MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # Each wave's base primes and cofactors are gathered from the ramp too,
 # which so must cover MAX_LIMIT / icbrt(MAX_LIMIT) (793,650 odd cells).
 SEGMENT = 1 << 20
-# The table stores the odd primes below this bound; the full prime list
-# is built on demand (module docstring).
+# The table stores the odd primes below this bound; the scalar queries
+# read the primes past it from the bits (module docstring).
 SMALL_PRIME_BOUND = 1 << 16
 # The largest value an odd_lpf cell holds (module docstring).
 LPF_CAP = (1 << 16) - 1
@@ -120,8 +118,6 @@ _PAIR_BYTES = 32
 # and its 8 KiB of bits, where one compare over a segment would allocate
 # 1 MiB.
 _PACK_CELLS = 1 << 16
-# The set bits of each byte value, to count the primes of odd_prime_bits.
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def usable_cpus() -> int:
@@ -149,21 +145,20 @@ def _prime_count_bound(x: int) -> int:
 
 
 def estimate_table_bytes(limit: int) -> int:
-    """Upper estimate of the bytes a table for limit takes, the on-demand
-    prime list included.
+    """Upper estimate of the bytes a table for limit takes.
 
-    2 bytes and 1 bit per odd cell for odd_lpf and odd_prime_bits and 4
-    per prime for the uint32 prime list that the scalar queries build on
-    first use, plus what the sieve holds while it runs: the uint32 ramp
-    of one segment; one wave's base primes and cofactors (uint32; the
-    cofactors run up to limit / icbrt(limit)), the cofactors' cells
-    unpacked to bools (1 B per odd x up to there), and 40 B more for the
-    Python int of a base prime that strikes; and on each of usable_cpus()
-    threads, a segment's five int64 arrays over its large base primes,
-    one scatter of _SCATTER_PAIRS pairs, and one packed compare of
-    _PACK_CELLS cells (bools and bits).  The list's fill runs after the
-    ramp is freed, and the small prime list (26 KB) fits in the bound's
-    slack on pi.
+    2 bytes and 1 bit per odd cell for odd_lpf and odd_prime_bits, plus
+    what the sieve holds while it runs: the uint32 ramp of one segment;
+    one wave's base primes and cofactors (uint32; the cofactors run up
+    to limit / icbrt(limit)), the cofactors' cells unpacked to bools (1 B
+    per odd x up to there), and 40 B more for the Python int of a base
+    prime that strikes; and on each of usable_cpus() threads, a
+    segment's five int64 arrays over its large base primes, one scatter
+    of _SCATTER_PAIRS pairs, and one packed compare of _PACK_CELLS cells
+    (bools and bits).  The small prime list (26 KB) fits in the bound's
+    slack on pi.  A scalar query holds at most one SEGMENT chunk's bools
+    and its primes, less than the ramp, which is freed before the table
+    is returned.
     """
     base = _prime_count_bound(isqrt(limit))
     top = limit // _icbrt(limit)
@@ -171,7 +166,7 @@ def estimate_table_bytes(limit: int) -> int:
     thread = 40 * base + _PAIR_BYTES * _SCATTER_PAIRS + _PACK_CELLS + (_PACK_CELLS >> 3)
     cells = (limit + 1) // 2
     table = 2 * cells + ((cells + 7) >> 3)
-    return table + 4 * _prime_count_bound(limit) + 4 * SEGMENT + wave + usable_cpus() * thread
+    return table + 4 * SEGMENT + wave + usable_cpus() * thread
 
 
 def _read_int(path: Path, key: str | None = None) -> int | None:
@@ -273,9 +268,8 @@ class PrimeTable:
     standing for x = 2j + 1 (module docstring); the scalar queries take
     any x and answer exactly.  small_odd_primes holds the odd primes
     below SMALL_PRIME_BOUND, all of them when the limit is smaller.  The
-    list of every prime up to limit (_primes, and odd_primes, its view
-    past 2) is built from odd_prime_bits on first use and then kept;
-    small_odd_primes is its prefix.
+    table's odd primes are small_odd_primes followed by the primes that
+    odd_prime_bits holds from SMALL_PRIME_BOUND on.
     """
 
     limit: int
@@ -283,37 +277,31 @@ class PrimeTable:
     odd_prime_bits: np.ndarray
     small_odd_primes: np.ndarray
 
-    @cached_property
-    def _primes(self) -> np.ndarray:
-        # uint32, counted and then filled SEGMENT cells at a time:
-        # np.flatnonzero over the whole table would allocate an int64 list
-        # (46 MB at 10^8), and its unpacked bools 50 MB, beside the table.
-        # numpy < 2.0 has no popcount ufunc, so the count reads each
-        # byte's from a table of 256.
-        bits = self.odd_prime_bits
-        count = sum(
-            int(_BYTE_BITS.take(bits[b : b + (SEGMENT >> 3)]).sum())
-            for b in range(0, bits.size, SEGMENT >> 3)
-        )
-        primes = np.empty(count + 1, dtype=np.uint32)
-        primes[0] = 2
-        at = 1
-        for c in range(0, (self.limit + 1) >> 1, SEGMENT):
-            chunk = np.flatnonzero(unpack_bits(bits, c, c + SEGMENT))
-            primes[at : at + chunk.size] = 2 * chunk + (2 * c + 1)
-            at += chunk.size
-        return primes
+    def _chunks(self, stop: int):
+        """(a, flags) for the cells [a, b) of the bits from SMALL_PRIME_BOUND
+        on, below cell stop, split at the multiples of SEGMENT: flags holds
+        their bits unpacked, so a caller holds one chunk's bools at a time."""
+        a, stop = SMALL_PRIME_BOUND >> 1, min(stop, self.odd_lpf.size)
+        while a < stop:
+            b = min(a - a % SEGMENT + SEGMENT, stop)
+            yield a, unpack_bits(self.odd_prime_bits, a, b)
+            a = b
 
-    @property
-    def odd_primes(self) -> np.ndarray:
-        """Every odd prime up to limit, ascending (p_1 = 3)."""
-        return self._primes[1:]
+    def odd_prime_chunks(self):
+        """The table's odd primes, ascending, as uint32 arrays:
+        small_odd_primes, then the primes of each chunk of the bits."""
+        yield self.small_odd_primes
+        for a, flags in self._chunks(self.odd_lpf.size):
+            primes = np.flatnonzero(flags).astype(np.uint32)
+            primes *= 2
+            primes += 2 * a + 1
+            yield primes
 
     def odd_primes_through(self, k: int) -> np.ndarray:
         """The odd primes from p_1 on, through p_k where the table holds
-        k of them: the stored small list when it does, else the full one."""
+        k of them: the stored small list when it does, else every one."""
         small = self.small_odd_primes
-        return small if k <= small.size else self.odd_primes
+        return small if k <= small.size else np.concatenate(list(self.odd_prime_chunks()))
 
     # -- scalar queries -------------------------------------------------
 
@@ -323,17 +311,6 @@ class PrimeTable:
         if x < 2 or x > self.limit:
             raise OutOfRangeError(f"{x} outside table domain [2, {self.limit}]")
 
-    def _needle(self, x: int) -> np.uint32:
-        """x clamped to [0, limit + 1] as a search key for the prime lists.
-
-        A Python int key makes np.searchsorted convert the whole uint32
-        list to int64 on every call (11-70 ms for the odd primes of a 10^8
-        table under numpy 2.4); a uint32 key searches the list in place
-        (under 0.05 ms).  No prime lies outside
-        [2, limit], so the clamp changes no count.
-        """
-        return np.uint32(min(max(int(x), 0), self.limit + 1))
-
     def is_prime(self, x: int) -> bool:
         self._check(x)
         return gather_bits(self.odd_prime_bits, x >> 1) if x & 1 else x == 2
@@ -341,8 +318,10 @@ class PrimeTable:
     def exact_lpf(self, x: int) -> int:
         """The largest prime factor of an odd x in [1, limit], unchecked.
 
-        A cell below LPF_CAP holds it.  A capped x is prime, or x < 65,537^2
-        leaves one prime q >= 65,537 once its small odd primes divide out.
+        A cell below LPF_CAP holds it.  A capped x is prime, or x = q * m
+        with q >= 65,537 (the least prime above the cap) its largest prime
+        factor and every prime factor of m at most x // 65,537: q is left
+        once those small odd primes divide out.
         """
         lpf = self.odd_lpf.item(x >> 1)
         if lpf < LPF_CAP:
@@ -351,6 +330,7 @@ class PrimeTable:
         if gather_bits(self.odd_prime_bits, x >> 1):
             return x
         small = self.small_odd_primes
+        small = small[: small.searchsorted(x // (LPF_CAP + 2), side="right")]
         for p in small[x % small == 0].tolist():
             while x % p == 0:
                 x //= p
@@ -388,31 +368,46 @@ class PrimeTable:
         """Smallest prime strictly greater than the prime p."""
         if not self.is_prime(p):
             raise PreconditionError(f"next_prime needs a prime argument, got {p}")
-        j = int(np.searchsorted(self._primes, self._needle(p), side="right"))
-        if j >= self._primes.size:
-            raise CoverageError(f"no prime above {p} within limit {self.limit}")
-        return int(self._primes[j])
+        p, small = int(p), self.small_odd_primes
+        j = int(small.searchsorted(p, side="right"))
+        if j < small.size:
+            return int(small.item(j))
+        # The bits past p and the small list, in windows that double from
+        # 64 cells, so a call reads about as many bits as the prime gap.
+        a, width, cells = max(p + 2, SMALL_PRIME_BOUND) >> 1, 64, self.odd_lpf.size
+        while a < cells:
+            flags = unpack_bits(self.odd_prime_bits, a, min(a + width, cells))
+            if flags.any():
+                return 2 * (a + int(flags.argmax())) + 1
+            a, width = a + width, 2 * width
+        raise CoverageError(f"no prime above {p} within limit {self.limit}")
 
     # -- odd prime indexing (1-based, p_1 = 3) --------------------------
 
     def odd_prime(self, k: int) -> int:
         if k < 1:
             raise PreconditionError(f"odd prime index must be >= 1, got {k}")
-        odd = self.odd_primes_through(k)
-        if k > odd.size:
-            raise CoverageError(f"odd prime #{k} requested but table holds {odd.size}")
-        return int(odd[k - 1])
+        small = self.small_odd_primes
+        if k <= small.size:
+            return int(small.item(k - 1))
+        held = small.size
+        for a, flags in self._chunks(self.odd_lpf.size):
+            count = int(np.count_nonzero(flags))
+            if k <= held + count:
+                return 2 * (a + int(np.flatnonzero(flags)[k - held - 1])) + 1
+            held += count
+        raise CoverageError(f"odd prime #{k} requested but table holds {held}")
 
     def count_odd_primes_below(self, n: int) -> int:
         """Number of odd primes strictly less than n."""
-        return int(np.searchsorted(self.odd_primes, self._needle(n), side="left"))
+        count = int(self.small_odd_primes.searchsorted(min(max(n, 0), SMALL_PRIME_BOUND)))
+        return count + sum(int(np.count_nonzero(flags)) for _, flags in self._chunks(n >> 1))
 
     def prime_count(self, x: int | None = None) -> int:
         """pi(x): number of primes <= x (defaults to the full table)."""
-        if x is None:
-            return int(self._primes.size)
+        x = self.limit if x is None else x
         self._check(x)
-        return int(np.searchsorted(self._primes, self._needle(x), side="right"))
+        return 1 + self.count_odd_primes_below(int(x) + 1)
 
 
 def _sieve_segment(

@@ -2,15 +2,17 @@
 
 Counterexample, anomaly, and proof-violation paths are unreachable with
 honest numbers in the tested ranges, so tests drive them with tables
-whose primality bits / factor entries / prime list have been deliberately
-falsified.  make_doctored builds such a table without mutating the
+whose primality bits / factor entries / small prime list have been
+deliberately falsified.  make_doctored builds such a table without mutating the
 original (PrimeTable is frozen; arrays are copied on demand).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -83,13 +85,14 @@ def make_doctored(
     not_prime: odd values whose primality bit is forced off (the scan
     will treat them as composite; their lpf entries are untouched).
     lpf_overrides: {odd value: fake_largest_factor}.
-    primes: full replacement for the sorted prime array; used to
-    sabotage next_prime and to cut the scan short.  It seeds both the
-    small list (its odd primes below SMALL_PRIME_BOUND) and the list the
-    table would otherwise build on demand.  Without it both are table's,
-    so a prime whose primality bit is forced off stays in the lists.
-    The table stores odd x only, in cell x >> 1, so an even value is
-    refused.
+    primes: the sorted primes from 2 on whose odd ones below
+    SMALL_PRIME_BOUND replace the small list; used to sabotage
+    next_prime and to cut the scan short.  The table's odd primes then
+    go on with those its bits hold from SMALL_PRIME_BOUND on, so a
+    prime cut from the list stays out of the scan only below that bound.
+    Without it the small list is table's, so a prime whose primality bit
+    is forced off stays in it.  The table stores odd x only, in cell
+    x >> 1, so an even value is refused.
     """
     for x in (*not_prime, *(lpf_overrides or ())):
         if x % 2 == 0:
@@ -100,19 +103,22 @@ def make_doctored(
         lpf = lpf.copy()
         for x, fake in lpf_overrides.items():
             lpf[x >> 1] = fake
+    small = table.small_odd_primes
     if primes is not None:
-        all_primes = np.asarray(primes, dtype=np.int64)
-    else:
-        all_primes = table._primes
-    odd = all_primes[1:]
-    doctored = PrimeTable(
+        odd = np.asarray(primes, dtype=np.uint32)[1:]
+        small = odd[odd < SMALL_PRIME_BOUND]
+    return PrimeTable(
         limit=table.limit,
         odd_lpf=lpf,
         odd_prime_bits=bits,
-        small_odd_primes=odd[odd < SMALL_PRIME_BOUND],
+        small_odd_primes=small,
     )
-    doctored.__dict__["_primes"] = all_primes  # where cached_property keeps it
-    return doctored
+
+
+def holds_only_its_fields(table: PrimeTable) -> bool:
+    """Whether the table's instance dict holds its four fields and nothing
+    else: no query keeps a list or cache beside them."""
+    return list(vars(table)) == [f.name for f in dataclasses.fields(table)]
 
 
 def scalar_first_hits(table: PrimeTable, lo: int, hi: int) -> list[int]:
@@ -121,10 +127,10 @@ def scalar_first_hits(table: PrimeTable, lo: int, hi: int) -> list[int]:
     Row n scans the odd primes below n as goldbach_decompose does and
     records i* = i, or minus the instance count when no n - p_i is prime.
     """
-    odd = table.odd_primes.tolist()
+    odd = table.odd_primes_through(table.count_odd_primes_below(hi)).tolist()
     out = []
     for n in range(lo, hi + 1, 2):
-        scanned = table.count_odd_primes_below(n)
+        scanned = bisect_left(odd, n)
         first = -scanned
         for i in range(scanned):
             if n - odd[i] > 1 and table.is_prime(n - odd[i]):

@@ -650,6 +650,32 @@ def test_stream_bytes_pinned(argv, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == STREAM_HASHES[argv]
 
 
+# The same for the scalar commands past the table's 6,541 stored odd
+# primes: goldbach's count of the odd primes below n, and lemma's p_k and
+# Bertrand step, read the primality bits.
+SCALAR_HASHES = {
+    "goldbach --n 1000000": "5a211370f947af8f",
+    "goldbach --n 10000000": "3a9e81d2f8086302",
+    "lemma --n 1000000 --k 7000": "f8e6f2b1af678b4c",
+    "lemma --n 1000000 --k 78497": "91f73d3752015f07",
+}
+
+
+@pytest.mark.parametrize("argv", list(SCALAR_HASHES))
+def test_scalar_bytes_pinned(argv, capsys):
+    assert run(*argv.split()) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == SCALAR_HASHES[argv]
+
+
+def test_lemma_k_one_past_the_odd_primes_below_n(capsys):
+    # 78,497 odd primes lie below 10^6, the last p_78497 = 999,983.
+    assert run("lemma", "--n", "1000000", "--k", "78498") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "only 78497 odd prime(s) lie below 1000000" in err
+    assert "Traceback" not in err
+
+
 def test_goldbach_output(capsys):
     assert run("goldbach", "--n", "98") == 0
     out = capsys.readouterr().out

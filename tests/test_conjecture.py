@@ -219,7 +219,7 @@ def test_construct_rejects_mismatched_outcome(table1m):
 
 def test_construct_detects_bertrand_failure(table1m):
     # Forge the prime list so the next prime after 5 is 11 (>= 2 * 5).
-    primes = [2, 3, 5] + [p for p in map(int, table1m._primes) if p >= 11]
+    primes = [2, 3, 5] + [p for p in table1m.small_odd_primes.tolist() if p >= 11]
     doctored = make_doctored(table1m, primes=primes)
     inst = make_instance(doctored, 30, 2)
     out = evaluate_instance(doctored, inst)

@@ -59,7 +59,13 @@ from factorwitness.search import (
 from factorwitness.sieve import PrimeTable, build_table, unpack_bits
 
 from conftest import (
-    clear_bits, expand_hits, make_doctored, scalar_first_hits, src_env, table_digests,
+    clear_bits,
+    expand_hits,
+    holds_only_its_fields,
+    make_doctored,
+    scalar_first_hits,
+    src_env,
+    table_digests,
 )
 
 
@@ -204,7 +210,7 @@ def test_canonical_digest(request, fixture):
         assert (sweep.count, sweep.failures, sweep.max_scan) == (
             49_999_998, (), (182, 60_119_912)
         )
-        assert "_primes" not in table.__dict__  # neither built the prime list
+        assert holds_only_its_fields(table)
 
 
 # -- merging ------------------------------------------------------------------
@@ -776,7 +782,8 @@ def unit_at_the_cut():
     # next row hard: 202 first hits at 202 - 11 = 191 (i* = 4), and
     # lpf(202 - 3) = 5 is not above p_3 = 7.
     table = build_table(1_000)
-    partners = [200 - p for p in table.odd_primes.tolist() if p < 199 and table.is_prime(200 - p)]
+    odd = table.small_odd_primes.tolist()
+    partners = [200 - p for p in odd if p < 199 and table.is_prime(200 - p)]
     return make_doctored(table, not_prime=(*partners, 199), lpf_overrides={199: 5})
 
 
@@ -801,7 +808,7 @@ def test_unit_check_reaches_the_deepest_scan(unit_at_the_cut, lo, hi):
 
 def _hidden_partners(table, n, upto):
     """The primes n - p_i, i <= upto: hiding them delays n's first hit past p_upto."""
-    return [n - p for p in table.odd_primes[:upto].tolist() if table.is_prime(n - p)]
+    return [n - p for p in table.small_odd_primes[:upto].tolist() if table.is_prime(n - p)]
 
 
 @pytest.fixture(scope="module")
@@ -847,10 +854,11 @@ def test_hard_rows_at_and_past_the_head_end(hard_rows_past_the_head, lo, hi):
 
 
 def test_no_hit_row_inside_the_head_window(table1m):
-    # With the prime list cut to its first 30 primes the head's 29 steps
-    # take every odd prime, so a row alive after them has no hit: 5000,
-    # whose partners are hidden, among the easy rows of [4800, 5200].
-    small = [int(p) for p in table1m._primes[:30]]
+    # With the small list cut to its first 29 odd primes the head's 29
+    # steps take every odd prime below 2^16, so a row below it alive after
+    # them has no hit: 5000, whose partners are hidden, among the easy
+    # rows of [4800, 5200].
+    small = [2, *table1m.small_odd_primes[:29].tolist()]
     table = make_doctored(
         table1m, primes=small,
         not_prime=[5000 - p for p in small[1:] if table1m.is_prime(5000 - p)],
@@ -1031,7 +1039,7 @@ def test_first_hits_match_scalar_scan_on_every_small_range(table1m):
 
 
 def test_first_hits_match_scalar_scan_across_the_head(table1m, table10m):
-    p_head = int(table1m.odd_primes[HEAD_PRIMES - 1])
+    p_head = int(table1m.small_odd_primes[HEAD_PRIMES - 1])
     assert p_head == 313
     for lo, hi in ((300, 330), (p_head - 1, p_head + 1), (p_head + 1, 5_000), (6, 20_000)):
         got = expand_hits(_first_hits(table1m, lo, hi), lo, hi)
@@ -1041,15 +1049,17 @@ def test_first_hits_match_scalar_scan_across_the_head(table1m, table10m):
 
 
 def test_first_hits_rows_outlive_the_primes_inside_a_tail_chunk(table1m):
-    # Only the 167 odd primes below 1000 are scanned, and every prime of
-    # [99_000, 101_000] is hidden, so about 500 rows stay alive after the
-    # head: too few for single-prime steps, so they run out of primes
-    # inside a chunk of several.
-    hidden = [q for q in range(99_000, 101_001) if table1m.is_prime(q)]
-    small = [int(p) for p in table1m._primes if p < 1000]
+    # Only the 167 odd primes below 1000 are scanned below 2^16, where the
+    # cut small list goes on at 65,537, and every prime of [29_000,
+    # 31_000] is hidden, so about 500 rows stay alive after the head: too
+    # few for single-prime steps, so they run out of primes inside a
+    # chunk of several.
+    hidden = [q for q in range(29_000, 31_001) if table1m.is_prime(q)]
+    small = [2, *table1m.small_odd_primes[:167].tolist()]
+    assert small[-1] == 997
     doctored = make_doctored(table1m, not_prime=hidden, primes=small)
-    got = np.array(expand_hits(_first_hits(doctored, 98_000, 103_000), 98_000, 103_000))
-    assert got.tolist() == scalar_first_hits(doctored, 98_000, 103_000)
+    got = np.array(expand_hits(_first_hits(doctored, 28_000, 33_000), 28_000, 33_000))
+    assert got.tolist() == scalar_first_hits(doctored, 28_000, 33_000)
     assert set(got[got <= 0].tolist()) == {-167}
     assert 400 <= np.count_nonzero(got <= 0) < TAIL_CELLS // 2
 
@@ -1231,13 +1241,14 @@ def test_decompose_range_split_at_block_seams(table1m, monkeypatch):
 
 
 def test_decompose_range_failures_in_two_blocks(table1m, monkeypatch):
-    # Keep only the odd primes below 1000 (every n <= 10^6 has its first
-    # hit by p_98 = 521) and hide every prime in two windows, one in each
-    # of the first two blocks of 10^5 evens.  Only n within 1000 above a window can
-    # fail; the expected failures are rescanned by trial division.
-    windows = ((99_000, 101_000), (299_000, 301_000))
+    # Keep only the odd primes below 1000 in the small list (every n <=
+    # 10^6 has its first hit by p_98 = 521; the list goes on at 65,537)
+    # and hide every prime in two windows below 2^16, one in each of the
+    # first two blocks of 10^4 evens.  Only n within 1000 above a window
+    # can fail; the expected failures are rescanned by trial division.
+    windows = ((9_000, 11_000), (29_000, 31_000))
     hidden = [q for lo, hi in windows for q in range(lo, hi + 1) if table1m.is_prime(q)]
-    small = [int(p) for p in table1m._primes if p < 1000]
+    small = [2, *table1m.small_odd_primes[:167].tolist()]
     doctored = make_doctored(table1m, not_prime=hidden, primes=small)
 
     def visible_prime(v):
@@ -1249,10 +1260,10 @@ def test_decompose_range_failures_in_two_blocks(table1m, monkeypatch):
         for n in range(lo + 4, hi + 1000, 2)
         if not any(visible_prime(n - p) for p in small[1:] if p < n)
     )
-    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 10_000)
     sweep = decompose_range(doctored, 6, 10**6)
     assert sweep.failures == expected
-    span = 200_000
+    span = 20_000
     assert {(n - 6) // span for n in expected} == {0, 1}
     assert sweep.count == 499_998
 
@@ -1307,9 +1318,15 @@ def test_exhaustion_of_prime_list_is_clean():
 # -- the small prime list -----------------------------------------------------
 
 
-def test_honest_sweeps_never_build_the_prime_list():
+def test_honest_sweeps_never_build_the_prime_list(monkeypatch):
     # The sweep reads the odd primes below 2^16 that the table stores;
-    # no honest row scans past them, so none builds the full list.
+    # no honest row scans past them, so none reads the bits past them
+    # as primes (PrimeTable._chunks, which the forked workers inherit
+    # patched).
+    def past_the_small_list(table, stop):
+        raise AssertionError(f"a sweep read the primes below cell {stop}")
+
+    monkeypatch.setattr(PrimeTable, "_chunks", past_the_small_list)
     table = build_table(10**6)
     for workers in (1, 2):
         job = job_for(6, 10**6, table, workers=workers)
@@ -1317,16 +1334,15 @@ def test_honest_sweeps_never_build_the_prime_list():
     assert decompose_range(table, 6, 10**6).max_scan == (98, 503222)
     assert len(enumerate_edge_cases(table, 10**6)) > 0
     assert witness_statistics(table, 10**6).witnessed_count > 0
-    assert "_primes" not in table.__dict__
+    assert holds_only_its_fields(table)
 
 
 def test_scan_past_the_small_prime_list_is_exact():
     # Hide n - p for every odd prime p < 2^16: n = 150,214 then first
-    # hits at p_6570 = 65,777, 29 primes into the full list, which the
-    # sweep must build and read.  The table is built here, not with
-    # make_doctored, so that it starts without its list; the list it
-    # builds from the doctored primality bits lacks the hidden primes, all
-    # at least n - 65,521 = 84,693, far past any prime the span reads.
+    # hits at p_6570 = 65,777, 29 primes past the small list, which the
+    # sweep must list from the bits and read.  The primes it lists from
+    # the doctored primality bits lack the hidden primes, all at least
+    # n - 65,521 = 84,693, far past any prime the span reads.
     n, lo, hi = 150_214, 150_114, 150_314
     table = build_table(hi)
     hidden = {n - p for p in table.small_odd_primes.tolist()}
@@ -1336,18 +1352,15 @@ def test_scan_past_the_small_prime_list_is_exact():
         odd_prime_bits=clear_bits(table.odd_prime_bits, hidden),
         small_odd_primes=table.small_odd_primes,
     )
-    assert "_primes" not in doctored.__dict__
     engine = verify_range(doctored, job_for(lo, hi, doctored))
-    assert "_primes" in doctored.__dict__
     sweep = decompose_range(doctored, lo, hi)
     first = scalar_first_hits(doctored, lo, hi)
     assert expand_hits(_first_hits(doctored, lo, hi), lo, hi) == first
     assert first[(n - lo) // 2] == 6_570 and doctored.odd_prime(6_570) == 65_777
     below = n - 65_521
-    assert np.array_equal(
-        doctored.odd_primes[doctored.odd_primes < below],
-        table.odd_primes[table.odd_primes < below],
-    )
+    odd, honest = doctored.odd_primes_through(6_542), table.odd_primes_through(6_542)
+    assert np.array_equal(odd[odd < below], honest[honest < below])
+    assert holds_only_its_fields(doctored)
 
     # The brute-force oracle, with the same primes hidden from its trial
     # division.

@@ -6,7 +6,6 @@ import random
 import threading
 import tracemalloc
 from bisect import bisect_left, bisect_right
-from math import log
 
 import numpy as np
 import pytest
@@ -25,7 +24,13 @@ from factorwitness.errors import (
 )
 from factorwitness.sieve import SEGMENT, build_table
 
-from conftest import digests, expand_table, odd_primality, table_digests
+from conftest import (
+    digests,
+    expand_table,
+    holds_only_its_fields,
+    odd_primality,
+    table_digests,
+)
 
 # pi(x) reference points; classical values, double-checked against the
 # bytearray oracle sieve in test_bruteforce.
@@ -37,7 +42,7 @@ def test_prime_counts(table1m):
         assert table1m.prime_count(x) == want
     assert table1m.prime_count() == PI[1_000_000]
     # odd primes exclude 2
-    assert table1m.odd_primes.size == PI[1_000_000] - 1
+    assert table1m.count_odd_primes_below(table1m.limit + 1) == PI[1_000_000] - 1
 
 
 def test_small_prime_list(table1m):
@@ -52,22 +57,23 @@ def test_small_prime_list(table1m):
     [(None, 6), (None, 7), (None, 4 * SEGMENT), (None, 4 * SEGMENT + 1), ("table10m", None)],
 )
 def test_prime_list_is_the_primality_mask(request, fixture, limit):
-    # The uint32 list is filled SEGMENT odd cells at a time: a limit of
-    # 4 * SEGMENT fills two whole chunks, one more leaves a last chunk of
-    # one cell.
+    # The odd primes past the small list are listed from the bits in
+    # chunks split at the multiples of SEGMENT odd cells: a limit of 4 *
+    # SEGMENT ends at a seam, one more leaves a last chunk of one cell.
     table = request.getfixturevalue(fixture) if fixture else build_table(limit)
-    assert table._primes.dtype == np.uint32
-    assert np.array_equal(table._primes, np.flatnonzero(expand_table(table)[1]))
-    # The stored small list is the list's prefix below 2^16.
-    odd = table.odd_primes
-    assert table.small_odd_primes.dtype == np.uint32
+    chunks = list(table.odd_prime_chunks())
+    assert all(chunk.dtype == np.uint32 for chunk in chunks)
+    odd = np.concatenate(chunks)
+    assert np.array_equal(odd, np.flatnonzero(expand_table(table)[1])[1:])
+    assert np.array_equal(table.odd_primes_through(odd.size + 1), odd)
+    # The stored small list is its prefix below 2^16.
+    assert chunks[0] is table.small_odd_primes
     assert np.array_equal(table.small_odd_primes, odd[odd < sieve.SMALL_PRIME_BOUND])
 
 
 def test_table_holds_odd_cells_only(table1m):
     # One uint16 capped largest factor and one primality bit per odd x,
-    # and the 6,541 uint32 odd primes below 2^16.  The full prime list, of
-    # which odd_primes is a view, is built on demand and is no field.
+    # and the 6,541 uint32 odd primes below 2^16, and nothing else.
     assert table1m.odd_lpf.dtype == np.uint16 and table1m.odd_prime_bits.dtype == np.uint8
     assert table1m.odd_lpf.size == 8 * table1m.odd_prime_bits.size == 500_000
     assert [f.name for f in dataclasses.fields(table1m)] == [
@@ -75,39 +81,66 @@ def test_table_holds_odd_cells_only(table1m):
     ]
     arrays = (table1m.odd_lpf, table1m.odd_prime_bits, table1m.small_odd_primes)
     assert sum(a.nbytes for a in arrays) == 2 * 500_000 + 62_500 + 4 * 6_541
-    assert table1m.odd_primes.base is table1m._primes
+    assert holds_only_its_fields(table1m)
 
 
 def test_scalar_queries_at_the_small_list_seam():
     # The table keeps p_1 .. p_6541 = 65,521, the odd primes below 2^16,
-    # and builds the full list on first use.  Every query must read the
-    # same on a fresh table, whose first query past the small list builds
-    # the list, and once it is built.
+    # and reads the primes past them from its bits.  Every query must
+    # read the same on both sides of the seam, and keep nothing.
     primes = [x for x in range(2, 66_200) if trial_is_prime(x)]
     odd = primes[1:]
     assert odd[6_540] == 65_521 < sieve.SMALL_PRIME_BOUND < odd[6_541]
     ks = range(6_530, 6_561)
     table = build_table(10**6)
-    assert [table.odd_prime(k) for k in ks[:12]] == odd[6_529:6_541]
-    assert "_primes" not in table.__dict__
-    for _ in ("fresh", "built"):  # the first pass builds it at k = 6,542
-        assert [table.odd_prime(k) for k in ks] == odd[6_529:6_560]
-        assert "_primes" in table.__dict__
+    assert [table.odd_prime(k) for k in ks] == odd[6_529:6_560]
     xs = range(65_000, 66_101)
     want = [
         (bisect_left(odd, x), bisect_right(primes, x),
          primes[bisect_right(primes, x)] if trial_is_prime(x) else None)
         for x in xs
     ]
-    table = build_table(10**6)
-    for _ in ("fresh", "built"):
-        got = [
-            (table.count_odd_primes_below(x), table.prime_count(x),
-             table.next_prime(x) if table.is_prime(x) else None)
-            for x in xs
-        ]
-        assert got == want
-        assert "_primes" in table.__dict__
+    got = [
+        (table.count_odd_primes_below(x), table.prime_count(x),
+         table.next_prime(x) if table.is_prime(x) else None)
+        for x in xs
+    ]
+    assert got == want
+    assert holds_only_its_fields(table)
+
+
+def _seam_values(limit):
+    """x within 3 of 2^16 and of every multiple of 2^21 (the seams of the
+    chunks of SEGMENT odd cells) up to limit."""
+    centres = [sieve.SMALL_PRIME_BOUND, *range(2 * SEGMENT, limit + 1, 2 * SEGMENT)]
+    return [x for c in centres for x in range(c - 3, c + 4) if 2 <= x <= limit]
+
+
+def test_bit_queries_at_the_chunk_seams(table10m, oracle10m):
+    # count_odd_primes_below, prime_count, odd_prime and next_prime read
+    # the bits past the small list chunk by chunk, or in a window past p:
+    # each must match the oracle around every seam a chunk or a window
+    # can cross, and at the last small index and the first past it.
+    table, primes = table10m, oracle10m.primes
+    xs = _seam_values(table.limit)
+    assert len(xs) == 7 * 5
+    for x in xs:
+        assert table.count_odd_primes_below(x) == bisect_left(primes, x) - 1, x
+        assert table.prime_count(x) == bisect_right(primes, x), x
+    ks = {6_541, 6_542}
+    for x in xs:
+        k = bisect_left(primes, x) - 1  # p_k is the last odd prime below x
+        ks.update(range(max(k - 3, 1), k + 4))
+    for k in sorted(ks):
+        assert table.odd_prime(k) == oracle10m.odd_prime(k), k
+        p = oracle10m.odd_prime(k)
+        assert table.next_prime(p) == primes[bisect_right(primes, p)], p
+    # Past a gap of 128 or more next_prime reads a second, wider window:
+    # the gap of 130 after 5,518,687 ends on its first cell.
+    wide = [(p, q) for p, q in zip(primes, primes[1:]) if q - p >= 128]
+    assert len(wide) == 20 and (5_518_687, 5_518_817) in wide
+    assert [table.next_prime(p) for p, _ in wide] == [q for _, q in wide]
+    assert holds_only_its_fields(table)
 
 
 def test_factor_tables_against_trial_division(table1m):
@@ -154,7 +187,7 @@ def test_odd_prime_indexing_errors(table1m):
     with pytest.raises(PreconditionError):
         table1m.odd_prime(0)
     with pytest.raises(CoverageError):
-        table1m.odd_prime(table1m.odd_primes.size + 1)
+        table1m.odd_prime(PI[1_000_000])
 
 
 def test_count_odd_primes_below(table1m):
@@ -164,16 +197,16 @@ def test_count_odd_primes_below(table1m):
     assert table1m.count_odd_primes_below(98) == 24
 
 
-def test_prime_list_searches_match_bisect(table1m):
-    # The uint32 search key is clamped to [0, limit + 1]: values far
-    # outside the table, 2**40 included, must neither wrap nor raise.
-    primes = table1m._primes.tolist()
+def test_prime_list_searches_match_bisect(table1m, oracle1m):
+    # Values far outside the table, 2**40 and negative ones included,
+    # must neither wrap nor raise.
+    primes = oracle1m.primes
     limit = table1m.limit
-    for x in (0, 2, 3, 7919, limit, limit + 1, 2**40):
+    for x in (-5, 0, 2, 3, 7919, 65_536, 65_537, 65_539, limit, limit + 1, 2**40):
         assert table1m.count_odd_primes_below(x) == max(bisect_left(primes, x) - 1, 0), x
         if 2 <= x <= limit:
             assert table1m.prime_count(x) == bisect_right(primes, x), x
-    for p in (2, 3, 7919):
+    for p in (2, 3, 7919, 65_521, 65_537, 999_979):
         assert table1m.next_prime(p) == primes[bisect_right(primes, p)], p
 
 
@@ -205,38 +238,37 @@ def test_preflight_refuses_before_allocating(monkeypatch):
 
 
 def test_preflight_estimate():
-    # 2 B and 1 bit per odd cell are the arrays a table keeps, and 4 B
-    # per prime the list its scalar queries build on demand; the
+    # 2 B and 1 bit per odd cell are the arrays a table keeps; the
     # estimate adds the ramp and base primes.
-    assert sieve.estimate_table_bytes(10**6) >= 2 * 500_000 + 62_500 + 4 * 78_498
-    assert sieve.estimate_table_bytes(10**8) >= 2 * 5 * 10**7 + 6_250_000 + 4 * 5_761_455
-    assert sieve.estimate_table_bytes(10**8) < 300 << 20
-    # pi(x) > x / ln x for x >= 17 (Rosser & Schoenfeld 1962).
+    assert sieve.estimate_table_bytes(10**6) >= 2 * 500_000 + 62_500
+    assert sieve.estimate_table_bytes(10**8) >= 2 * 5 * 10**7 + 6_250_000
+    # No list of every prime (5,761,455 below 10^8) is counted.
+    assert sieve.estimate_table_bytes(10**8) < 2 * 5 * 10**7 + 6_250_000 + 4 * 5_761_455
     limit = sieve.MAX_LIMIT
     cells = limit // 2
-    assert sieve.estimate_table_bytes(limit) >= 2 * cells + cells // 8 + 4 * limit / log(limit)
+    assert sieve.estimate_table_bytes(limit) >= 2 * cells + cells // 8
 
 
 def test_preflight_estimate_bounds_the_build():
     # Past the first wave of two segments, so that tracemalloc also sees
-    # what the pool's threads allocate.  The build makes no prime list,
-    # so it must fit the estimate less the list's 4 B per prime: 1 MiB
-    # above the tables and the 4 MiB ramp, which so must not outlive the
-    # waves into any larger allocation.  The list, built on first use
-    # after the ramp is freed, must fit the whole estimate.
+    # what the pool's threads allocate.  The build must fit the estimate:
+    # 1 MiB above the tables and the 4 MiB ramp, which so must not outlive
+    # the waves into any larger allocation.  The scalar queries past the
+    # small list, run after the ramp is freed, must fit it too.
     limit = 2**23 + 1
-    list_bytes = 4 * (int(1.25506 * limit / log(limit)) + 1)
     tracemalloc.start()
     try:
         table = build_table(limit)
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        table.odd_primes
-        list_peak = tracemalloc.get_traced_memory()[1]
+        count = table.count_odd_primes_below(limit + 1)
+        table.odd_prime(count)
+        table.next_prime(table.odd_prime(count - 1))
+        query_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert build_peak <= sieve.estimate_table_bytes(limit) - list_bytes
-    assert list_peak <= sieve.estimate_table_bytes(limit)
+    assert build_peak <= sieve.estimate_table_bytes(limit)
+    assert query_peak <= sieve.estimate_table_bytes(limit)
 
 
 def test_memory_file_reader(tmp_path):
@@ -324,6 +356,21 @@ def test_scalar_queries_are_exact_past_the_cap(table10m):
         if x & 1:
             assert table10m.odd_entry(x) == (trial_is_prime(x), largest), x
             assert table10m.odd_lpf[x >> 1] == min(largest, sieve.LPF_CAP), x
+
+
+def test_exact_lpf_divides_by_the_primes_through_x_over_65537(table10m):
+    # A capped composite x is q * m with q >= 65,537 (the least prime
+    # above the cap), so every prime factor of m is at most x // 65,537:
+    # exact_lpf divides x by those small primes only, that bound
+    # included.  For 65,537 * 151 the bound is 151 itself.
+    x = 65_537 * 151
+    assert x == 9_896_087 and x // 65_537 == 151
+    assert table10m.odd_lpf[x >> 1] == sieve.LPF_CAP
+    assert table10m.exact_lpf(x) == 65_537
+    assert table10m.exact_lpf(65_537 * 3**4) == 65_537
+    # A capped prime is its own largest factor, from its bit.
+    assert table10m.odd_lpf[9_999_991 >> 1] == sieve.LPF_CAP
+    assert table10m.exact_lpf(9_999_991) == 9_999_991 == trial_largest_factor(9_999_991)
 
 
 def test_tables_match_trial_division_exhaustively():
@@ -469,7 +516,7 @@ def test_wave_seams_are_prefixes(limit, table10m):
     cells = (limit + 1) // 2
     assert np.array_equal(table.odd_lpf, table10m.odd_lpf[:cells])
     assert np.array_equal(odd_primality(table), odd_primality(table10m)[:cells])
-    assert np.array_equal(table._primes, table10m._primes[: table._primes.size])
+    assert table.prime_count() == table10m.prime_count(limit)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -565,5 +612,6 @@ def test_table_is_a_prefix_of_a_larger_one(limit, table50k):
     cells = (limit + 1) // 2
     assert np.array_equal(table.odd_lpf, table50k.odd_lpf[:cells])
     assert np.array_equal(odd_primality(table), odd_primality(table50k)[:cells])
-    assert np.array_equal(table._primes, table50k._primes[: table._primes.size])
-    assert table._primes.size == table50k.prime_count(limit)
+    small = table.small_odd_primes
+    assert np.array_equal(small, table50k.small_odd_primes[: small.size])
+    assert table.prime_count() == table50k.prime_count(limit)
