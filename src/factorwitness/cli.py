@@ -22,7 +22,7 @@ Exit codes:
 Every subcommand sizes its prime table by its request: the largest n it
 uses (selftest by its own --limit).  Before allocating, the table build
 compares its estimated bytes (2 bytes and 1 bit per odd integer, about
-1.06 per integer, plus segment scratch; about 2,033 MiB at --max
+1.06 per integer, plus build or query scratch; about 2,031 MiB at --max
 2000000000) with the memory available to the process (MemAvailable, or
 a smaller cgroup v1 or v2 limit) and refuses with exit 2 if the table
 would not fit.  goldbach and lemma refuse an n below 6,

@@ -144,20 +144,16 @@ class DescentTrace:
     q: int
 
 
-def _scan(table: PrimeTable, inst: Instance):
-    """Walk i = 1..k; classify the raw shape of the instance.
+def _scan(table: PrimeTable, n: int, k: int):
+    """Walk i = 1..k; classify the raw shape of the instance (n, k).
 
     Returns one of
       ("prime", i, n - p_i)   first i where n - p_i is prime
       ("unit", i)             first i where n - p_i == 1
       ("factors", [f_1..f_k]) no prime and no unit; f_i = lpf(n - p_i)
     """
-    if inst.n > table.limit:
-        raise CoverageError(f"n={inst.n} exceeds table limit {table.limit}")
-    if table.odd_prime(inst.k) != inst.pk:
-        raise PreconditionError(
-            f"instance carries p_{inst.k} = {inst.pk}, table says {table.odd_prime(inst.k)}"
-        )
+    if n > table.limit:
+        raise CoverageError(f"n={n} exceeds table limit {table.limit}")
     # Each v = n - p_j is odd and lies in [1, n], within the table, so
     # its entry is read unchecked.  The primes come one int at a time from
     # the memoryviews of the table's chunks: a list of goldbach_decompose's
@@ -165,8 +161,8 @@ def _scan(table: PrimeTable, inst: Instance):
     entry = table.odd_entry
     factors = []
     primes = chain.from_iterable(chunk.data for chunk in table.odd_prime_chunks())
-    for j, p in zip(range(1, inst.k + 1), primes):
-        v = inst.n - p
+    for j, p in zip(range(1, k + 1), primes):
+        v = n - p
         if v == 1:
             return ("unit", j, None)
         prime, lpf = entry(v)
@@ -176,9 +172,17 @@ def _scan(table: PrimeTable, inst: Instance):
     return ("factors", None, factors)
 
 
+def _scan_instance(table: PrimeTable, inst: Instance):
+    """_scan of inst, refused when the p_k it carries is not the table's."""
+    pk = table.odd_prime(inst.k)
+    if pk != inst.pk:
+        raise PreconditionError(f"instance carries p_{inst.k} = {inst.pk}, table says {pk}")
+    return _scan(table, inst.n, inst.k)
+
+
 def evaluate_instance(table: PrimeTable, inst: Instance) -> InstanceOutcome:
     """Classify one instance.  See the module docstring for the buckets."""
-    shape, j, payload = _scan(table, inst)
+    shape, j, payload = _scan_instance(table, inst)
     if shape == "prime":
         return InstanceOutcome(kind=OutcomeKind.VACUOUS, i=j, prime_hit=payload)
     if shape == "unit":
@@ -206,7 +210,7 @@ def first_witness_index(table: PrimeTable, inst: Instance) -> int | None:
     the >= here: for statistics the equality hit counts as a witness
     position even when a later index beats the bound strictly.
     """
-    shape, _, factors = _scan(table, inst)
+    shape, _, factors = _scan_instance(table, inst)
     if shape != "factors":
         return None
     for ix, f in enumerate(factors, start=1):
@@ -246,7 +250,7 @@ def classify_equality(table: PrimeTable, inst: Instance) -> EdgeCaseRecord:
 
     Precondition: the instance actually evaluates to WITNESS_EQUAL.
     """
-    shape, _, factors = _scan(table, inst)
+    shape, _, factors = _scan_instance(table, inst)
     if shape != "factors" or max(factors) != inst.pk:
         raise PreconditionError(
             f"(n={inst.n}, k={inst.k}) is not an equality case"
@@ -349,7 +353,7 @@ def goldbach_decompose(table: PrimeTable, n: int, verify: bool = False) -> Desce
     if n > table.limit:
         raise CoverageError(f"n={n} exceeds table limit {table.limit}")
     scanned = table.count_odd_primes_below(n)
-    shape, i, q = _scan(table, make_instance(table, n, scanned))
+    shape, i, q = _scan(table, n, scanned)
     if shape == "prime":
         p = n - q
         if verify and not (_td_prime(p) and _td_prime(q) and p + q == n):

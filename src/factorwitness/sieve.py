@@ -9,9 +9,10 @@ cell j = (x - 1) / 2 of two arrays:
   * odd_prime_bits -- whether x is prime, one bit per cell: bit j & 7 of
     byte j >> 3, in little bit order, the bits past the last cell clear
     (6.0 MiB at 10^8, where a bool per cell took 47.7 MiB).  Readers
-    go through unpack_bits, which unpacks a cell range to bools, or
-    gather_bits, which reads the bits of given cells; the sweep's head
-    reads a window of the bytes itself.
+    go through unpack_bits, which unpacks a cell range to bools,
+    gather_bits, which reads the bits of given cells, or list_primes,
+    which lists the primes of a cell range; the sweep's head reads a
+    window of the bytes itself.
 
 Only odd x are stored, the wheel of 2 (Pritchard, Acta Inf. 17, 1982),
 because the scan reads only the odd values n - p_i.  The scalar
@@ -31,7 +32,7 @@ cells); every other wave runs on the calling thread, so a table below
 before build_table returns.
 
 Each cell of a segment starts at 0.  The odd base primes p (p*p < hi,
-read from the finished primality; all below LPF_CAP) split at c =
+listed from the finished bits; all below LPF_CAP) split at c =
 icbrt(end - 1) + 1 of their wave [L, end), so that c**3 > end - 1.  Each
 p below c strikes its odd multiples x = p*m >= p*p with lpf(x) = max(p,
 lpf(m)), one ufunc per prime that writes every p-th cell and reads the
@@ -42,9 +43,9 @@ order.  A composite x < end whose least prime factor p is at least c is
 p*q with q prime and q >= p, so lpf(x) = q; every other multiple of such
 a p has a prime factor below c, whose strike writes it.  So each p >= c
 writes only its semiprimes, with q from the wave's list of odd primes
-below end / c < L (its cofactors): a gather and a scatter of min(q,
-LPF_CAP) of at most _SCATTER_PAIRS (p, q) pairs at a time, so a thread
-holds about 0.1 MiB of index arrays at any limit.  At 10^8 those primes
+below end / c < L (its cofactors, listed likewise): a gather and a
+scatter of min(q, LPF_CAP) of at most _SCATTER_PAIRS (p, q) pairs at a
+time, so a thread holds about 0.1 MiB of index arrays at any limit.  At 10^8 those primes
 write 3,764,915 cells in 955 scatters, where striking took 38,570 ufuncs
 over 19,100,976 cells, each write at a stride of 2p bytes and so mostly
 a cache miss.  So every odd composite cell is written, and an odd x is
@@ -61,8 +62,9 @@ minimal Goldbach primes stay below 9,781 up to 4 * 10^18 (Oliveira e
 Silva, Herzog & Pardi, Math. Comp. 83, 2014).  The table's odd primes
 are that list followed by the primes the bits hold from there on, and no
 other copy is kept: the scalar queries past the small list count or
-list the bits.  So a sweep, which compares lpf(n - p_j) only with p_k,
-reads the capped cells as exact; the scalar queries read exact_lpf.
+list the bits, one chunk of SEGMENT cells at a time.  So a sweep, which
+compares lpf(n - p_j) only with p_k, reads the capped cells as exact;
+the scalar queries read exact_lpf.
 
 The cofactors and products are uint32, so the supported ceiling is
 bounded by 2**32 - 1; the practical ceiling here is memory (2 bytes and
@@ -87,20 +89,7 @@ from .errors import ConfigurationError, CoverageError, OutOfRangeError, Precondi
 MIN_LIMIT = 6
 MAX_LIMIT = 2_000_000_000  # uint32-safe with headroom; memory runs out first
 # Odd cells per sieve segment once the doubling start is past (2 * SEGMENT
-# integers), and the length of the uint32 ramp that the build reads x
-# from.  The 4 MiB ramp, freed when the build ends, also lifts glibc's
-# dynamic mmap threshold above the sweep's per-span arrays (the largest,
-# the head's 65 masks of a 2^18-row span, 2.0 MiB), which so reuse heap
-# pages.  The 1-worker [6, 10^7] verify_range after build_table(10**7)
-# took 662-802 minor faults and 0.05-0.08 s; with SEGMENT = 1 << 19 (a
-# 2 MiB ramp, below the masks) or 1 << 18 (1 MiB) 861 faults and
-# 0.06-0.09 s (3 processes each, getrusage around verify_range, 2-vCPU
-# Xeon VM).  While build_table also filled the full prime list (2.6 MB
-# at 10^7) the sweep took 183-249 faults, and it takes 183 when the list
-# is built before it: likely the list, left on the heap, keeps glibc from
-# trimming the pages that the sweep's spans then reuse (not traced).
-# Each wave's base primes and cofactors are gathered from the ramp too,
-# which so must cover MAX_LIMIT / icbrt(MAX_LIMIT) (793,650 odd cells).
+# integers), and per chunk of the scalar queries that read the bits.
 SEGMENT = 1 << 20
 # The table stores the odd primes below this bound; the scalar queries
 # read the primes past it from the bits (module docstring).
@@ -148,25 +137,28 @@ def estimate_table_bytes(limit: int) -> int:
     """Upper estimate of the bytes a table for limit takes.
 
     2 bytes and 1 bit per odd cell for odd_lpf and odd_prime_bits, plus
-    what the sieve holds while it runs: the uint32 ramp of one segment;
-    one wave's base primes and cofactors (uint32; the cofactors run up
-    to limit / icbrt(limit)), the cofactors' cells unpacked to bools (1 B
-    per odd x up to there), and 40 B more for the Python int of a base
-    prime that strikes; and on each of usable_cpus() threads, a
-    segment's five int64 arrays over its large base primes, one scatter
-    of _SCATTER_PAIRS pairs, and one packed compare of _PACK_CELLS cells
-    (bools and bits).  The small prime list (26 KB) fits in the bound's
-    slack on pi.  A scalar query holds at most one SEGMENT chunk's bools
-    and its primes, less than the ramp, which is freed before the table
-    is returned.
+    the larger of two transients.  The build's: one wave's base primes
+    and cofactors (the cofactors run up to limit / icbrt(limit)) as
+    list_primes lists them, 12 B each (the int64 cells and their uint32
+    copy), the cofactors' cells unpacked to bools (1 B per odd x up to
+    there), and 40 B more for the Python int of a base prime that
+    strikes; and on each of usable_cpus() threads, a segment's five
+    int64 arrays over its large base primes, one scatter of
+    _SCATTER_PAIRS pairs, and one packed compare of _PACK_CELLS cells
+    (bools and bits).  A scalar query's past the small list: one
+    SEGMENT chunk's bools and its primes as listed, at most 2y / ln y
+    of the y = 2 * SEGMENT integers the chunk spans (Brun-Titchmarsh as
+    Montgomery & Vaughan, Mathematika 20, 1973, proved it).  The small
+    prime list (26 KB) fits in the bound's slack on pi.
     """
     base = _prime_count_bound(isqrt(limit))
     top = limit // _icbrt(limit)
-    wave = 44 * base + 4 * _prime_count_bound(top) + (top >> 1) + 16
+    wave = 52 * base + 12 * _prime_count_bound(top) + (top >> 1) + 16
     thread = 40 * base + _PAIR_BYTES * _SCATTER_PAIRS + _PACK_CELLS + (_PACK_CELLS >> 3)
+    query = SEGMENT + 12 * int(4 * SEGMENT / log(2 * SEGMENT))
     cells = (limit + 1) // 2
     table = 2 * cells + ((cells + 7) >> 3)
-    return table + 4 * SEGMENT + wave + usable_cpus() * thread
+    return table + max(wave + usable_cpus() * thread, query)
 
 
 def _read_int(path: Path, key: str | None = None) -> int | None:
@@ -259,6 +251,15 @@ def gather_bits(bits: np.ndarray, cells):
     return bool(bits.item(cells >> 3) >> (cells & 7) & 1)
 
 
+def list_primes(bits: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The x = 2j + 1 of the set cells j of start .. stop - 1 of a packed
+    primality bit array (as unpack_bits reads them), ascending, uint32."""
+    primes = np.flatnonzero(unpack_bits(bits, start, stop)).astype(np.uint32)
+    primes *= 2
+    primes += 2 * start + 1
+    return primes
+
+
 @dataclass(frozen=True)
 class PrimeTable:
     """Immutable primality and factor tables for integers in [2, limit].
@@ -278,24 +279,21 @@ class PrimeTable:
     small_odd_primes: np.ndarray
 
     def _chunks(self, stop: int):
-        """(a, flags) for the cells [a, b) of the bits from SMALL_PRIME_BOUND
-        on, below cell stop, split at the multiples of SEGMENT: flags holds
-        their bits unpacked, so a caller holds one chunk's bools at a time."""
+        """The cell ranges [a, b) of the bits from SMALL_PRIME_BOUND on,
+        below cell stop, split at the multiples of SEGMENT, so a caller
+        unpacks one chunk's bools at a time."""
         a, stop = SMALL_PRIME_BOUND >> 1, min(stop, self.odd_lpf.size)
         while a < stop:
             b = min(a - a % SEGMENT + SEGMENT, stop)
-            yield a, unpack_bits(self.odd_prime_bits, a, b)
+            yield a, b
             a = b
 
     def odd_prime_chunks(self):
         """The table's odd primes, ascending, as uint32 arrays:
         small_odd_primes, then the primes of each chunk of the bits."""
         yield self.small_odd_primes
-        for a, flags in self._chunks(self.odd_lpf.size):
-            primes = np.flatnonzero(flags).astype(np.uint32)
-            primes *= 2
-            primes += 2 * a + 1
-            yield primes
+        for a, b in self._chunks(self.odd_lpf.size):
+            yield list_primes(self.odd_prime_bits, a, b)
 
     def odd_primes_through(self, k: int) -> np.ndarray:
         """The odd primes from p_1 on, through p_k where the table holds
@@ -391,17 +389,20 @@ class PrimeTable:
         if k <= small.size:
             return int(small.item(k - 1))
         held = small.size
-        for a, flags in self._chunks(self.odd_lpf.size):
-            count = int(np.count_nonzero(flags))
+        for a, b in self._chunks(self.odd_lpf.size):
+            count = int(np.count_nonzero(unpack_bits(self.odd_prime_bits, a, b)))
             if k <= held + count:
-                return 2 * (a + int(np.flatnonzero(flags)[k - held - 1])) + 1
+                return int(list_primes(self.odd_prime_bits, a, b)[k - held - 1])
             held += count
         raise CoverageError(f"odd prime #{k} requested but table holds {held}")
 
     def count_odd_primes_below(self, n: int) -> int:
         """Number of odd primes strictly less than n."""
         count = int(self.small_odd_primes.searchsorted(min(max(n, 0), SMALL_PRIME_BOUND)))
-        return count + sum(int(np.count_nonzero(flags)) for _, flags in self._chunks(n >> 1))
+        bits = self.odd_prime_bits
+        return count + sum(
+            int(np.count_nonzero(unpack_bits(bits, a, b))) for a, b in self._chunks(n >> 1)
+        )
 
     def prime_count(self, x: int | None = None) -> int:
         """pi(x): number of primes <= x (defaults to the full table)."""
@@ -413,7 +414,6 @@ class PrimeTable:
 def _sieve_segment(
     odd_lpf: np.ndarray,
     odd_prime_bits: np.ndarray,
-    ramp: np.ndarray,
     small: list[int],
     large: np.ndarray,
     cofactors: np.ndarray,
@@ -422,7 +422,7 @@ def _sieve_segment(
 ) -> None:
     """Fill the odd cells of [lo, hi), reading only cells below lo.
 
-    Needs lo even, hi <= 2*lo and ramp[k] = 2k for k < min(hi / 2, _PACK_CELLS).
+    Needs lo even and hi <= 2*lo.
     The odd primes p with p*p < hi come split at some c with c**3 >= hi:
     small holds those below c, which strike, and large (uint32,
     ascending) the rest, which write only their semiprimes; cofactors
@@ -470,7 +470,8 @@ def _sieve_segment(
     # is that cell itself from lo = 16 on, and is or-ed in: the bits of
     # cells below lo stay.  Then each prime cell takes min(x, LPF_CAP): a
     # subtract of the flags once every x of the chunk is past the cap (0
-    # - 1 wraps to LPF_CAP): 11 us a chunk, where a masked store took 80.
+    # - 1 wraps to LPF_CAP): 11 us a chunk, where a masked store took 80;
+    # a chunk that starts below the cap takes a masked store of its x.
     stop = hi >> 1
     for c in range((lo >> 1) & ~7, stop, _PACK_CELLS):
         chunk = odd_lpf[c : min(c + _PACK_CELLS, stop)]
@@ -481,20 +482,11 @@ def _sieve_segment(
         if 2 * c + 1 > LPF_CAP:
             np.subtract(chunk, flags.view(np.uint8), out=chunk)
         else:
-            x = np.minimum(ramp[: chunk.size] + (2 * c + 1), LPF_CAP)
+            x = np.minimum(np.arange(2 * c + 1, 2 * (c + chunk.size), 2), LPF_CAP)
             np.copyto(chunk, x, casting="unsafe", where=flags)
 
 
-def _odd_primes_through(odd_prime_bits: np.ndarray, ramp: np.ndarray, x: int) -> np.ndarray:
-    """The odd primes up to x, uint32, from odd_prime_bits's cells 1 (x = 3)
-    on, gathered from ramp[k] = 2k, which must hold one entry per cell."""
-    cells = unpack_bits(odd_prime_bits, 1, (x + 1) >> 1)
-    primes = ramp[: cells.size][cells]
-    primes += 3
-    return primes
-
-
-def _wave(odd_lpf: np.ndarray, odd_prime_bits: np.ndarray, ramp: np.ndarray, end: int) -> partial:
+def _wave(odd_lpf: np.ndarray, odd_prime_bits: np.ndarray, end: int) -> partial:
     """_sieve_segment bound to the base primes of a wave that ends at end.
 
     The odd primes up to isqrt(end - 1) split at c = icbrt(end - 1) + 1,
@@ -502,11 +494,11 @@ def _wave(odd_lpf: np.ndarray, odd_prime_bits: np.ndarray, ramp: np.ndarray, end
     end / 2, lie below the wave, in finished cells.
     """
     c = _icbrt(end - 1) + 1
-    base = _odd_primes_through(odd_prime_bits, ramp, isqrt(end - 1))
+    base = list_primes(odd_prime_bits, 1, (isqrt(end - 1) + 1) >> 1)
     split = int(np.searchsorted(base, c))
-    cofactors = _odd_primes_through(odd_prime_bits, ramp, (end - 1) // c)
+    cofactors = list_primes(odd_prime_bits, 1, ((end - 1) // c + 1) >> 1)
     small, large = base[:split].tolist(), base[split:]
-    return partial(_sieve_segment, odd_lpf, odd_prime_bits, ramp, small, large, cofactors)
+    return partial(_sieve_segment, odd_lpf, odd_prime_bits, small, large, cofactors)
 
 
 def build_table(limit: int) -> PrimeTable:
@@ -527,7 +519,6 @@ def build_table(limit: int) -> PrimeTable:
     odd_lpf[0] = 1  # x = 1, which no segment covers
     odd_prime_bits = np.zeros((cells + 7) >> 3, dtype=np.uint8)
     step = 2 * SEGMENT
-    ramp = np.arange(0, min(step, limit + 1), 2, dtype=np.uint32)
     threads = usable_cpus()
     with ThreadPoolExecutor(threads) as pool:
         lo = 2
@@ -538,13 +529,11 @@ def build_table(limit: int) -> PrimeTable:
             starts = range(lo, end, step)
             ends = [*starts[1:], end]  # each segment ends where the next starts
             run = pool.map if threads > 1 and len(starts) > 1 else map
-            list(run(_wave(odd_lpf, odd_prime_bits, ramp, end), starts, ends))
+            list(run(_wave(odd_lpf, odd_prime_bits, end), starts, ends))
             lo = end
-    small = _odd_primes_through(odd_prime_bits, ramp, min(limit, SMALL_PRIME_BOUND - 1))
-    del ramp
     return PrimeTable(
         limit=limit,
         odd_lpf=odd_lpf,
         odd_prime_bits=odd_prime_bits,
-        small_odd_primes=small,
+        small_odd_primes=list_primes(odd_prime_bits, 1, min(cells, SMALL_PRIME_BOUND >> 1)),
     )

@@ -140,6 +140,23 @@ def test_bit_queries_at_the_chunk_seams(table10m, oracle10m):
     wide = [(p, q) for p, q in zip(primes, primes[1:]) if q - p >= 128]
     assert len(wide) == 20 and (5_518_687, 5_518_817) in wide
     assert [table.next_prime(p) for p, _ in wide] == [q for _, q in wide]
+    # list_primes, which lists the primes of a chunk, of a wave's base
+    # primes and cofactors and of the small list, over every cell range
+    # that starts within 3 cells of one seam (the table's first cell, the
+    # small list's end at cell 2^15, a multiple of SEGMENT) and ends
+    # within 3 cells of it or of the next one (the last the table's end).
+    odd = np.array(oracle10m.odd_primes, dtype=np.uint32)
+    cells = table.odd_lpf.size
+    centres = [0, sieve.SMALL_PRIME_BOUND >> 1, *range(SEGMENT, cells, SEGMENT), cells]
+    near = [[j for j in range(c - 3, c + 4) if 0 <= j <= cells] for c in centres]
+    ranges = [
+        (a, b) for here, there in zip(near, near[1:]) for a in here for b in here + there if a <= b
+    ]
+    assert len(centres) == 7 and len(ranges) == 402
+    for a, b in ranges:
+        got = sieve.list_primes(table.odd_prime_bits, a, b)
+        want = odd[odd.searchsorted(2 * a + 1) : odd.searchsorted(2 * b + 1)]
+        assert got.dtype == np.uint32 and np.array_equal(got, want), (a, b)
     assert holds_only_its_fields(table)
 
 
@@ -239,7 +256,7 @@ def test_preflight_refuses_before_allocating(monkeypatch):
 
 def test_preflight_estimate():
     # 2 B and 1 bit per odd cell are the arrays a table keeps; the
-    # estimate adds the ramp and base primes.
+    # estimate adds the build's or a scalar query's scratch.
     assert sieve.estimate_table_bytes(10**6) >= 2 * 500_000 + 62_500
     assert sieve.estimate_table_bytes(10**8) >= 2 * 5 * 10**7 + 6_250_000
     # No list of every prime (5,761,455 below 10^8) is counted.
@@ -251,10 +268,9 @@ def test_preflight_estimate():
 
 def test_preflight_estimate_bounds_the_build():
     # Past the first wave of two segments, so that tracemalloc also sees
-    # what the pool's threads allocate.  The build must fit the estimate:
-    # 1 MiB above the tables and the 4 MiB ramp, which so must not outlive
-    # the waves into any larger allocation.  The scalar queries past the
-    # small list, run after the ramp is freed, must fit it too.
+    # what the pool's threads allocate.  The build must fit the estimate,
+    # and so must the scalar queries past the small list, which unpack
+    # and list one chunk of SEGMENT cells at a time.
     limit = 2**23 + 1
     tracemalloc.start()
     try:
@@ -403,13 +419,6 @@ def test_icbrt():
     for n in [*range(10_000), *(c**3 + d for c in range(22, 1300) for d in (-1, 0, 1))]:
         r = sieve._icbrt(n)
         assert r**3 <= n < (r + 1) ** 3, n
-
-
-def test_ramp_covers_the_last_wave_lists():
-    # The cofactors of the wave that ends at MAX_LIMIT + 1, the longest
-    # list gathered from the ramp, take this many odd cells from x = 3 on.
-    c = sieve._icbrt(sieve.MAX_LIMIT) + 1
-    assert ((sieve.MAX_LIMIT // c + 1) >> 1) - 1 <= SEGMENT
 
 
 def test_tables_match_trial_division_where_the_split_moves(table10m):
