@@ -23,6 +23,7 @@ from factorwitness.errors import (
     PreconditionError,
     ProofViolationError,
 )
+from factorwitness.sieve import PrimeTable
 
 from conftest import make_doctored
 
@@ -270,6 +271,23 @@ def test_goldbach_spot_values(table1m):
         assert (tr.p, tr.q, tr.i) == (p, q, i)
         assert tr.p + tr.q == n
     assert goldbach_decompose(table1m, 98).scanned == 24
+
+
+def test_goldbach_reads_the_bits_once(table1m, monkeypatch):
+    # The descent counts the odd primes below n from the bits past the
+    # small list, and then walks the stored small list only: it neither
+    # finds p_K nor lists a chunk of the bits.
+    reads = []
+    chunks = PrimeTable._chunks
+
+    def counted(table, stop):
+        reads.append(stop)
+        return chunks(table, stop)
+
+    monkeypatch.setattr(PrimeTable, "_chunks", counted)
+    tr = goldbach_decompose(table1m, 999_998, verify=True)
+    assert (tr.p, tr.q, tr.scanned) == (19, 999_979, 78_497)
+    assert reads == [999_998 >> 1]
 
 
 def test_goldbach_validation(table1m):
