@@ -14,12 +14,21 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+
+# CPython's built-in sha256, as its random module takes _sha512: hashlib
+# would load OpenSSL's libcrypto, 3.57 MiB resident beside numpy.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .conjecture import DescentTrace, LemmaTrace
 from .errors import ReportFormatError, ReportWriteError
@@ -221,7 +230,7 @@ def canonical_bytes(summary: RangeSummary) -> bytes:
 
 
 def summary_digest(summary: RangeSummary) -> str:
-    return hashlib.sha256(canonical_bytes(summary)).hexdigest()
+    return sha256(canonical_bytes(summary)).hexdigest()
 
 
 # ---------------------------------------------------------------------------

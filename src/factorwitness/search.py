@@ -71,13 +71,18 @@ evens, at least 2^18, the one unit of work: one task, serial or pooled,
 runs both phases once over a span and yields a RangeSummary of its
 range, and spans are merged (merge_summaries) strictly in ascending
 order whatever the worker count, so summaries and their digests are
-worker-count independent.  A pool forks W = min(workers, spans) children,
-which share the table copy-on-write; child w pipes back spans w, w + W,
-..., so the parent reads span i from child i mod W.  The checkpoint is
-saved after every merged span and holds the summary of the covered
-prefix [n_min, x], so a resume restarts at x + 2 with any block size or
-worker count, and a requested stop or a fail-fast error leaves the
-prefix through the span it stopped on.
+worker-count independent.  A pool of W = min(workers, spans) workers has
+the caller as worker 0: it sweeps the spans i = 0 (mod W) itself and
+forks W - 1 children, which share the table copy-on-write; child w pipes
+back spans w, w + W, ..., so the caller reads span i from child i mod W.
+A forked child starts cold: its first span of [6, 10^7] took 10.7-15.5
+ms against about 2 ms warm, with about 1,450 minor faults of
+copy-on-write and fresh scratch.  So the caller's own spans cost no
+fork and no cold start.  The checkpoint is saved after every merged
+span and holds the summary of the covered prefix [n_min, x], so a
+resume restarts at x + 2 with any block size or worker count, and a
+requested stop or a fail-fast error leaves the prefix through the span
+it stopped on.
 """
 
 from __future__ import annotations
@@ -975,7 +980,9 @@ def verify_range(
     """Run (or resume) the sweep described by job and return its summary.
 
     Each span of max(job.checkpoint_interval, DEFAULT_BLOCK_EVENS) evens
-    is one task; spans merge in ascending order.
+    is one task; spans merge in ascending order.  With W =
+    min(job.workers, spans) > 1 the caller sweeps spans i = 0 (mod W)
+    itself and forks W - 1 children for the others.
     checkpoint_path: the covered prefix's summary is saved there after
     every merged span; an existing file, once validated against job,
     resumes the sweep after its prefix.
@@ -984,7 +991,8 @@ def verify_range(
     stop_after_blocks: sweep only the next B blocks of checkpoint_interval
     evens, then raise SweepInterrupted, whose blocks_done counts the blocks
     covered from n_min; exists so interruption can be exercised on demand.
-    A worker's error is raised here, and a worker that dies raises EngineError.
+    A span's error, the caller's or a child's, is raised here, and a child
+    that dies raises EngineError.
     """
     if table.limit < job.table_limit:
         raise CoverageError(
@@ -1024,10 +1032,12 @@ def verify_range(
         for lo, hi in spans:
             merge(_sweep_run(table, lo, hi))
     else:
+        # The caller is worker 0 and sweeps spans 0, W, 2W, ... itself,
+        # warm; child w (0 < w < W) pipes back spans w, w + W, ...
         width = min(job.workers, len(spans))
         pids, replies = [], []
         try:
-            for w in range(width):
+            for w in range(1, width):
                 r, wfd = os.pipe()
                 replies.append(os.fdopen(r, "rb"))
                 try:
@@ -1038,8 +1048,11 @@ def verify_range(
                 finally:
                     os.close(wfd)
             for i, span in enumerate(spans):
+                if i % width == 0:
+                    merge(_sweep_run(table, *span))
+                    continue
                 try:
-                    ok, value = pickle.load(replies[i % width])
+                    ok, value = pickle.load(replies[i % width - 1])
                 except (EOFError, pickle.UnpicklingError) as exc:
                     raise EngineError(f"a sweep worker died before span {span}") from exc
                 if not ok:

@@ -516,15 +516,16 @@ sys.exit(cli.run(sys.argv[2:]))
 
 
 def test_interrupted_pooled_sweep_leaves_no_worker_and_a_resumable_checkpoint(tmp_path):
-    # SIGINT reaches the parent of a 2-worker [6, 10^8] sweep once its
-    # first span is checkpointed.  The parent dies of it, with its
-    # KeyboardInterrupt traceback, but kills and reaps both workers on
-    # the way out, and the checkpoint resumes to the pinned digest.
+    # SIGINT reaches the parent of a 3-worker [6, 10^8] sweep once its
+    # first span is checkpointed.  The parent, worker 0, forked the other
+    # two.  It dies of the signal, with its KeyboardInterrupt traceback,
+    # but kills and reaps both children on the way out, and the
+    # checkpoint resumes to the pinned digest.
     env = src_env()
     ck, pids = tmp_path / "ck", tmp_path / "pids"
     argv = ["verify", "--max", "100000000", "--checkpoint", str(ck), "--output", os.devnull]
     proc = subprocess.Popen(
-        [sys.executable, "-c", _FORK_LOGGER, str(pids), *argv, "--workers", "2"],
+        [sys.executable, "-c", _FORK_LOGGER, str(pids), *argv, "--workers", "3"],
         stderr=subprocess.PIPE, text=True, env=env,
     )
     try:

@@ -1,8 +1,12 @@
 """Record streams: emission, parsing, digests, manifests, trace rendering."""
 
+import hashlib
+import importlib.util
 import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,8 @@ from factorwitness.report import (
     write_records,
 )
 from factorwitness.search import RangeJob, to_record, verify_range, witness_statistics
+
+from conftest import src_env
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +129,31 @@ def test_digest_ignores_timing_and_format(summary):
     assert stripped.elapsed_seconds == 0.0
     assert summary_digest(stripped) == summary_digest(summary)
     assert canonical_bytes(stripped) == canonical_bytes(summary)
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="no built-in sha256 module in this interpreter",
+)
+def test_digest_loads_no_openssl(table1m):
+    # The digest takes CPython's built-in sha256 (_sha2 from 3.12,
+    # _sha256 before), so the process never loads hashlib's OpenSSL
+    # binding and the libcrypto it maps; the digest is hashlib's.
+    probe = (
+        "import sys\n"
+        "from factorwitness import RangeJob, build_table, verify_range\n"
+        "from factorwitness.report import summary_digest\n"
+        "job = RangeJob(n_min=6, n_max=10**4, table_limit=10**4)\n"
+        "print(summary_digest(verify_range(build_table(10**4), job))[:16])\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    job = RangeJob(n_min=6, n_max=10**4, table_limit=10**4)
+    expected = hashlib.sha256(canonical_bytes(verify_range(table1m, job))).hexdigest()
+    assert proc.stdout.split() == [expected[:16], "False"]
 
 
 def test_emit_write_failure_marks_partial(summary):

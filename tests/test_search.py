@@ -591,13 +591,15 @@ def test_pooled_span_error_reaches_the_caller(table1m, tmp_path, workers, monkey
 
 
 def test_pooled_span_error_keeps_its_type(table1m, monkeypatch):
-    # An error with its own constructor arguments, raised in a worker,
-    # crosses the pipe as a pickle and reaches the caller as itself.
+    # An error with its own constructor arguments, raised in a child on
+    # its span [200006, 400004] (the caller sweeps spans 0, 2 and 4 of
+    # the 5), crosses the pipe as a pickle and reaches the caller as itself.
     monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
     sweep_run = search._sweep_run
+    caller = os.getpid()
 
     def finds_a_counterexample(table, lo, hi):
-        if lo == 400_006:
+        if lo == 200_006 and os.getpid() != caller:
             raise CounterexampleFoundError([(lo, 3), (lo + 2, 5)])
         return sweep_run(table, lo, hi)
 
@@ -606,16 +608,40 @@ def test_pooled_span_error_keeps_its_type(table1m, monkeypatch):
     with pytest.raises(CounterexampleFoundError) as info:
         verify_range(table1m, job)
     assert type(info.value) is CounterexampleFoundError
-    assert info.value.pairs == [(400_006, 3), (400_008, 5)]
+    assert info.value.pairs == [(200_006, 3), (200_008, 5)]
     assert str(info.value) == (
-        "counterexample candidates found: (n=400006, k=3), (n=400008, k=5)"
+        "counterexample candidates found: (n=200006, k=3), (n=200008, k=5)"
     )
     assert_no_child_left()
 
 
+def test_caller_span_error_kills_the_child(table1m, tmp_path, monkeypatch):
+    # With 2 workers the caller sweeps spans 0, 2 and 4 of the 5 itself.
+    # Its own span [400006, 600004] raises there, and only there, while
+    # the child still has span 3 to sweep: the child is killed and
+    # reaped, and the checkpoint holds the two spans before it.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
+    sweep_run = search._sweep_run
+    caller = os.getpid()
+
+    def fails_in_the_caller(table, lo, hi):
+        if lo == 400_006 and os.getpid() == caller:
+            raise EngineError(f"span [{lo}, {hi}] failed in the caller")
+        return sweep_run(table, lo, hi)
+
+    monkeypatch.setattr(search, "_sweep_run", fails_in_the_caller)
+    ck = tmp_path / "sweep.ckpt"
+    job = job_for(6, 10**6, table1m, checkpoint_interval=10_000, workers=2)
+    with pytest.raises(EngineError, match=r"^span \[400006, 600004\] failed in the caller$"):
+        verify_range(table1m, job, checkpoint_path=ck)
+    assert checkpoint_resume(ck, job)[0].n_max == 400_004
+    assert_no_child_left()
+
+
 def test_pooled_fail_fast_raises_counterexample(sick_table, monkeypatch):
-    # 10 spans of 200 evens; the first holds n = 20, so the sweep stops
-    # while the workers still have spans to sweep.
+    # 10 spans of 200 evens; the first, which the caller sweeps itself,
+    # holds n = 20, so the sweep stops while the child still has spans
+    # to sweep.
     monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 1)
     job = job_for(6, 4_000, sick_table, checkpoint_interval=200, workers=2)
     with pytest.raises(CounterexampleFoundError) as info:
