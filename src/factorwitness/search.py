@@ -67,22 +67,20 @@ span: the first witness indices agree with the classifier, and the
 outcomes add up to the instances.
 
 Work is split into spans of max(checkpoint_interval, DEFAULT_BLOCK_EVENS)
-evens, at least 2^18, the one unit of work: one task, serial or pooled,
-runs both phases once over a span and yields a RangeSummary of its
-range, and spans are merged (merge_summaries) strictly in ascending
-order whatever the worker count, so summaries and their digests are
-worker-count independent.  A pool of W = min(workers, spans) workers has
-the caller as worker 0: it sweeps the spans i = 0 (mod W) itself and
-forks W - 1 children, which share the table copy-on-write; child w pipes
-back spans w, w + W, ..., so the caller reads span i from child i mod W.
-A forked child starts cold: its first span of [6, 10^7] took 10.7-15.5
-ms against about 2 ms warm, with about 1,450 minor faults of
-copy-on-write and fresh scratch.  So the caller's own spans cost no
-fork and no cold start.  The checkpoint is saved after every merged
-span and holds the summary of the covered prefix [n_min, x], so a
-resume restarts at x + 2 with any block size or worker count, and a
-requested stop or a fail-fast error leaves the prefix through the span
-it stopped on.
+evens, at least 2^18, the one unit of work: one task, in the caller or
+in a child, runs both phases once over a span and yields a RangeSummary
+of its range, and spans are merged (merge_summaries) strictly in
+ascending order whatever the worker count, so summaries and their
+digests are worker-count independent.  W = min(workers, spans) workers
+sweep them, and the caller is worker 0: it sweeps the spans i = 0
+(mod W) itself and forks W - 1 children, which share the table
+copy-on-write; child w pipes back spans w, w + W, ..., so the caller
+reads span i from child i mod W.  A forked child starts cold, so the
+caller's own spans cost no fork and no cold start, and one worker forks
+nothing.  The checkpoint is saved after every merged span and holds the
+summary of the covered prefix [n_min, x], so a resume restarts at x + 2
+with any block size or worker count, and a requested stop or a
+fail-fast error leaves the prefix through the span it stopped on.
 """
 
 from __future__ import annotations
@@ -980,9 +978,9 @@ def verify_range(
     """Run (or resume) the sweep described by job and return its summary.
 
     Each span of max(job.checkpoint_interval, DEFAULT_BLOCK_EVENS) evens
-    is one task; spans merge in ascending order.  With W =
-    min(job.workers, spans) > 1 the caller sweeps spans i = 0 (mod W)
-    itself and forks W - 1 children for the others.
+    is one task; spans merge in ascending order.  Of W =
+    min(job.workers, spans) workers the caller is worker 0: it sweeps
+    spans i = 0 (mod W) itself and forks W - 1 children for the others.
     checkpoint_path: the covered prefix's summary is saved there after
     every merged span; an existing file, once validated against job,
     resumes the sweep after its prefix.
@@ -1028,42 +1026,38 @@ def verify_range(
                 raise CounterexampleFoundError(agg.counterexamples)
             raise AnomalyFoundError(agg.anomalies)
 
-    if job.workers == 1 or len(spans) <= 1:
-        for lo, hi in spans:
-            merge(_sweep_run(table, lo, hi))
-    else:
-        # The caller is worker 0 and sweeps spans 0, W, 2W, ... itself,
-        # warm; child w (0 < w < W) pipes back spans w, w + W, ...
-        width = min(job.workers, len(spans))
-        pids, replies = [], []
-        try:
-            for w in range(1, width):
-                r, wfd = os.pipe()
-                replies.append(os.fdopen(r, "rb"))
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _sweep_child(table, spans[w::width], wfd, replies)
-                    pids.append(pid)
-                finally:
-                    os.close(wfd)
-            for i, span in enumerate(spans):
-                if i % width == 0:
-                    merge(_sweep_run(table, *span))
-                    continue
-                try:
-                    ok, value = pickle.load(replies[i % width - 1])
-                except (EOFError, pickle.UnpicklingError) as exc:
-                    raise EngineError(f"a sweep worker died before span {span}") from exc
-                if not ok:
-                    raise value
-                merge(value)
-        finally:
-            for fh in replies:
-                fh.close()
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    # The caller is worker 0 and sweeps spans 0, W, 2W, ... itself, warm;
+    # child w (0 < w < W) pipes back spans w, w + W, ...
+    width = min(job.workers, len(spans))
+    pids, replies = [], []
+    try:
+        for w in range(1, width):
+            r, wfd = os.pipe()
+            replies.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _sweep_child(table, spans[w::width], wfd, replies)
+                pids.append(pid)
+            finally:
+                os.close(wfd)
+        for i, span in enumerate(spans):
+            if i % width == 0:
+                merge(_sweep_run(table, *span))
+                continue
+            try:
+                ok, value = pickle.load(replies[i % width - 1])
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise EngineError(f"a sweep worker died before span {span}") from exc
+            if not ok:
+                raise value
+            merge(value)
+    finally:
+        for fh in replies:
+            fh.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
     if agg.n_max < job.n_max:
         covered = (agg.n_max - job.n_min) // 2 + 1

@@ -447,25 +447,18 @@ def _sieve_segment(
     # a large p has a prime factor below c, whose strike writes it.  So
     # each large p writes only the cells p*q, for the q of cofactors in
     # [max(p, lo/p), (hi - 1)/p], in scatters of at most _SCATTER_PAIRS
-    # (p, q) pairs: pair k belongs to the prime i with begin[i] <= k <
-    # ends[i], and its q is cofactors[shift[i] + k].  A scatter's primes
-    # are those of [a, b], and its prime indices repeat each one its pair
-    # count clipped to the scatter: two binary searches a scatter, not
-    # one a pair.
+    # (p, q) pairs: pair k belongs to the prime i with ends[i - 1] <= k <
+    # ends[i], and its q is cofactors[shift[i] + k].
     if large.size:
         first = np.searchsorted(cofactors, np.maximum(large, (lo - 1) // large + 1))
         count = np.searchsorted(cofactors, (hi - 1) // large, side="right") - first
         np.maximum(count, 0, out=count)
         ends = np.cumsum(count)
-        begin = ends - count
-        shift = first - begin
+        shift = first + count - ends
         pairs = int(ends[-1])
         for start in range(0, pairs, _SCATTER_PAIRS):
-            stop = min(start + _SCATTER_PAIRS, pairs)
-            a, b = np.searchsorted(ends, (start, stop - 1), side="right")
-            own = np.minimum(ends[a : b + 1], stop) - np.maximum(begin[a : b + 1], start)
-            i = np.repeat(np.arange(a, b + 1), own)
-            k = np.arange(start, stop)
+            k = np.arange(start, min(start + _SCATTER_PAIRS, pairs))
+            i = np.searchsorted(ends, k, side="right")
             k += shift[i]
             q = cofactors[k]
             np.multiply(large[i], q, out=k)  # p*q < hi, exact in uint32
