@@ -49,6 +49,8 @@ from math import prod
 from . import __version__
 from .bruteforce import BruteOracle, trial_largest_factor, trial_smallest_factor
 from .conjecture import (
+    Instance,
+    _evaluate,
     construct_lemma_prime,
     evaluate_instance,
     goldbach_decompose,
@@ -60,6 +62,7 @@ from .errors import (
     CheckpointMismatchError,
     ConfigurationError,
     CounterexampleFoundError,
+    CoverageError,
     EngineError,
     GoldbachCounterexampleError,
     PreconditionError,
@@ -275,14 +278,20 @@ def _cmd_goldbach(args) -> int:
 
 def _cmd_lemma(args) -> int:
     table = build_table(args.n)
-    below = table.count_odd_primes_below(args.n)
-    if args.k > below:
+    # p_k is read from the bits once; the odd primes below n are counted
+    # only to explain a refusal.
+    try:
+        pk = table.odd_prime(args.k)
+    except CoverageError:  # no k-th odd prime in the table, so none below n
+        pk = args.n
+    if pk >= args.n:
+        below = table.count_odd_primes_below(args.n)
         raise PreconditionError(
             f"instance needs p_k < n, but only {below} odd prime(s) lie below "
             f"{args.n}, got k={args.k}"
         )
-    inst = make_instance(table, args.n, args.k)
-    outcome = evaluate_instance(table, inst)
+    inst = Instance(n=args.n, k=args.k, pk=pk)
+    outcome = _evaluate(table, inst)
     if outcome.kind is OutcomeKind.VACUOUS:
         sys.stdout.write(
             f"(n={args.n}, k={args.k}) is vacuous: n - p_{outcome.i} = "

@@ -182,7 +182,17 @@ def _scan_instance(table: PrimeTable, inst: Instance):
 
 def evaluate_instance(table: PrimeTable, inst: Instance) -> InstanceOutcome:
     """Classify one instance.  See the module docstring for the buckets."""
-    shape, j, payload = _scan_instance(table, inst)
+    return _outcome(inst, _scan_instance(table, inst))
+
+
+def _evaluate(table: PrimeTable, inst: Instance) -> InstanceOutcome:
+    """evaluate_instance for an inst whose p_k was just read from table."""
+    return _outcome(inst, _scan(table, inst.n, inst.k))
+
+
+def _outcome(inst: Instance, scan) -> InstanceOutcome:
+    """The bucket of inst from its _scan."""
+    shape, j, payload = scan
     if shape == "prime":
         return InstanceOutcome(kind=OutcomeKind.VACUOUS, i=j, prime_hit=payload)
     if shape == "unit":

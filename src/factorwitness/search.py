@@ -49,7 +49,14 @@ place.  It computes i* only for the rows that need it.
   doctored table, refills its capped F_j exactly.  M_k against p_k
   classifies (n, k) (strict, equal or counterexample candidate), and the
   first witness index, the least j with F_j >= p_k, is the least j with
-  M_j >= p_k, found by one searchsorted over the lifted M.
+  M_j >= p_k, found by one searchsorted over the lifted M.  M_k only
+  grows with k, so a row whose M_w exceeds p_{i*-1}, the largest p_k it
+  is asked about, holds only strict instances past k = w, each with its
+  first witness index at most w.  Most hard rows get there within a few
+  columns, so each hard row of more than w = CLEAR_COLUMNS instances
+  first gathers its first w columns, and one that clears takes the flat
+  pass over those only: its instances past w are counted per column j
+  from K(M_j), the number of odd primes up to M_j.
 
 A row with a hit holds no unit anomaly: n - p_{i*} is an odd prime, so
 p_{i*} <= n - 3 < n - 1.  Only a row whose scan runs out of odd primes
@@ -450,10 +457,13 @@ def _better_ratio(a, b):
 # ~120-220 us); a head step, one and over 32 KB, ~2-4 us, and the count
 # of live words every HEAD_CHECK_STEPS steps ~1-3 us; listing the
 # survivors, ~20-40 us; the tail, ~65-160 us.  Phase 2 (the rest of
-# _sweep_run), 1.1-1.8 ms: the masks' popcount, ~200-270 us; _hard_rows,
-# ~215-430 us, most of it listing the 1,200-2,600 candidates (the f1
-# test's flatnonzero listed 6,600-14,400 in ~200-480 us), and their i*,
-# ~40-100 us; the rest, mostly the flat pass, ~630-1,060 us.
+# _sweep_run): the masks' popcount, ~200-270 us; _hard_rows, ~215-430
+# us, most of it listing the 1,200-2,600 candidates (the f1 test's
+# flatnonzero listed 6,600-14,400 in ~200-480 us), and their i*, ~40-100
+# us; the rest, mostly the flat pass.  That pass gathers every column of
+# a hard row only when its running max over the first CLEAR_COLUMNS
+# columns stays at or below its last p_k, which few rows do, so most of
+# its cells are those first columns.
 #
 # The head spans the first HEAD_PRIMES odd primes at most, so the window
 # overhangs the rows by (p_64 - 3) / 2 = 155 cells.  Near 10^8 about 1
@@ -477,9 +487,17 @@ HEAD_CHECK_STEPS = 4
 TAIL_CELLS = 4096
 # Phase 2 tests its candidate rows this many at a time, and flat-passes
 # its hard rows in chunks of about this many cells, so that the first
-# span of a sweep from small n, which has the most of both, peaks no
-# higher than the others: its index arrays stay below the head's masks.
+# span of a sweep from small n, which has the most candidates and the
+# most hard rows that do not clear, peaks no higher than the others: its
+# index arrays stay below the head's masks.
 PHASE2_CHUNK = 1 << 13
+# Phase 2 gathers this many leading columns of each hard row before its
+# flat pass, and a row whose running max over them exceeds its last p_k
+# takes the flat pass over them only.  Nearly every hard row clears by
+# column 2; the few that clear later cost less in the full pass than one
+# more gathered column of every hard row.  Not an option: any value gives
+# the same summary, and 1 clears no hard row.
+CLEAR_COLUMNS = 2
 
 if hasattr(np, "bitwise_count"):
 
@@ -790,6 +808,40 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     del hits, masks
     rest = rows_steps - spent
     rows, count = rows[rest > 0], rest[rest > 0]
+    # A row whose running max M_w over its first w = CLEAR_COLUMNS columns
+    # exceeds p_count, the largest p_k it is asked about, is cleared: its
+    # instances past w are strict, and the first witness index of (n, k)
+    # is the least j with M_j >= p_k, so column j <= w takes the k whose
+    # p_k lies in (M_{j-1}, M_j], K(M_j) - K(M_{j-1}) of them clipped to
+    # (w, count], K(x) the number of odd primes <= x.  Only its columns k
+    # <= w take the flat pass.  A capped M_j understates, but clears only a
+    # p_count below the cap, whose count K(LPF_CAP) already reaches.
+    w = CLEAR_COLUMNS
+    long = np.flatnonzero(count > w)
+    if long.size:
+        # run[j - 1] holds M_j, one column per row.
+        run = np.maximum.accumulate(
+            table.odd_lpf[(lo + 2 * rows[long] - odd[:w, None]) >> 1], axis=0
+        )
+        clear = run[-1] > odd.take(count[long] - 1)
+        long, run = long[clear], run[:, clear]
+    if long.size:
+        top = count[long]
+        # kp[j] = clip(K(M_j), w, count), with M_0 = 0 in kp[0], and
+        # per[j - 1] the instances past w with first witness index j.
+        kp = np.full((w + 1, long.size), w, dtype=np.int64)
+        kp[1:] = np.clip(np.searchsorted(odd[: int(top.max())], run, side="right"), w, top)
+        per = np.diff(kp, axis=0)
+        strict += int(top.sum()) - w * long.size
+        for j, c in enumerate(per.sum(axis=1).tolist(), start=1):
+            if c:
+                hist[j] = hist.get(j, 0) + c
+                jmax = j
+        # The largest such index, in its least row, at its least k.
+        r = int((per[jmax - 1] > 0).argmax())
+        n = lo + 2 * int(rows[long[r]])
+        best_fwi = _better_fwi(best_fwi, (jmax, n, int(kp[jmax - 1, r]) + 1))
+        count[long] = w
     equality_pairs: list[tuple[int, int]] = []
     cex_pairs: list[tuple[int, int]] = []
     firsts = np.cumsum(count) - count

@@ -677,6 +677,27 @@ def test_lemma_k_one_past_the_odd_primes_below_n(capsys):
     assert "Traceback" not in err
 
 
+def test_lemma_reads_the_bits_once(monkeypatch, capsys):
+    # lemma finds p_k past the small list from the bits once, and counts
+    # the odd primes below n only on a refusal; its scan hits at p_6 and
+    # lists no chunk of the bits.
+    reads = []
+    chunks = sieve.PrimeTable._chunks
+
+    def counted(table, stop):
+        reads.append(stop)
+        return chunks(table, stop)
+
+    monkeypatch.setattr(sieve.PrimeTable, "_chunks", counted)
+    assert run("lemma", "--n", "1000000", "--k", "78497") == cli.EXIT_OK
+    assert capsys.readouterr().out == (
+        "(n=1000000, k=78497) is vacuous: n - p_6 = 999983 is prime; nothing to construct\n"
+    )
+    assert reads == [500_000]
+    assert run("lemma", "--n", "1000000", "--k", "78498") == cli.EXIT_USAGE
+    assert reads == [500_000, 500_000, 500_000]
+
+
 def test_goldbach_output(capsys):
     assert run("goldbach", "--n", "98") == 0
     out = capsys.readouterr().out

@@ -679,11 +679,39 @@ def test_phase2_chunk_is_invisible(table1m, monkeypatch, chunk):
     assert [search._sweep_run(table1m, lo, hi) for lo, hi in spans] == whole
 
 
+@pytest.mark.parametrize("columns", sorted({search.CLEAR_COLUMNS, 2, 3, 4, 5}))
+def test_cleared_rows_are_invisible(table1m, sick_table, monkeypatch, columns):
+    # A hard row whose running max over its first CLEAR_COLUMNS columns
+    # exceeds its last p_k skips the flat pass past them.  With one column
+    # no hard row clears (f1 > p_count would make it easy), so every row
+    # takes the full flat pass; the summaries and equality pairs must
+    # match it.  The spans hold the rows that clear only at column 4
+    # (36,428, 304,268 and 416,848) and 5 (780,622), the equality rows 12,
+    # 30, 84 and 246, and one-row spans whose largest first witness index
+    # lies past the flat columns: 346 (f1 = 7, first witness index 2 from
+    # k = 4 to its last k = 8) and 992, which clears at column 3.
+    rows = (346, 992, 36_428, 304_268, 416_848, 780_622)
+    spans = [(6, 20_000), (36_000, 40_000), (416_000, 418_000), (780_000, 782_000)]
+    spans += [(n, n) for n in rows]
+    # n = 20 with every n - p_i nonprime: on sick_table counterexample
+    # candidates for k = 3 .. 6; on equal_tail its lpf(17) = 17 = p_6
+    # sets M_k = 17 from column 1 on, so (20, 6) is an equality case.
+    equal_tail = make_doctored(table1m, not_prime=(17, 15, 13, 9, 7, 3))
+    runs = [(table1m, span) for span in spans]
+    runs += [(table, span) for table in (sick_table, equal_tail) for span in ((6, 60), (20, 20))]
+    monkeypatch.setattr(search, "CLEAR_COLUMNS", 1)
+    full = [search._sweep_run(table, lo, hi) for table, (lo, hi) in runs]
+    assert (20, 6) in full[-1][1]
+    monkeypatch.setattr(search, "CLEAR_COLUMNS", columns)
+    assert [search._sweep_run(table, lo, hi) for table, (lo, hi) in runs] == full
+
+
 def test_first_span_peaks_no_higher_than_a_later_one(table10m):
     # The first span of a sweep from n = 6, where lpf(n - 3) is often
-    # small, has the most phase-2 candidates (33,568, against 14,375 in
-    # the span near 5 * 10^6) and hard-row cells (22,491, against about
-    # 11,000).  Taken PHASE2_CHUNK at a time, their index arrays stay
+    # small, has the most phase-2 candidates and the most flat-pass
+    # cells: it has the most hard rows, and the most whose running max
+    # clears their last p_k only past the first CLEAR_COLUMNS columns,
+    # or never.  Taken PHASE2_CHUNK at a time, their index arrays stay
     # below the head's window and masks, where every span peaks.
     spans = search._block_bounds(6, 10**7, DEFAULT_BLOCK_EVENS)
     near = next(span for span in spans if span[0] <= 5 * 10**6 <= span[1])
