@@ -21,11 +21,12 @@ Exit codes:
 
 Every subcommand sizes its prime table by its request: the largest n it
 uses (selftest by its own --limit).  Before allocating, the table build
-compares its estimated bytes (2 bytes and 1 bit per odd integer, about
-1.06 per integer, plus build or query scratch; about 2,031 MiB at --max
-2000000000) with the memory available to the process (MemAvailable, or
-a smaller cgroup v1 or v2 limit) and refuses with exit 2 if the table
-would not fit.  goldbach and lemma refuse an n below 6,
+compares its estimated bytes (1 byte and 1 bit per odd integer, about
+0.56 per integer, plus build or query scratch; about 1,077 MiB, or 1.1
+GiB, at --max 2000000000) with the memory available to the process
+(MemAvailable, or a smaller cgroup v1 or v2 limit or address-space limit
+as ulimit -v sets it) and refuses with exit 2 if the table would not
+fit.  goldbach and lemma refuse an n below 6,
 as they refuse an odd n, when they parse it.  verify, edge-cases and
 stats check their other arguments before the build, so they too exit 2
 without allocating.  An engine error the arguments cannot cause, such as

@@ -25,38 +25,43 @@ list, which the table then builds, and so does phase 2.
 decompose_range reads the rows that never hit and the deepest hit from
 the tail, and from the last mask that lost a row.
 
-Phase 2 classifies each row from i* and f1 = min(lpf(n - 3), LPF_CAP),
-which for consecutive even n is a contiguous slice of the table, read in
-place.  It computes i* only for the rows that need it.
+Phase 2 reads the table's cells, each the odd-prime index J of a
+largest prime factor capped at INDEX_CAP = 255 (J(3) = 1).  lpf(n - p_j)
+>= p_k exactly when J(lpf(n - p_j)) >= k, so for every k below the cap
+it compares a cell with k.  It classifies each row from i* and f1 =
+min(J(lpf(n - 3)), INDEX_CAP), which for consecutive even n is a
+contiguous slice of the table, read in place.  It computes i* only for
+the rows that need it.
 
-  Easy rows.  If i* == 1 or f1 > p_{i*-1}, every k < i* is a strict
-  witness with first witness index 1, since lpf(n - p_1) = f1 > p_{i*-1}
-  >= p_k.  f1 is an odd prime p_J, so a row is not easy exactly when it
-  is alive after step J: one bit of mask J for a row the head settled,
-  and f1 >= bar[i*] for a survivor, where bar[1] = 0 and bar[s] =
-  p_{s-1} + 1 (a capped f1 understates, so its row at worst takes the
-  exact flat pass).  Such a row adds i* - 1 strict instances and one
+  Easy rows.  If f1 >= i*, every k < i* is a strict witness with first
+  witness index 1, since J(lpf(n - p_1)) >= i* > k.  A row the head
+  settled at step i* is not easy exactly when it is alive after step
+  f1: one bit of mask f1.  A survivor is tested against its exact i*,
+  and a capped f1 understates, so a row with i* > 255 at worst takes
+  the exact flat pass.  Such a row adds i* - 1 strict instances and one
   vacuous one, which the popcounts of the masks add up, and the easy
   rows' extremes are (1, n0, 1) and (1, 1, n0, 1) for the least easy n0
   with i* >= 2.
 
   Hard rows, the rest (9,519 of the 4,999,998 rows of [6, 10^7]), take
   a flat pass over their instances, in chunks of rows of about
-  PHASE2_CHUNK instances: F_j = lpf(n - p_j) for j < i*, gathered at
-  the cells (n - p_j) / 2 rounded down and laid end to end, row r of a
-  chunk lifted by r * (limit + 1), so that one running max is every
-  row's running max M; a chunk whose p_k reaches the cap, which takes a
-  doctored table, refills its capped F_j exactly.  M_k against p_k
-  classifies (n, k) (strict, equal or counterexample candidate), and the
-  first witness index, the least j with F_j >= p_k, is the least j with
-  M_j >= p_k, found by one searchsorted over the lifted M.  M_k only
-  grows with k, so a row whose M_w exceeds p_{i*-1}, the largest p_k it
-  is asked about, holds only strict instances past k = w, each with its
-  first witness index at most w.  Most hard rows get there within a few
-  columns, so each hard row of more than w = CLEAR_COLUMNS instances
-  first gathers its first w columns, and one that clears takes the flat
-  pass over those only: its instances past w are counted per column j
-  from K(M_j), the number of odd primes up to M_j.
+  PHASE2_CHUNK instances: F_j, the cell of n - p_j for j < i*, gathered
+  at (n - p_j) / 2 rounded down and laid end to end, row r of a chunk
+  lifted by r * 256, above any cell, so that one running max is every
+  row's running max M.  M_k against k classifies (n, k) (strict, equal
+  or counterexample candidate), and the first witness index, the least
+  j with F_j >= k, is the least j with M_j >= k, found by one
+  searchsorted over the lifted M.  A chunk whose largest k reaches the
+  cap refills its capped F_j exactly and compares the factors with p_k
+  instead, its rows lifted by r * (limit + 1); up to 2 * 10^9 only the
+  rows with i* = 256, 277 and 283 take that.  M_k only grows with k, so
+  a row whose M_w exceeds i* - 1, the largest k it is asked about, holds
+  only strict instances past k = w, each with its first witness index
+  at most w.  Most hard rows get there within a few columns, so each
+  hard row of more than w = CLEAR_COLUMNS instances first gathers its
+  first w columns, and one that clears takes the flat pass over those
+  only: its instances past w are counted per column j from M_j, which,
+  as the index of a prime, is the number of odd primes up to it.
 
 A row with a hit holds no unit anomaly: n - p_{i*} is an odd prime, so
 p_{i*} <= n - 3 < n - 1.  Only a row whose scan runs out of odd primes
@@ -122,7 +127,7 @@ from .errors import (
     ReportFormatError,
     SweepInterrupted,
 )
-from .sieve import LPF_CAP, PrimeTable, gather_bits
+from .sieve import CELL_LPF, INDEX_CAP, PrimeTable, gather_bits
 
 # Evens per span at least, and the default block size.  A span pays
 # ~200 numpy calls, a merge and a checkpoint save whatever its width; at
@@ -457,13 +462,13 @@ def _better_ratio(a, b):
 # ~120-220 us); a head step, one and over 32 KB, ~2-4 us, and the count
 # of live words every HEAD_CHECK_STEPS steps ~1-3 us; listing the
 # survivors, ~20-40 us; the tail, ~65-160 us.  Phase 2 (the rest of
-# _sweep_run): the masks' popcount, ~200-270 us; _hard_rows, ~215-430
-# us, most of it listing the 1,200-2,600 candidates (the f1 test's
-# flatnonzero listed 6,600-14,400 in ~200-480 us), and their i*, ~40-100
-# us; the rest, mostly the flat pass.  That pass gathers every column of
-# a hard row only when its running max over the first CLEAR_COLUMNS
-# columns stays at or below its last p_k, which few rows do, so most of
-# its cells are those first columns.
+# _sweep_run, ~650-820 us): the masks' popcount, ~200-270 us;
+# _hard_rows, ~165-250 us, most of it listing the 1,200-2,600
+# candidates (the f1 test's flatnonzero listed 6,600-14,400 in ~200-480
+# us), and their i*, ~40-100 us; the rest, mostly the flat pass.  That
+# pass gathers every column of a hard row only when its running max over
+# the first CLEAR_COLUMNS columns stays at or below its last k, which few
+# rows do, so most of its cells are those first columns.
 #
 # The head spans the first HEAD_PRIMES odd primes at most, so the window
 # overhangs the rows by (p_64 - 3) / 2 = 155 cells.  Near 10^8 about 1
@@ -491,8 +496,8 @@ TAIL_CELLS = 4096
 # most hard rows that do not clear, peaks no higher than the others: its
 # index arrays stay below the head's masks.
 PHASE2_CHUNK = 1 << 13
-# Phase 2 gathers this many leading columns of each hard row before its
-# flat pass, and a row whose running max over them exceeds its last p_k
+# Phase 2 gathers this many leading cells of each hard row before its
+# flat pass, and a row whose running max over them exceeds its last k
 # takes the flat pass over them only.  Nearly every hard row clears by
 # column 2; the few that clear later cost less in the full pass than one
 # more gathered column of every hard row.  Not an option: any value gives
@@ -692,32 +697,29 @@ def _deepest_hit(hits: _Hits) -> tuple[int, int] | None:
     return best
 
 
-def _hard_rows(hits: _Hits, f1: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The rows the head settled that are not easy, ascending; f1[r] = lpf(n - 3)."""
+def _hard_rows(hits: _Hits, f1: np.ndarray) -> np.ndarray:
+    """The rows the head settled that are not easy, ascending; f1[r] is
+    the cell of n - 3, min(J(lpf(n - 3)), INDEX_CAP)."""
     head, masks, done = hits.head, hits.masks, hits.masks.shape[0] - 1
     if done < 2:
         return np.zeros(0, dtype=np.int64)
-    # Such a row is alive after step J, p_J the least odd prime >= f1, so
-    # J < done, f1 <= p_{done-1} (a row alive after step done is a
-    # survivor), and if f1 > p_15 it is alive after step 16.  The
-    # candidates, less head, are the set bits of that packed row set.  The
-    # bounds are Python ints, which compare in f1's own dtype: a uint32
-    # scalar casts a uint16 f1 cell by cell, 48 against 14 us a span.
+    # Such a row is alive after step f1, so f1 < done (a row alive after
+    # step done is a survivor), and if f1 > 15 it is alive after step 16.
+    # The candidates, less head, are the set bits of that packed row set.
+    # The bounds are Python ints, which compare in f1's own dtype.
     cand = np.zeros(masks.shape[1], dtype=np.uint8)
     packed = cand[: -(-(f1.size - head) // 8)]
-    packed[:] = np.packbits(f1[head:] <= odd.item(done - 2), bitorder="little")
+    packed[:] = np.packbits(f1[head:] < done, bitorder="little")
     if done > 16:
         packed &= masks[16, : packed.size]
-        packed |= np.packbits(f1[head:] <= odd.item(14), bitorder="little")
+        packed |= np.packbits(f1[head:] <= 15, bitorder="little")
     r = _set_bits(cand)
-    # J by lookup: a search per candidate costs ~10x more.
-    jtab = np.searchsorted(odd[: done - 1], np.arange(odd[done - 2] + 1, dtype=odd.dtype)) + 1
     # PHASE2_CHUNK candidates at a time: the first span of a sweep from
     # small n, where lpf(n - 3) is often small, has the most.
     keep = np.empty(r.size, dtype=bool)
     for c in range(0, r.size, PHASE2_CHUNK):
         part = r[c : c + PHASE2_CHUNK]
-        cells = jtab.take(f1[head:].take(part)) * masks.shape[1] + (part >> 3)
+        cells = f1[head:].take(part).astype(np.int64) * masks.shape[1] + (part >> 3)
         live = masks.ravel().take(cells) & ~masks[done].take(part >> 3)
         keep[c : c + PHASE2_CHUNK] = (live >> (part & 7).astype(np.uint8)) & 1
     return head + r[keep]
@@ -749,14 +751,12 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     vacuous = size - int(np.count_nonzero(~found))
     deepest = max(done, int(steps.max(initial=0)))  # no row has more instances
     odd = table.odd_primes_through(deepest)  # listed from the bits only past the small list
-    f1 = table.odd_lpf[(lo - 3) >> 1 : (hi - 1) >> 1]  # min(lpf(n - 3), LPF_CAP), in place
+    f1 = table.odd_lpf[(lo - 3) >> 1 : (hi - 1) >> 1]  # the cells of n - 3, in place
 
-    # A hit row of s instances is easy exactly when lpf(n - 3) >= bar[s],
-    # that is s == 1 or f1 > p_{s-1}; the rows the head left are tested so.
-    bar = np.zeros(deepest + 2, dtype=np.uint32)
-    bar[2:] = odd[:deepest] + 1
-    easy = found & (f1[hits.rows] >= bar.take(steps))
-    hard = _hard_rows(hits, f1, odd)
+    # A hit row of s instances is easy exactly when f1 >= s; the rows the
+    # head left are tested so.
+    easy = found & (f1[hits.rows] >= steps)
+    hard = _hard_rows(hits, f1)
     hard_steps = _head_steps(hits, hard)
     # The non-easy rows, ascending: the hard ones and those without a hit.
     rows = np.concatenate((hits.rows[~easy], hard))
@@ -783,11 +783,12 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
         n0 = lo + 2 * n0
         best_fwi, best_ratio = (1, n0, 1), (1, 1, n0, 1)
 
-    # n - p_i = 1 needs n = p_i + 1 <= p_deepest + 1 = bar[-1], so only
-    # the rows up to that n can hold a unit, and only a span that starts
-    # at or below it has any.  A row's last instance is vacuous if it has a hit,
-    # and an anomaly if it is a unit.
-    cut = max(0, (min(int(bar[-1]), hi) - lo) // 2 + 1)
+    # n - p_i = 1 needs n = p_i + 1 <= p_deepest + 1, so only the rows up
+    # to that n can hold a unit, and only a span that starts at or below
+    # it has any.  A row's last instance is vacuous if it has a hit, and
+    # an anomaly if it is a unit.
+    unit_top = int(odd[deepest - 1]) + 1 if deepest else 0
+    cut = max(0, (min(unit_top, hi) - lo) // 2 + 1)
     anomaly_pairs: list[tuple[int, int]] = []
     spent = rows_found
     if cut:
@@ -808,14 +809,14 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
     del hits, masks
     rest = rows_steps - spent
     rows, count = rows[rest > 0], rest[rest > 0]
-    # A row whose running max M_w over its first w = CLEAR_COLUMNS columns
-    # exceeds p_count, the largest p_k it is asked about, is cleared: its
-    # instances past w are strict, and the first witness index of (n, k)
-    # is the least j with M_j >= p_k, so column j <= w takes the k whose
-    # p_k lies in (M_{j-1}, M_j], K(M_j) - K(M_{j-1}) of them clipped to
-    # (w, count], K(x) the number of odd primes <= x.  Only its columns k
-    # <= w take the flat pass.  A capped M_j understates, but clears only a
-    # p_count below the cap, whose count K(LPF_CAP) already reaches.
+    # A row whose running max M_w over the cells of its first w =
+    # CLEAR_COLUMNS columns exceeds count, the largest k it is asked
+    # about, is cleared: its instances past w are strict, and the first
+    # witness index of (n, k) is the least j with M_j >= k, so column j <=
+    # w takes the k in (M_{j-1}, M_j], M_j - M_{j-1} of them clipped to
+    # (w, count].  Only its columns k <= w take the flat pass.  A capped
+    # M_j understates, but clears only a count below the cap, to which the
+    # clip brings it.
     w = CLEAR_COLUMNS
     long = np.flatnonzero(count > w)
     if long.size:
@@ -823,14 +824,14 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
         run = np.maximum.accumulate(
             table.odd_lpf[(lo + 2 * rows[long] - odd[:w, None]) >> 1], axis=0
         )
-        clear = run[-1] > odd.take(count[long] - 1)
+        clear = run[-1] > count[long]
         long, run = long[clear], run[:, clear]
     if long.size:
         top = count[long]
-        # kp[j] = clip(K(M_j), w, count), with M_0 = 0 in kp[0], and
-        # per[j - 1] the instances past w with first witness index j.
+        # kp[j] = clip(M_j, w, count), with M_0 = 0 in kp[0], and per[j -
+        # 1] the instances past w with first witness index j.
         kp = np.full((w + 1, long.size), w, dtype=np.int64)
-        kp[1:] = np.clip(np.searchsorted(odd[: int(top.max())], run, side="right"), w, top)
+        kp[1:] = np.clip(run, w, top)
         per = np.diff(kp, axis=0)
         strict += int(top.sum()) - w * long.size
         for j, c in enumerate(per.sum(axis=1).tolist(), start=1):
@@ -854,22 +855,30 @@ def _sweep_run(table: PrimeTable, lo: int, hi: int) -> _Block:
         cell = np.arange(seg.size)
         start = (firsts[a:b] - firsts[a])[seg]  # the cell of (n, 1)
         col = cell - start  # k - 1
-        pk = odd[col].astype(np.int64)
-        # Row r is lifted by r * (limit + 1), above any lpf value, so one
-        # running max over the rows laid end to end is each row's running
-        # max M, lifted, and stays sorted for the first-witness search.
-        lift = seg * (table.limit + 1)
-        value = hn[seg] - pk
-        lpf = table.odd_lpf[value >> 1].astype(np.int64)
-        if pk.max() >= LPF_CAP:
-            capped = np.flatnonzero(lpf == LPF_CAP)
-            lpf[capped] = [table.exact_lpf(x) for x in value[capped].tolist()]
-        run = np.maximum.accumulate(lpf + lift)
+        value = hn[seg] - odd[col]  # n - p_k
+        f = table.odd_lpf[value >> 1].astype(np.int64)
+        if col.max() < INDEX_CAP - 1:
+            # Every k is below the cap, so the cells compare with k
+            # exactly, and row r is lifted by r * 256, above any cell.
+            bar, ceiling = col + 1, INDEX_CAP + 1
+        else:
+            # Some k reaches the cap: the chunk refills its factors
+            # exactly and compares them with p_k, row r lifted by r *
+            # (limit + 1), above any factor.
+            capped = np.flatnonzero(f == INDEX_CAP)
+            f = CELL_LPF.take(np.minimum(f, INDEX_CAP - 1)).astype(np.int64)
+            f[capped] = [table.exact_lpf(x) for x in value[capped].tolist()]
+            bar, ceiling = odd[col].astype(np.int64), table.limit + 1
+        # One running max over the rows laid end to end is each row's
+        # running max M, lifted, and stays sorted for the first-witness
+        # search.
+        lift = seg * ceiling
+        run = np.maximum.accumulate(f + lift)
         m = run - lift
-        gt, eq = m > pk, m == pk
+        gt, eq = m > bar, m == bar
         # The first witness index of (n, k), the least j with lpf(n - p_j)
-        # >= p_k, is the least j with M_j >= p_k, as M is nondecreasing.
-        pos = np.searchsorted(run, pk + lift)
+        # >= p_k, is the least j with M_j >= bar, as M is nondecreasing.
+        pos = np.searchsorted(run, bar + lift)
         witnessed = (pos >= start) & (pos <= cell)
         if not np.array_equal(witnessed, gt | eq):
             raise EngineError(

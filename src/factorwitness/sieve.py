@@ -4,8 +4,12 @@ The engine's hot loops never factor anything at query time.  Instead a
 single segmented sieve pass produces, for every odd x in [1, limit], in
 cell j = (x - 1) / 2 of two arrays:
 
-  * odd_lpf[j] -- the largest prime factor of x (x itself when x is
-    prime, and 1 for x = 1) capped at LPF_CAP = 65,535, a uint16;
+  * odd_lpf[j] -- the index J among the odd primes (J(3) = 1) of the
+    largest prime factor of x (x itself when x is prime), capped at
+    INDEX_CAP = 255, a uint8: min(J(lpf(x)), 255), and 0 for x = 1.
+    CELL_LPF[c] is the factor that a cell c < INDEX_CAP names, 1 for
+    c = 0 and p_c otherwise, so every cell below the cap is exact, and a
+    capped cell stands for a factor of at least p_255 = 1,619;
   * odd_prime_bits -- whether x is prime, one bit per cell: bit j & 7 of
     byte j >> 3, in little bit order, the bits past the last cell clear
     (6.0 MiB at 10^8, where a bool per cell took 47.7 MiB).  Readers
@@ -32,28 +36,31 @@ cells); every other wave runs on the calling thread, so a table below
 before build_table returns.
 
 Each cell of a segment starts at 0.  The odd base primes p (p*p < hi,
-listed from the finished bits; all below LPF_CAP) split at c =
-icbrt(end - 1) + 1 of their wave [L, end), so that c**3 > end - 1.  Each
-p below c strikes its odd multiples x = p*m >= p*p with lpf(x) = max(p,
-lpf(m)), one ufunc per prime that writes every p-th cell and reads the
-cells of m contiguously: that identity holds for every prime p dividing
-x, not only the smallest, capped or not, and m <= x/3 < lo is already
-final, so every write is the cell's value and the primes strike in any
-order.  A composite x < end whose least prime factor p is at least c is
-p*q with q prime and q >= p, so lpf(x) = q; every other multiple of such
-a p has a prime factor below c, whose strike writes it.  So each p >= c
+listed from the finished bits) split at c = icbrt(end - 1) + 1 of their
+wave [L, end), so that c**3 > end - 1; c is at most 1,260 < p_255 at
+MAX_LIMIT.  Each p below c strikes its odd multiples x = p*m >= p*p with
+the cell max(J(p), cell(m)), as lpf(x) = max(p, lpf(m)) and J and the
+cap keep order: one ufunc per prime that writes every p-th cell and
+reads the cells of m contiguously.  That identity holds for every prime
+p dividing x, not only the smallest, and m <= x/3 < lo is already final,
+so every write is the cell's value and the primes strike in any order.
+A composite x < end whose least prime factor p is at least c is p*q
+with q prime and q >= p, so lpf(x) = q; every other multiple of such a
+p has a prime factor below c, whose strike writes it.  So each p >= c
 writes only its semiprimes, with q from the wave's list of odd primes
-below end / c < L (its cofactors, listed likewise): a gather and a
-scatter of min(q, LPF_CAP) of at most _SCATTER_PAIRS (p, q) pairs at a
-time, so a thread holds about 0.1 MiB of index arrays at any limit.  At 10^8 those primes
-write 3,764,915 cells in 955 scatters, where striking took 38,570 ufuncs
-over 19,100,976 cells, each write at a stride of 2p bytes and so mostly
-a cache miss.  So every odd composite cell is written, and an odd x is
-prime exactly when its cell still holds 0, a contiguous compare that
-each segment packs into its own bytes of odd_prime_bits; then the prime
-cells take min(x, LPF_CAP).  From lo = 16 on every wave and segment
-starts at a multiple of 8 cells, so no two threads write the same byte;
-the waves below 16 share byte 0 and run on the calling thread.
+below end / c < L (its cofactors, listed likewise, so q's position in
+the list is J(q) - 1): a gather and a scatter of min(J(q), INDEX_CAP) of
+at most _SCATTER_PAIRS (p, q) pairs at a time, so a thread holds about
+0.1 MiB of index arrays at any limit.  At 10^8 those primes write
+3,764,915 cells in 955 scatters, where striking took 38,570 ufuncs over
+19,100,976 cells, each write at a stride of 2p bytes and so mostly a
+cache miss.  So every odd composite cell is written, with J >= 1, and
+an odd x is prime exactly when its cell still holds 0, a contiguous
+compare that each segment packs into its own bytes of odd_prime_bits;
+then the prime cells take their capped index.  From lo = 16 on every
+wave and segment starts at a multiple of 8 cells, so no two threads
+write the same byte; the waves below 16 share byte 0 and run on the
+calling thread.
 
 Beside the two arrays the table keeps one more, the odd primes below
 SMALL_PRIME_BOUND = 2^16 (6,541 of them, 26 KB), which is all that an
@@ -62,13 +69,16 @@ minimal Goldbach primes stay below 9,781 up to 4 * 10^18 (Oliveira e
 Silva, Herzog & Pardi, Math. Comp. 83, 2014).  The table's odd primes
 are that list followed by the primes the bits hold from there on, and no
 other copy is kept: the scalar queries past the small list count or
-list the bits, one chunk of SEGMENT cells at a time.  So a sweep, which
-compares lpf(n - p_j) only with p_k, reads the capped cells as exact;
-the scalar queries read exact_lpf.
+list the bits, one chunk of SEGMENT cells at a time.  A sweep compares
+lpf(n - p_j) only with p_k, and lpf >= p_k exactly when J(lpf) >= k, so
+it compares the cells with k, exact for every k < INDEX_CAP; the scalar
+queries read exact_lpf, which divides a capped composite by its least
+prime factors until what is left is prime (each of them at most its
+square root, below 2^16 for every x <= MAX_LIMIT).
 
 The cofactors and products are uint32, so the supported ceiling is
-bounded by 2**32 - 1; the practical ceiling here is memory (2 bytes and
-1 bit per odd integer resident, about 1.06 bytes per integer), so
+bounded by 2**32 - 1; the practical ceiling here is memory (1 byte and
+1 bit per odd integer resident, about 0.56 bytes per integer), so
 build_table estimates its bytes first and refuses a limit that does not
 fit in the memory available to the process.
 """
@@ -84,6 +94,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # no resource module (Windows)
+    resource = None
+
 from .errors import ConfigurationError, CoverageError, OutOfRangeError, PreconditionError
 
 MIN_LIMIT = 6
@@ -94,15 +109,17 @@ SEGMENT = 1 << 20
 # The table stores the odd primes below this bound; the scalar queries
 # read the primes past it from the bits (module docstring).
 SMALL_PRIME_BOUND = 1 << 16
-# The largest value an odd_lpf cell holds (module docstring).
-LPF_CAP = (1 << 16) - 1
+# The largest value an odd_lpf cell holds, which every x whose largest
+# prime factor is p_255 = 1,619 or more takes (module docstring).
+INDEX_CAP = (1 << 8) - 1
 # (p, q) pairs per semiprime scatter of a segment's large base primes,
 # which caps a thread's scatter at 128 KiB at any limit.
 _SCATTER_PAIRS = 1 << 12
 # Bytes held per (p, q) pair of a semiprime scatter: the pair index and
-# its prime's index (int64), q and the gathered p (uint32), and the
-# multiply's cast of their product into the int64 cell index.
-_PAIR_BYTES = 32
+# its prime's index (int64), q and the gathered p (uint32), q's capped
+# index (uint8), and the multiply's cast of their product into the int64
+# cell index.
+_PAIR_BYTES = 33
 # Cells per packed compare of a segment's primality: a 64 KiB bool chunk
 # and its 8 KiB of bits, where one compare over a segment would allocate
 # 1 MiB.
@@ -127,6 +144,21 @@ def _icbrt(n: int) -> int:
     return r
 
 
+def _cell_lpf() -> np.ndarray:
+    """1, then the odd primes p_1 .. p_254, uint32: the largest prime
+    factor that each cell value below INDEX_CAP names."""
+    flags = np.ones(1_620, dtype=bool)  # p_254 = 1,613 < 1,620 < 41^2
+    flags[:3] = False
+    flags[4::2] = False
+    for p in range(3, 41, 2):
+        flags[p * p :: 2 * p] = False
+    return np.concatenate(([1], np.flatnonzero(flags)[: INDEX_CAP - 1])).astype(np.uint32)
+
+
+CELL_LPF = _cell_lpf()
+_CELL_PRIMES = tuple(CELL_LPF.tolist()[1:])  # p_1 .. p_254, for exact_lpf's loop
+
+
 def _prime_count_bound(x: int) -> int:
     """An upper bound on pi(x) for x >= 2: pi(x) < 1.25506 x / ln x
     (Rosser & Schoenfeld 1962)."""
@@ -136,7 +168,7 @@ def _prime_count_bound(x: int) -> int:
 def estimate_table_bytes(limit: int) -> int:
     """Upper estimate of the bytes a table for limit takes.
 
-    2 bytes and 1 bit per odd cell for odd_lpf and odd_prime_bits, plus
+    1 byte and 1 bit per odd cell for odd_lpf and odd_prime_bits, plus
     the larger of two transients.  The build's: one wave's base primes
     and cofactors (the cofactors run up to limit / icbrt(limit)) as
     list_primes lists them, 12 B each (the int64 cells and their uint32
@@ -157,7 +189,7 @@ def estimate_table_bytes(limit: int) -> int:
     thread = 40 * base + _PAIR_BYTES * _SCATTER_PAIRS + _PACK_CELLS + (_PACK_CELLS >> 3)
     query = SEGMENT + 12 * int(4 * SEGMENT / log(2 * SEGMENT))
     cells = (limit + 1) // 2
-    table = 2 * cells + ((cells + 7) >> 3)
+    table = cells + ((cells + 7) >> 3)
     return table + max(wave + usable_cpus() * thread, query)
 
 
@@ -183,13 +215,20 @@ _CGROUP_V1_FILES = ("memory.limit_in_bytes", "memory.usage_in_bytes", "total_ina
 def available_memory_bytes() -> int | None:
     """Bytes this process may still allocate, or None if nothing is known.
 
-    The smaller of /proc/meminfo's MemAvailable and what the process's
-    memory cgroup (v1 or v2) still allows.
+    The least of /proc/meminfo's MemAvailable, what the process's memory
+    cgroup (v1 or v2) still allows, and its soft address-space limit
+    (RLIMIT_AS, as ulimit -v sets it) less the address space it already
+    maps (VmSize in /proc/self/status), where the resource module exists.
     """
     figures = []
     kib = _read_int(Path("/proc/meminfo"), "MemAvailable:")
     if kib is not None:
         figures.append(kib * 1024)
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            mapped = _read_int(Path("/proc/self/status"), "VmSize:") or 0
+            figures.append(soft - mapped * 1024)
     try:
         groups = Path("/proc/self/cgroup").read_text().splitlines()
     except OSError:
@@ -264,13 +303,14 @@ def list_primes(bits: np.ndarray, start: int, stop: int) -> np.ndarray:
 class PrimeTable:
     """Immutable primality and factor tables for integers in [2, limit].
 
-    odd_lpf (uint16, largest prime factors capped at LPF_CAP) and
-    odd_prime_bits (uint8, one bit per cell) hold odd x only, cell j
-    standing for x = 2j + 1 (module docstring); the scalar queries take
-    any x and answer exactly.  small_odd_primes holds the odd primes
-    below SMALL_PRIME_BOUND, all of them when the limit is smaller.  The
-    table's odd primes are small_odd_primes followed by the primes that
-    odd_prime_bits holds from SMALL_PRIME_BOUND on.
+    odd_lpf (uint8, the odd-prime indices of the largest prime factors,
+    capped at INDEX_CAP) and odd_prime_bits (uint8, one bit per cell)
+    hold odd x only, cell j standing for x = 2j + 1 (module docstring);
+    the scalar queries take any x and answer exactly.  small_odd_primes
+    holds the odd primes below SMALL_PRIME_BOUND, all of them when the
+    limit is smaller.  The table's odd primes are small_odd_primes
+    followed by the primes that odd_prime_bits holds from
+    SMALL_PRIME_BOUND on.
     """
 
     limit: int
@@ -316,22 +356,37 @@ class PrimeTable:
     def exact_lpf(self, x: int) -> int:
         """The largest prime factor of an odd x in [1, limit], unchecked.
 
-        A cell below LPF_CAP holds it.  A capped x is prime, or x = q * m
-        with q >= 65,537 (the least prime above the cap) its largest prime
-        factor and every prime factor of m at most x // 65,537: q is left
-        once those small odd primes divide out.
+        A cell below INDEX_CAP names it, CELL_LPF[cell].  A capped x is
+        prime, or a composite whose largest factor q is p_255 = 1,619 or
+        more: dividing out its least prime factor leaves q, so x is
+        divided by its factors from p_1 to p_254 in turn until what is
+        left is prime by its bit.  Past them what is left has only
+        factors from 1,619 on, at most two up to MAX_LIMIT (1,619^3 >
+        MAX_LIMIT): its least, at most isqrt(x) < 2^16, comes from the
+        small list.  A random capped composite took 1.1 us at 10^6, 3.2
+        us at 10^8 and 5-7 us at 10^9, where dividing by every small prime
+        up to isqrt(x) took 5.5 us at 10^6 and 8.3 us at 10^8.
         """
-        lpf = self.odd_lpf.item(x >> 1)
-        if lpf < LPF_CAP:
-            return lpf
-        x = int(x)
-        if gather_bits(self.odd_prime_bits, x >> 1):
+        cell = self.odd_lpf.item(x >> 1)
+        if cell < INDEX_CAP:
+            return CELL_LPF.item(cell)
+        x, bits = int(x), self.odd_prime_bits.item
+        # The bit of odd x, as gather_bits reads it, without its call.
+        if bits(x >> 4) >> (x >> 1 & 7) & 1:
             return x
+        for p in _CELL_PRIMES:
+            if x % p == 0:
+                while x % p == 0:
+                    x //= p
+                if bits(x >> 4) >> (x >> 1 & 7) & 1:
+                    return x
         small = self.small_odd_primes
-        small = small[: small.searchsorted(x // (LPF_CAP + 2), side="right")]
-        for p in small[x % small == 0].tolist():
-            while x % p == 0:
-                x //= p
+        while not bits(x >> 4) >> (x >> 1 & 7) & 1:
+            divisors = small[: small.searchsorted(isqrt(x), side="right")]
+            divisors = divisors[x % divisors == 0]
+            if not divisors.size:
+                break  # no factor up to its root: prime, though its bit is clear
+            x //= int(divisors[0])
         return x
 
     def largest_prime_factor(self, x: int) -> int:
@@ -344,9 +399,12 @@ class PrimeTable:
         """(is_prime(x), largest_prime_factor(x)) for an odd x in [3, limit].
 
         x is not checked: this is for loops over many values already known
-        to lie there, such as n - p for an odd prime p < n <= limit.
+        to lie there, such as n - p for an odd prime p < n <= limit.  An x
+        prime by its bit is its own largest factor, with no exact_lpf call,
+        which a prime past p_254 would pay.
         """
-        return gather_bits(self.odd_prime_bits, x >> 1), self.exact_lpf(x)
+        prime = gather_bits(self.odd_prime_bits, x >> 1)
+        return prime, (x if prime else self.exact_lpf(x))
 
     def factorize(self, x: int) -> tuple[int, ...]:
         """Prime factors of x in nondecreasing order, with multiplicity."""
@@ -424,31 +482,33 @@ def _sieve_segment(
 
     Needs lo even and hi <= 2*lo.
     The odd primes p with p*p < hi come split at some c with c**3 >= hi:
-    small holds those below c, which strike, and large (uint32,
+    small holds those below c, p_1 on, which strike, and large (uint32,
     ascending) the rest, which write only their semiprimes; cofactors
-    (uint32, ascending) holds the odd primes through (hi - 1) // c.  The
+    (uint32, ascending) holds the odd primes from p_1 through (hi - 1) //
+    c.  The
     strikes allocate nothing, a scatter at most _SCATTER_PAIRS pairs'
     worth of index arrays and the packing _PACK_CELLS cells' bools, so
     segments can run on threads.  The segment's bits are or-ed into
     odd_prime_bits, which so must start clear.
     """
     odd_lpf[lo >> 1 : hi >> 1] = 0  # odd x = lo + 1, lo + 3, ... < hi
-    # Each small p strikes its odd multiples x = p*m >= p*p in the
-    # segment with lpf(x) = max(p, lpf(m)): every p-th cell, from the
-    # contiguous cells of m.  m <= x/3 < lo is final, and every write is
-    # min(lpf(x), LPF_CAP), so the primes strike in any order.  A segment
-    # holding no such multiple gets an empty out.
-    for p in small:
+    # Each small p = p_j strikes its odd multiples x = p*m >= p*p in the
+    # segment with the cell max(j, cell(m)), as lpf(x) = max(p, lpf(m)):
+    # every p-th cell, from the contiguous cells of m.  m <= x/3 < lo is
+    # final, and every write is the cell's value, so the primes strike in
+    # any order.  A segment holding no such multiple gets an empty out.
+    for j, p in enumerate(small, start=1):
         m = max(p, -(-lo // p) | 1)  # the least odd m >= p with p*m >= lo
         out = odd_lpf[(p * m) >> 1 : hi >> 1 : p]
-        np.maximum(odd_lpf[m >> 1 : (m >> 1) + out.size], p, out=out)
+        np.maximum(odd_lpf[m >> 1 : (m >> 1) + out.size], j, out=out)
     # A composite x < hi <= c**3 whose least prime factor p is at least c
     # is p*q with q prime, q >= p, and lpf(x) = q; any other multiple of
     # a large p has a prime factor below c, whose strike writes it.  So
     # each large p writes only the cells p*q, for the q of cofactors in
     # [max(p, lo/p), (hi - 1)/p], in scatters of at most _SCATTER_PAIRS
     # (p, q) pairs: pair k belongs to the prime i with ends[i - 1] <= k <
-    # ends[i], and its q is cofactors[shift[i] + k].
+    # ends[i], and its q is cofactors[shift[i] + k], so J(q) = shift[i] + k
+    # + 1.
     if large.size:
         first = np.searchsorted(cofactors, np.maximum(large, (lo - 1) // large + 1))
         count = np.searchsorted(cofactors, (hi - 1) // large, side="right") - first
@@ -461,29 +521,34 @@ def _sieve_segment(
             i = np.searchsorted(ends, k, side="right")
             k += shift[i]
             q = cofactors[k]
+            index = np.minimum(k, INDEX_CAP - 1).astype(np.uint8) + 1  # min(J(q), INDEX_CAP)
             np.multiply(large[i], q, out=k)  # p*q < hi, exact in uint32
             k >>= 1
-            odd_lpf[k] = np.minimum(q, LPF_CAP)
-    # Every odd composite cell is written, with a value >= 3, so a prime's
-    # cell alone still holds 0.  Cells below lo are final, so the compare
-    # runs from the first cell of the byte that holds cell lo >> 1, which
-    # is that cell itself from lo = 16 on, and is or-ed in: the bits of
-    # cells below lo stay.  Then each prime cell takes min(x, LPF_CAP): a
-    # subtract of the flags once every x of the chunk is past the cap (0
-    # - 1 wraps to LPF_CAP): 11 us a chunk, where a masked store took 80;
-    # a chunk that starts below the cap takes a masked store of its x.
+            odd_lpf[k] = index
+    # Every odd composite cell is written, with a value >= J(3) = 1, so a
+    # prime's cell alone still holds 0, and so does cell 0 (x = 1), which
+    # no segment writes.  Cells below lo are final, so the compare runs
+    # from the first cell of the byte that holds cell lo >> 1, which is
+    # that cell itself from lo = 16 on, and is or-ed in: the bits of cells
+    # below lo stay.  Then each prime cell takes min(J(x), INDEX_CAP): a
+    # subtract of the flags once every prime of the chunk is p_255 = 1,619
+    # or past it (0 - 1 wraps to INDEX_CAP in uint8), 11 us a chunk where
+    # a masked store took 80; a chunk that starts below that takes a masked
+    # store of J(x), the count of set bits through x's cell.
     stop = hi >> 1
     for c in range((lo >> 1) & ~7, stop, _PACK_CELLS):
         chunk = odd_lpf[c : min(c + _PACK_CELLS, stop)]
         flags = chunk == 0
+        if c == 0:
+            flags[0] = False  # x = 1
         odd_prime_bits[c >> 3 : (c >> 3) + ((flags.size + 7) >> 3)] |= np.packbits(
             flags, bitorder="little"
         )
-        if 2 * c + 1 > LPF_CAP:
+        if 2 * c + 1 > CELL_LPF[-1]:
             np.subtract(chunk, flags.view(np.uint8), out=chunk)
         else:
-            x = np.minimum(np.arange(2 * c + 1, 2 * (c + chunk.size), 2), LPF_CAP)
-            np.copyto(chunk, x, casting="unsafe", where=flags)
+            index = np.cumsum(unpack_bits(odd_prime_bits, 0, c + chunk.size))[c:]
+            np.copyto(chunk, np.minimum(index, INDEX_CAP), casting="unsafe", where=flags)
 
 
 def _wave(odd_lpf: np.ndarray, odd_prime_bits: np.ndarray, end: int) -> partial:
@@ -515,8 +580,8 @@ def build_table(limit: int) -> PrimeTable:
             f"but only {max(available, 0) >> 20} MiB of memory is available"
         )
     cells = (limit + 1) >> 1  # odd x = 1, 3, ..., up to limit
-    odd_lpf = np.empty(cells, dtype=np.uint16)
-    odd_lpf[0] = 1  # x = 1, which no segment covers
+    odd_lpf = np.empty(cells, dtype=np.uint8)
+    odd_lpf[0] = 0  # x = 1, which no segment covers
     odd_prime_bits = np.zeros((cells + 7) >> 3, dtype=np.uint8)
     step = 2 * SEGMENT
     threads = usable_cpus()

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import os
 from bisect import bisect_left
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import settings
 
 import factorwitness
 from factorwitness.bruteforce import BruteOracle
-from factorwitness.sieve import LPF_CAP, SMALL_PRIME_BOUND, PrimeTable, build_table
+from factorwitness.sieve import CELL_LPF, INDEX_CAP, SMALL_PRIME_BOUND, PrimeTable, build_table
 
 # The property tests draw the same examples on every run, seeded from
 # each test function (and so with no example database), so their cost
@@ -84,7 +85,9 @@ def make_doctored(
 
     not_prime: odd values whose primality bit is forced off (the scan
     will treat them as composite; their lpf entries are untouched).
-    lpf_overrides: {odd value: fake_largest_factor}.
+    lpf_overrides: {odd value: fake_largest_factor}, the fake 1 or an odd
+    prime below p_255 = 1,619, which the table stores as its cell: 0 for
+    1, the index J of the prime otherwise.
     primes: the sorted primes from 2 on whose odd ones below
     SMALL_PRIME_BOUND replace the small list; used to sabotage
     next_prime and to cut the scan short.  The table's odd primes then
@@ -102,7 +105,10 @@ def make_doctored(
     if lpf_overrides:
         lpf = lpf.copy()
         for x, fake in lpf_overrides.items():
-            lpf[x >> 1] = fake
+            cell = int(np.searchsorted(CELL_LPF, fake))
+            if cell == INDEX_CAP or CELL_LPF[cell] != fake:
+                raise ValueError(f"a cell cannot name the largest factor {fake}")
+            lpf[x >> 1] = cell
     small = table.small_odd_primes
     if primes is not None:
         odd = np.asarray(primes, dtype=np.uint32)[1:]
@@ -169,30 +175,40 @@ def expand_hits(hits, lo: int, hi: int) -> list[int]:
 
 def exact_odd_lpf(table: PrimeTable) -> np.ndarray:
     """The exact largest prime factor of every odd x in [1, limit], uint32,
-    rebuilt from the capped cells without the table's scalar queries.
+    rebuilt from the index cells without the table's scalar queries.
 
-    A cell below LPF_CAP is exact.  A capped odd x has a prime factor q >=
-    65,537, and q^2 > limit, so x = q * m for an odd m <= limit / 65,537 <
-    q and lpf(x) = q: one scatter of q into the cells q * m per m, with q
-    over the primes of the table's bits, refills them all.  Checks that
-    the stored cells are the result capped.
+    A cell c below INDEX_CAP names CELL_LPF[c]; a capped odd x has a
+    largest factor q >= p_255 = 1,619.  Each prime q of the table's bits
+    from 1,619 through r = isqrt(limit), ascending, writes itself into
+    the cells of its odd multiples, so each of those ends with its largest
+    such factor.  An x has at most one prime factor q > r, and x = q * m
+    with m <= limit / (r + 1): one scatter of those q into the cells q * m
+    per odd m refills the rest.  Checks that every capped cell was
+    refilled and no other overwritten, that is, that the stored cells are
+    exactly min(J(lpf), INDEX_CAP), J(p) the number of odd primes up to p.
     """
     stored = table.odd_lpf
-    lpf = stored.astype(np.uint32)
-    q = 2 * np.flatnonzero(odd_primality(table)[LPF_CAP >> 1 :]) + LPF_CAP
-    for m in range(1, table.limit // (LPF_CAP + 2) + 1, 2):
+    first, root = 1_619, isqrt(table.limit)  # p_255, the least factor a capped cell stands for
+    lpf = np.append(CELL_LPF, 0).astype(np.uint32).take(stored)  # 0 in the capped cells
+    q = 2 * np.flatnonzero(odd_primality(table)[first >> 1 :]) + first
+    split = np.searchsorted(q, root, side="right")
+    for p in q[:split].tolist():
+        lpf[(p - 1) >> 1 :: p] = p  # x = p * m, m odd
+    q = q[split:]
+    for m in range(1, table.limit // (root + 1) + 1, 2):
         x = q[: np.searchsorted(q, table.limit // m, side="right")]
         lpf[(x * m) >> 1] = x
     step = 1 << 20
     for c in range(0, lpf.size, step):
-        assert np.array_equal(np.minimum(lpf[c : c + step], LPF_CAP), stored[c : c + step])
+        exact = lpf[c : c + step]
+        assert exact.all() and np.array_equal(exact >= first, stored[c : c + step] == INDEX_CAP)
     return lpf
 
 
 def expand_table(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     """The table's largest factors and primality over every x in [0, limit].
 
-    The odd cells, refilled past the cap (exact_odd_lpf), give odd x; an
+    The odd cells, decoded and refilled past the cap (exact_odd_lpf), give odd x; an
     even x = 2^a * m, m odd, has lpf(x) = max(2, lpf(m)) and is prime iff
     x == 2.  lpf(0) = 0 and lpf(1) = 1, as a table over every integer held
     them.

@@ -87,6 +87,41 @@ def test_table_beyond_memory_is_usage_error(monkeypatch, capsys):
     assert "MiB of memory is available" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(
+    sieve.resource is None or not os.path.exists("/proc/self/status"),
+    reason="needs the resource module and /proc/self/status",
+)
+def test_address_space_limit_is_read_by_the_preflight():
+    # A child of this test sets its own soft and hard RLIMIT_AS (as
+    # ulimit -v does) to the address space that a fresh interpreter maps
+    # once it has imported the command, plus 256 MiB: too little for a
+    # 10^9 table (about 540 MiB), while MemAvailable and the cgroups may
+    # allow it.  The preflight must refuse it with exit 2 and its line,
+    # where the build would die of a MemoryError traceback.
+    env = src_env()
+    probe = subprocess.run(
+        [sys.executable, "-c", "import factorwitness.cli; print(open('/proc/self/status').read())"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    mapped = next(
+        int(line.split()[1]) for line in probe.stdout.splitlines() if line.startswith("VmSize:")
+    )
+    cap = (mapped + (256 << 10)) << 10
+
+    def limit_address_space():
+        resource = sieve.resource
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "factorwitness.cli", "verify", "--max", "1000000000"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert "a table for limit 1000000000 needs about" in proc.stderr
+    assert "MiB of memory is available" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -185,10 +185,11 @@ def test_construct_equality_uses_bertrand(table1m):
 
 def test_strict_factor_is_exact_past_the_cap(table10m):
     # n = x + 3 makes lpf(x) the factor of the instance (n, 1): the
-    # table's cells stop at 65,535, the reported factor must not, and
-    # construct_lemma_prime's checks hold it to the exact value.
+    # table's cells name no factor past p_254 = 1,613, the reported factor
+    # must not stop there, and construct_lemma_prime's checks hold it to
+    # the exact value.
     rng = random.Random(0x5EED)
-    xs = [q * m for q in (65_521, 65_537) for m in range(3, 153, 2)]
+    xs = [q * m for q in (1_613, 1_619, 1_621, 65_521, 65_537) for m in range(3, 153, 2)]
     xs += [65_537, 65_539, 131_071, *(rng.randrange(3, 10**7 - 3, 2) for _ in range(2_000))]
     for x in xs:
         inst = make_instance(table10m, x + 3, 1)

@@ -56,7 +56,7 @@ from factorwitness.search import (
     verify_range,
     witness_statistics,
 )
-from factorwitness.sieve import PrimeTable, build_table, unpack_bits
+from factorwitness.sieve import CELL_LPF, INDEX_CAP, PrimeTable, build_table, unpack_bits
 
 from conftest import (
     clear_bits,
@@ -515,11 +515,11 @@ def test_failed_checkpoint_save_leaves_no_temp_file(
 def test_fail_fast_checkpoints_the_failing_block(table1m, tmp_path, monkeypatch):
     # In spans of 10^5 evens, n = 450,106 lies in the third span of five,
     # [400006, 600004].  Its first hit n - 3 is hidden and given largest
-    # factor 2, so its instance k = 1 is a counterexample.  The checkpoint
+    # factor 1, so its instance k = 1 is a counterexample.  The checkpoint
     # covers the prefix through the end of that span.
     monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
     n = 450_106
-    doctored = make_doctored(table1m, not_prime=(n - 3,), lpf_overrides={n - 3: 2})
+    doctored = make_doctored(table1m, not_prime=(n - 3,), lpf_overrides={n - 3: 1})
     ck = tmp_path / "sweep.ckpt"
     job = job_for(6, 10**6, doctored, checkpoint_interval=5_000)
     with pytest.raises(CounterexampleFoundError) as info:
@@ -968,13 +968,13 @@ from factorwitness.sieve import build_table
 
 table = build_table(2_000)
 
-# An lpf entry above the table's limit, which no honest table holds,
-# lifts the running max of the hard row n = 30 (30 - 5 = 25, cell 12)
-# past the row offsets of the first-witness search (rows 2,001 apart),
+# A cell above INDEX_CAP, which no honest table holds and a uint8 cell
+# cannot, lifts the running max of the hard row n = 30 (30 - 5 = 25, cell
+# 12) past the row offsets of the first-witness search (rows 256 apart),
 # so the search and the classifier part ways on the next hard row.  The
-# entry fits the uint16 cells and stays below their cap.
-lpf = table.odd_lpf.copy()
-lpf[12] = 50_000
+# cells are widened to uint16 to hold it.
+lpf = table.odd_lpf.astype("uint16")
+lpf[12] = 300
 try:
     _sweep_run(dataclasses.replace(table, odd_lpf=lpf), 6, 2_000)
 except EngineError as exc:
@@ -1178,9 +1178,9 @@ def test_head_phases_at_the_table_end(limit):
 
 def flatnonzero_hard_rows(hits, f1, odd):
     """The rows the head settled that are not easy, by the rule that lists
-    every row with f1 <= p_{done-1} by flatnonzero: such a row is hard when
-    alive after step J, p_J the least odd prime >= f1, and not after the
-    head's last step."""
+    every row with f1 <= p_{done-1} by flatnonzero, f1 here the factor
+    lpf(n - 3) itself: such a row is hard when alive after step J, p_J the
+    least odd prime >= f1, and not after the head's last step."""
     done = hits.masks.shape[0] - 1
     if done < 2:
         return []
@@ -1196,15 +1196,20 @@ def flatnonzero_hard_rows(hits, f1, odd):
 def assert_hard_rows_match_flatnonzero(table, lo, hi):
     hits = _first_hits(table, lo, hi)
     f1 = table.odd_lpf[(lo - 3) >> 1 : (hi - 1) >> 1]
+    # The factors the cells name; a capped cell's factor, p_255 or more,
+    # lies past every step of the head.
+    factors = CELL_LPF.take(np.minimum(f1, INDEX_CAP - 1))
+    factors[f1 == INDEX_CAP] = np.iinfo(np.uint32).max
     odd = table.small_odd_primes
-    want = flatnonzero_hard_rows(hits, f1, odd)
-    assert search._hard_rows(hits, f1, odd).tolist() == want, (lo, hi)
+    want = flatnonzero_hard_rows(hits, factors, odd)
+    assert search._hard_rows(hits, f1).tolist() == want, (lo, hi)
     return hits.masks.shape[0] - 1, len(want)
 
 
 def test_hard_rows_match_flatnonzero_on_every_span(table10m):
-    # Phase 2 lists its candidates from packed row sets: those with f1 <=
-    # p_{done-1} alive after step 16, and every row with f1 <= p_15.
+    # Phase 2 lists its candidates, by their cells' indices, from packed
+    # row sets: those with f1 < done alive after step 16, and every row
+    # with f1 <= 15.
     spans = search._block_bounds(6, 10**7, DEFAULT_BLOCK_EVENS)
     found = [assert_hard_rows_match_flatnonzero(table10m, lo, hi) for lo, hi in spans]
     assert min(done for done, _ in found) > 16
@@ -1389,6 +1394,25 @@ def test_honest_sweeps_never_build_the_prime_list(monkeypatch):
     assert len(enumerate_edge_cases(table, 10**6)) > 0
     assert witness_statistics(table, 10**6).witnessed_count > 0
     assert holds_only_its_fields(table)
+
+
+def test_rows_asked_past_the_index_cap_refill_their_factors(table1m):
+    # Hiding n - p_i for its first 260 odd primes asks n = 500,000 about
+    # every k up to i* - 1 >= 260, past INDEX_CAP = 255, where a cell no
+    # longer orders lpf(n - p_j) against p_k.  Its f1 is capped, so it is
+    # no easy row and cannot clear; its flat-pass chunk refills the capped
+    # cells exactly and compares factors with p_k.  The sweep of its span
+    # must match the per-instance scalar path of conjecture.
+    n, lo, hi = 500_000, 499_990, 500_010
+    hidden = _hidden_partners(table1m, n, 260)
+    table = make_doctored(table1m, not_prime=hidden)
+    first = dict(zip(range(lo, hi + 1, 2), scalar_first_hits(table, lo, hi)))
+    assert first[n] > 260 and table.odd_lpf[(n - 3) >> 1] == INDEX_CAP
+    s = verify_range(table, job_for(lo, hi, table))
+    want = scalar_sweep(table, lo, hi)
+    assert [(r.n, r.k) for r in s.equality_cases] == want.pop("equality_pairs")
+    assert {name: getattr(s, name) for name in want} == want
+    assert s.instances_evaluated > 260
 
 
 def test_scan_past_the_small_prime_list_is_exact():

@@ -26,6 +26,7 @@ from factorwitness.sieve import SEGMENT, build_table
 
 from conftest import (
     digests,
+    exact_odd_lpf,
     expand_table,
     holds_only_its_fields,
     odd_primality,
@@ -72,15 +73,16 @@ def test_prime_list_is_the_primality_mask(request, fixture, limit):
 
 
 def test_table_holds_odd_cells_only(table1m):
-    # One uint16 capped largest factor and one primality bit per odd x,
-    # and the 6,541 uint32 odd primes below 2^16, and nothing else.
-    assert table1m.odd_lpf.dtype == np.uint16 and table1m.odd_prime_bits.dtype == np.uint8
+    # One uint8 capped index of the largest factor and one primality bit
+    # per odd x, and the 6,541 uint32 odd primes below 2^16, and nothing
+    # else.
+    assert table1m.odd_lpf.dtype == np.uint8 and table1m.odd_prime_bits.dtype == np.uint8
     assert table1m.odd_lpf.size == 8 * table1m.odd_prime_bits.size == 500_000
     assert [f.name for f in dataclasses.fields(table1m)] == [
         "limit", "odd_lpf", "odd_prime_bits", "small_odd_primes"
     ]
     arrays = (table1m.odd_lpf, table1m.odd_prime_bits, table1m.small_odd_primes)
-    assert sum(a.nbytes for a in arrays) == 2 * 500_000 + 62_500 + 4 * 6_541
+    assert sum(a.nbytes for a in arrays) == 500_000 + 62_500 + 4 * 6_541
     assert holds_only_its_fields(table1m)
 
 
@@ -255,15 +257,15 @@ def test_preflight_refuses_before_allocating(monkeypatch):
 
 
 def test_preflight_estimate():
-    # 2 B and 1 bit per odd cell are the arrays a table keeps; the
+    # 1 B and 1 bit per odd cell are the arrays a table keeps; the
     # estimate adds the build's or a scalar query's scratch.
-    assert sieve.estimate_table_bytes(10**6) >= 2 * 500_000 + 62_500
-    assert sieve.estimate_table_bytes(10**8) >= 2 * 5 * 10**7 + 6_250_000
+    assert sieve.estimate_table_bytes(10**6) >= 500_000 + 62_500
+    assert sieve.estimate_table_bytes(10**8) >= 5 * 10**7 + 6_250_000
     # No list of every prime (5,761,455 below 10^8) is counted.
-    assert sieve.estimate_table_bytes(10**8) < 2 * 5 * 10**7 + 6_250_000 + 4 * 5_761_455
+    assert sieve.estimate_table_bytes(10**8) < 5 * 10**7 + 6_250_000 + 4 * 5_761_455
     limit = sieve.MAX_LIMIT
     cells = limit // 2
-    assert sieve.estimate_table_bytes(limit) >= 2 * cells + cells // 8
+    assert sieve.estimate_table_bytes(limit) >= cells + cells // 8
 
 
 def test_preflight_estimate_bounds_the_build():
@@ -348,45 +350,87 @@ def _assert_matches_trial_division(table, xs):
         assert table.factorize(x) == _trial_factors(x), x
 
 
+# The odd primes through p_257 = 1,627, by trial division.
+_ODD_PRIMES = [p for p in range(3, 1_628, 2) if trial_is_prime(p)]
+
+
+def _cell(largest):
+    """min(J(largest), INDEX_CAP), J(p) the number of odd primes up to p:
+    the cell of an odd x whose largest prime factor is largest."""
+    return min(bisect_right(_ODD_PRIMES, largest), sieve.INDEX_CAP)
+
+
+def test_cell_names_are_the_odd_primes_below_the_cap():
+    assert len(_ODD_PRIMES) == 257 and _ODD_PRIMES[253:] == [1_613, 1_619, 1_621, 1_627]
+    assert sieve.INDEX_CAP == 255
+    assert sieve.CELL_LPF.dtype == np.uint32
+    assert sieve.CELL_LPF.tolist() == [1, *_ODD_PRIMES[:254]]
+
+
+# The largest factors at the index cap's seam: p_254 (the last a cell
+# names), p_255 (the least a capped cell stands for), p_256 and p_257.
+_CAP_SEAM = (1_613, 1_619, 1_621, 1_627)
+
+
 def _past_the_cap(limit, seed):
-    """x whose largest factor sits just below, at or past LPF_CAP: 65,521
-    (the last prime below 2^16) and 65,537 (the first above it) times each
-    odd m, the primes just past the cap, 2^a * 65,537, and a seeded
-    sample of [2, limit]."""
+    """x whose largest factor sits just below, at or past 2^16 and the
+    index cap: 65,521 (the last prime below 2^16) and 65,537 (the first
+    above it) times each odd m, the primes from 1,500 to 1,800 and just
+    past 2^16, 2^a * 65,537, and a seeded sample of [2, limit]."""
     rng = random.Random(seed)
     return [
         *(q * m for q in (65_521, 65_537) for m in range(1, limit // q + 1, 2)),
+        *(p for p in range(1_501, 1_800, 2) if trial_is_prime(p)),
         65_537, 65_539, 131_071,
         *(65_537 << a for a in range(1, (limit // 65_537).bit_length())),
         *(rng.randrange(2, limit + 1) for _ in range(3_000)),
     ]
 
 
-def test_scalar_queries_are_exact_past_the_cap(table10m):
-    # The cells hold min(lpf(x), LPF_CAP); the scalar queries read past
-    # the cap through PrimeTable.exact_lpf.
+def test_scalar_queries_are_exact_past_the_index_cap(table10m):
+    # The cells hold min(J(lpf(x)), INDEX_CAP); the scalar queries read
+    # past the cap through PrimeTable.exact_lpf, and the exact expansion
+    # (conftest.exact_odd_lpf) rebuilds every cell.
+    exact = exact_odd_lpf(table10m)
     for x in _past_the_cap(table10m.limit, 0xCA9):
         largest = trial_largest_factor(x)
         assert table10m.largest_prime_factor(x) == largest, x
         assert table10m.factorize(x) == _trial_factors(x), x
         if x & 1:
             assert table10m.odd_entry(x) == (trial_is_prime(x), largest), x
-            assert table10m.odd_lpf[x >> 1] == min(largest, sieve.LPF_CAP), x
+            assert table10m.odd_lpf[x >> 1] == _cell(largest), x
+            assert exact[x >> 1] == largest, x
+    # Each prime q of _CAP_SEAM times each odd m: the largest factor of
+    # q * m is q or that of m, by trial division of m.
+    for q in _CAP_SEAM:
+        for m in range(1, table10m.limit // q + 1, 2):
+            x, largest = q * m, max(q, trial_largest_factor(m) if m > 1 else 1)
+            assert table10m.largest_prime_factor(x) == largest, x
+            assert table10m.odd_lpf[x >> 1] == _cell(largest), x
+            assert exact[x >> 1] == largest, x
 
 
-def test_exact_lpf_divides_by_the_primes_through_x_over_65537(table10m):
-    # A capped composite x is q * m with q >= 65,537 (the least prime
-    # above the cap), so every prime factor of m is at most x // 65,537:
-    # exact_lpf divides x by those small primes only, that bound
-    # included.  For 65,537 * 151 the bound is 151 itself.
+def test_exact_lpf_divides_by_the_small_primes_through_the_square_root(table10m):
+    # A capped composite x loses its least prime factors until what is
+    # left is prime by its bit.  For 65,537 * 151 and 65,537 * 3^4 the
+    # cofactor divides out in exact_lpf's loop over p_1 .. p_254;
+    # 1,621^2, 1,619 * 1,621 and 3 * 1,621^2 have no factor there past
+    # the 3, so their least factor past it comes from the small list up
+    # to isqrt(x), that bound included: 1,621 for 1,621^2.
     x = 65_537 * 151
     assert x == 9_896_087 and x // 65_537 == 151
-    assert table10m.odd_lpf[x >> 1] == sieve.LPF_CAP
-    assert table10m.exact_lpf(x) == 65_537
-    assert table10m.exact_lpf(65_537 * 3**4) == 65_537
-    # A capped prime is its own largest factor, from its bit.
-    assert table10m.odd_lpf[9_999_991 >> 1] == sieve.LPF_CAP
-    assert table10m.exact_lpf(9_999_991) == 9_999_991 == trial_largest_factor(9_999_991)
+    cases = {
+        x: 65_537, 65_537 * 3**4: 65_537, 1_621**2: 1_621, 1_619 * 1_621: 1_621,
+        3 * 1_621**2: 1_621, 3 * 1_619**2: 1_619, 9_999_991: 9_999_991,
+    }
+    for x, largest in cases.items():
+        assert table10m.odd_lpf[x >> 1] == sieve.INDEX_CAP, x
+        assert table10m.exact_lpf(x) == largest == trial_largest_factor(x), x
+    # A capped prime is its own largest factor, from its bit; p_254 is the
+    # last prime a cell names.
+    assert table10m.is_prime(9_999_991)
+    assert table10m.odd_lpf[1_613 >> 1] == 254 and table10m.exact_lpf(1_613) == 1_613
+    assert table10m.odd_lpf[1_613 * 3 >> 1] == 254 and table10m.exact_lpf(1_613 * 3) == 1_613
 
 
 def test_tables_match_trial_division_exhaustively():
@@ -396,23 +440,42 @@ def test_tables_match_trial_division_exhaustively():
     table = build_table(50_000)
     _assert_matches_trial_division(table, range(2, 50_001))
     _assert_matches_trial_division(build_table(50_001), [50_001])
-    assert table.odd_lpf[0] == 1  # x = 1
+    assert table.odd_lpf[0] == 0  # x = 1
     assert not odd_primality(table)[0]
 
 
 def test_tables_match_trial_division_at_segment_seams(table10m):
-    # Segments [lo, hi) follow build_table's rule; check a window around
-    # every start (the first covers x = 2, 3, 4) and the last cells.
+    # Segments [lo, hi) follow build_table's rule, and the waves start at
+    # the powers of 2 among them; check a window around every start (the
+    # first covers x = 2, 3, 4) and the last cells, through the scalar
+    # queries, the cells and the exact expansion.
     limit = table10m.limit
+    exact = exact_odd_lpf(table10m)
     starts, lo = [], 2
     while lo <= limit:
         starts.append(lo)
         lo = min(2 * lo, lo + 2 * SEGMENT, limit + 1)
     assert starts[-1] > 2 * SEGMENT  # past the doubling starts
-    for s in starts:
-        lo, hi = max(2, s - 64), min(limit, s + 64)
-        _assert_matches_trial_division(table10m, range(lo, hi + 1))
-    _assert_matches_trial_division(table10m, range(limit - 64, limit + 1))
+    windows = [range(max(2, s - 64), min(limit, s + 64) + 1) for s in starts]
+    windows.append(range(limit - 64, limit + 1))
+    for xs in windows:
+        _assert_matches_trial_division(table10m, xs)
+        for x in xs:
+            if x & 1:
+                largest = trial_largest_factor(x) if x > 1 else 1
+                assert table10m.odd_lpf[x >> 1] == _cell(largest), x
+                assert exact[x >> 1] == largest, x
+    # The odd multiples q * m of each prime q of _CAP_SEAM with m within
+    # 64 of s / q, for every start s: the cells that the strikes and
+    # scatters of those primes' indices write on both sides of each seam.
+    for s in starts[1:]:
+        for q in _CAP_SEAM:
+            below = [m for m in range(max(1, s // q - 64) | 1, s // q + 65, 2) if q * m <= limit]
+            for x in (q * m for m in below):
+                largest = trial_largest_factor(x)
+                assert table10m.largest_prime_factor(x) == largest, x
+                assert table10m.odd_lpf[x >> 1] == _cell(largest), x
+                assert exact[x >> 1] == largest, x
 
 
 def test_icbrt():
@@ -426,15 +489,15 @@ def test_tables_match_trial_division_where_the_split_moves(table10m):
     # c = icbrt(end - 1) + 1 and lets the rest write only their
     # semiprimes: c is 162 for [2^21, 2^22) and 204 for [2^22, 2^23), so
     # a prime in [162, 204) writes semiprimes below 2^22 and strikes
-    # above it.  Every odd x on both sides of that seam, its capped cell
-    # and its exact largest factor.
+    # above it.  Every odd x on both sides of that seam, its capped index
+    # cell and its exact largest factor.
     assert [sieve._icbrt(end - 1) + 1 for end in (2**22, 2**23)] == [162, 204]
     lo, hi = 2**22 - 2**13, 2**22 + 2**14
     cells = slice(lo >> 1, hi >> 1)  # odd x = lo + 1, lo + 3, ... < hi
     lpf, primality = table10m.odd_lpf[cells].tolist(), odd_primality(table10m)[cells].tolist()
     for x, capped, prime in zip(range(lo + 1, hi, 2), lpf, primality):
         largest = trial_largest_factor(x)
-        assert capped == min(largest, sieve.LPF_CAP), x
+        assert capped == _cell(largest), x
         assert table10m.largest_prime_factor(x) == largest, x
         assert prime == trial_is_prime(x), x
 
@@ -446,10 +509,11 @@ PINNED_TABLE_BYTES = {
     "table1m": ("b4d3078b5f86878f", "1d8537de67d9eab4"),
     "table10m": ("6976b4a993421c9e", "ab158d028a45c741"),
 }
-# sha256 prefixes of the stored odd_lpf bytes and of the primality bits
-# unpacked to one bool byte per odd x (conftest.table_digests), which are
-# the odd x of the above; test_search.test_canonical_digest pins the
-# 10^8 table's.
+# sha256 prefixes of the exact uint32 largest factors of the odd x
+# (conftest.exact_odd_lpf, which also checks the stored index cells) and
+# of the primality bits unpacked to one bool byte per odd x
+# (conftest.table_digests), which are the odd x of the above;
+# test_search.test_canonical_digest pins the 10^8 table's.
 PINNED_ODD_BYTES = {
     "table1m": ("527061693fb14a78", "c4a6ae653a2c3e60"),
     "table10m": ("0538db4d39e0e54c", "a862af34ca022326"),
