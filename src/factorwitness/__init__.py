@@ -8,6 +8,15 @@ the factor bound is met only with equality, and chains witnesses into
 explicit two-prime decompositions of even numbers.
 """
 
+import os
+
+# The package calls no BLAS routine, but OpenBLAS, which numpy loads,
+# starts a worker thread per extra CPU on import that spins for ~0.1 s
+# of CPU time, and a fork from a process with live threads is unsafe
+# (from Python 3.12 it warns).  One thread, unless the user chose
+# otherwise; set before any module of the package imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .conjecture import (
     DescentTrace,
     EdgeCaseRecord,

@@ -83,16 +83,23 @@ evens, at least 2^18, the one unit of work: one task, in the caller or
 in a child, runs both phases once over a span and yields a RangeSummary
 of its range, and spans are merged (merge_summaries) strictly in
 ascending order whatever the worker count, so summaries and their
-digests are worker-count independent.  W = min(workers, spans) workers
-sweep them, and the caller is worker 0: it sweeps the spans i = 0
-(mod W) itself and forks W - 1 children, which share the table
-copy-on-write; child w pipes back spans w, w + W, ..., so the caller
-reads span i from child i mod W.  A forked child starts cold, so the
+digests are worker-count independent.  The checkpoint is saved after
+every merged span and holds the summary of the covered prefix [n_min,
+x], so a resume restarts at x + 2 with any block size or worker count,
+and a requested stop or a fail-fast error leaves the prefix through the
+span it stopped on.
+
+One pool loop, _run_spans, serves both sweeps: verify_range with
+job.workers workers, and decompose_range, whose spans of
+DEFAULT_BLOCK_EVENS evens each run phase 1 only, with usable_cpus(), the
+rule the table build follows for its threads.  W = min(workers, spans)
+workers sweep the spans, and the caller is worker 0: it sweeps the spans
+i = 0 (mod W) itself and forks W - 1 children, which share the table
+copy-on-write; child w pipes back the results of spans w, w + W, ...,
+so the caller reads span i from child i mod W and hands every span's
+result on in ascending order.  A forked child starts cold, so the
 caller's own spans cost no fork and no cold start, and one worker forks
-nothing.  The checkpoint is saved after every merged span and holds the
-summary of the covered prefix [n_min, x], so a resume restarts at x + 2
-with any block size or worker count, and a requested stop or a
-fail-fast error leaves the prefix through the span it stopped on.
+nothing.
 """
 
 from __future__ import annotations
@@ -127,7 +134,7 @@ from .errors import (
     ReportFormatError,
     SweepInterrupted,
 )
-from .sieve import CELL_LPF, INDEX_CAP, PrimeTable, gather_bits
+from .sieve import CELL_LPF, INDEX_CAP, PrimeTable, gather_bits, usable_cpus
 
 # Evens per span at least, and the default block size.  A span pays
 # ~200 numpy calls, a merge and a checkpoint save whatever its width; at
@@ -991,16 +998,17 @@ def checkpoint_resume(path, job: RangeJob) -> tuple[RangeSummary, float]:
 # drivers
 # ---------------------------------------------------------------------------
 
-def _sweep_child(table: PrimeTable, spans: list, wfd: int, inherited: list) -> NoReturn:
-    """In a forked child: pipe (True, block) per span to wfd, or (False,
-    exception) and stop; leave by os._exit (no atexit handler, no flush)."""
+def _span_child(table: PrimeTable, spans: list, task, wfd: int, inherited: list) -> NoReturn:
+    """In a forked child: pipe (True, task(table, lo, hi)) per span to wfd,
+    or (False, exception) and stop; leave by os._exit (no atexit handler,
+    no flush)."""
     try:
         for fh in inherited:
             fh.close()
         with os.fdopen(wfd, "wb") as out:
             for lo, hi in spans:
                 try:
-                    reply = (True, _sweep_run(table, lo, hi))
+                    reply = (True, task(table, lo, hi))
                 except Exception as exc:
                     reply = (False, exc)
                 pickle.dump(reply, out)
@@ -1010,6 +1018,48 @@ def _sweep_child(table: PrimeTable, spans: list, wfd: int, inherited: list) -> N
         os._exit(0)
     finally:
         os._exit(1)
+
+
+def _run_spans(table: PrimeTable, spans: list, task, workers: int, take) -> None:
+    """Call take(task(table, lo, hi)) for every span [lo, hi] of spans, in order.
+
+    Of W = min(workers, len(spans)) workers the caller is worker 0 and
+    runs spans 0, W, 2W, ... itself, warm; child w (0 < w < W), forked
+    here, pipes back the results of spans w, w + W, ...  A span's error,
+    the caller's or a child's, and any error of take, is raised here; a
+    child that dies raises EngineError.  Every child is killed and reaped
+    before this returns or raises.
+    """
+    width = min(workers, len(spans))
+    pids, replies = [], []
+    try:
+        for w in range(1, width):
+            r, wfd = os.pipe()
+            replies.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _span_child(table, spans[w::width], task, wfd, replies)
+                pids.append(pid)
+            finally:
+                os.close(wfd)
+        for i, span in enumerate(spans):
+            if i % width == 0:
+                take(task(table, *span))
+                continue
+            try:
+                ok, value = pickle.load(replies[i % width - 1])
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise EngineError(f"a sweep worker died before span {span}") from exc
+            if not ok:
+                raise value
+            take(value)
+    finally:
+        for fh in replies:
+            fh.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _block_bounds(n_min: int, n_max: int, evens_per_block: int) -> list[tuple[int, int]]:
@@ -1041,7 +1091,8 @@ def verify_range(
     Each span of max(job.checkpoint_interval, DEFAULT_BLOCK_EVENS) evens
     is one task; spans merge in ascending order.  Of W =
     min(job.workers, spans) workers the caller is worker 0: it sweeps
-    spans i = 0 (mod W) itself and forks W - 1 children for the others.
+    spans i = 0 (mod W) itself and forks W - 1 children for the others
+    (_run_spans).
     checkpoint_path: the covered prefix's summary is saved there after
     every merged span; an existing file, once validated against job,
     resumes the sweep after its prefix.
@@ -1087,38 +1138,7 @@ def verify_range(
                 raise CounterexampleFoundError(agg.counterexamples)
             raise AnomalyFoundError(agg.anomalies)
 
-    # The caller is worker 0 and sweeps spans 0, W, 2W, ... itself, warm;
-    # child w (0 < w < W) pipes back spans w, w + W, ...
-    width = min(job.workers, len(spans))
-    pids, replies = [], []
-    try:
-        for w in range(1, width):
-            r, wfd = os.pipe()
-            replies.append(os.fdopen(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _sweep_child(table, spans[w::width], wfd, replies)
-                pids.append(pid)
-            finally:
-                os.close(wfd)
-        for i, span in enumerate(spans):
-            if i % width == 0:
-                merge(_sweep_run(table, *span))
-                continue
-            try:
-                ok, value = pickle.load(replies[i % width - 1])
-            except (EOFError, pickle.UnpicklingError) as exc:
-                raise EngineError(f"a sweep worker died before span {span}") from exc
-            if not ok:
-                raise value
-            merge(value)
-    finally:
-        for fh in replies:
-            fh.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    _run_spans(table, spans, _sweep_run, job.workers, merge)
 
     if agg.n_max < job.n_max:
         covered = (agg.n_max - job.n_min) // 2 + 1
@@ -1208,6 +1228,15 @@ def witness_statistics(table: PrimeTable, n_max: int, workers: int = 1) -> Witne
     )
 
 
+def _decompose_span(table: PrimeTable, lo: int, hi: int) -> tuple[list[int], tuple[int, int] | None]:
+    """decompose_range's task: the span's failing n, ascending, and its
+    deepest first hit (i*, n), the least n on a tie."""
+    hits = _first_hits(table, lo, hi)
+    deepest = _deepest_hit(hits)
+    failures = (lo + 2 * hits.rows[hits.first <= 0]).tolist()
+    return failures, None if deepest is None else (deepest[0], lo + 2 * deepest[1])
+
+
 def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionSweep:
     """Two-prime decompositions for every even n in [n_min, n_max].
 
@@ -1219,13 +1248,17 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
     head's deepest step that settled a row, whichever is deeper.
 
     The range is walked in the same ascending spans of
-    DEFAULT_BLOCK_EVENS evens that verify_range uses by default, each
-    scanned to completion before the next starts, so working memory is one
-    span's arrays, however wide the range: a tracemalloc peak of 2.6 MiB
-    over [6, 10^7], the span at n = 6 included, most of it the head's 65
-    masks (2.0 MiB).  Spans merge in order: failures are concatenated, and
-    max_scan keeps the deepest first hit, the least n within a span and
-    the earlier span on a tie.
+    DEFAULT_BLOCK_EVENS evens that verify_range uses by default, on
+    usable_cpus() workers: the caller sweeps spans 0, W, 2W, ... and
+    forks W - 1 children for the others (_run_spans), W = min(usable
+    CPUs, spans).  A span returns only its failures and its deepest hit,
+    and each worker scans one span to completion before its next starts,
+    so working memory is one span's arrays per worker, however wide the
+    range: a tracemalloc peak of 2.6 MiB over [6, 10^7] in one worker,
+    the span at n = 6 included, most of it the head's 65 masks (2.0
+    MiB).  Spans merge in ascending order whatever the worker count:
+    failures are concatenated, and max_scan keeps the deepest first hit,
+    the least n within a span and the earlier span on a tie.
     """
     if n_min % 2 or n_max % 2:
         raise PreconditionError(
@@ -1237,13 +1270,16 @@ def decompose_range(table: PrimeTable, n_min: int, n_max: int) -> DecompositionS
         raise CoverageError(f"n_max={n_max} exceeds table limit {table.limit}")
     failures: list[int] = []
     max_scan: tuple[int, int] | None = None
-    for lo, hi in _block_bounds(n_min, n_max, DEFAULT_BLOCK_EVENS):
-        hits = _first_hits(table, lo, hi)
-        failures.extend((lo + 2 * hits.rows[hits.first <= 0]).tolist())
-        deepest = _deepest_hit(hits)
+
+    def merge(swept: tuple[list[int], tuple[int, int] | None]) -> None:
+        nonlocal max_scan
+        failed, deepest = swept
+        failures.extend(failed)
         if deepest is not None and (max_scan is None or deepest[0] > max_scan[0]):
-            max_scan = (deepest[0], lo + 2 * deepest[1])
-        del hits  # not alive beside the next span's
+            max_scan = deepest
+
+    spans = _block_bounds(n_min, n_max, DEFAULT_BLOCK_EVENS)
+    _run_spans(table, spans, _decompose_span, usable_cpus(), merge)
     return DecompositionSweep(
         n_min=n_min,
         n_max=n_max,

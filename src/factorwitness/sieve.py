@@ -127,7 +127,12 @@ _PACK_CELLS = 1 << 16
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
+    """CPUs this process may run on: its affinity mask where the OS has one.
+
+    build_table runs this many threads, and decompose_range this many
+    workers, the caller and forked children (search._run_spans); the CLI
+    takes it as its default worker count.
+    """
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity (macOS, Windows)

@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -28,6 +29,7 @@ from factorwitness.errors import (
     CounterexampleFoundError,
     CoverageError,
     EngineError,
+    GoldbachCounterexampleError,
     PreconditionError,
     SweepInterrupted,
 )
@@ -193,7 +195,7 @@ CANONICAL = {
 
 
 @pytest.mark.parametrize("fixture", ["table1m", "table10m", "table100m"])
-def test_canonical_digest(request, fixture):
+def test_canonical_digest(request, fixture, monkeypatch):
     if fixture == "table100m":
         # Built here rather than as a session fixture, so that its
         # ~260 MiB are freed when the test ends.  test_sieve pins the
@@ -205,11 +207,15 @@ def test_canonical_digest(request, fixture):
     s = verify_range(table, job_for(6, table.limit, table))
     assert (summary_digest(s), s.instances_evaluated) == CANONICAL[table.limit]
     if fixture == "table100m":
-        # The decompose-1e8 benchmark's answer, on the same table.
-        sweep = decompose_range(table, 6, 10**8)
-        assert (sweep.count, sweep.failures, sweep.max_scan) == (
-            49_999_998, (), (182, 60_119_912)
-        )
+        # The decompose-1e8 benchmark's answer, on the same table, on 1 to
+        # 3 workers.
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+            sweep = decompose_range(table, 6, 10**8)
+            assert (sweep.count, sweep.failures, sweep.max_scan) == (
+                49_999_998, (), (182, 60_119_912)
+            ), cpus
+        assert_no_child_left()
         assert holds_only_its_fields(table)
 
 
@@ -665,6 +671,32 @@ def test_pooled_sweep_imports_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc/self/stat")
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_import_leaves_one_thread_to_fork_from(preset, want):
+    # Importing the package caps OpenBLAS, which numpy loads, at one
+    # thread, so a pool forks from a single-threaded process; a value the
+    # user set is kept.
+    probe = (
+        "import os\n"
+        "import factorwitness\n"
+        "threads = open('/proc/self/stat').read().rsplit(')', 1)[1].split()[17]\n"
+        "print(threads, os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads, setting = proc.stdout.split()
+    assert setting == want
+    if preset is None:
+        assert threads == "1"
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
@@ -1276,27 +1308,38 @@ def _merge_decompositions(a, b):
     [("table1m", 10**6, (98, 503222)), ("table10m", 10**7, (132, 3807404))],
     ids=["table1m", "table10m"],
 )
-def test_decompose_range_pinned(request, fixture, n_max, max_scan):
-    sweep = decompose_range(request.getfixturevalue(fixture), 6, n_max)
-    assert sweep.count == (n_max - 6) // 2 + 1
-    assert sweep.failures == ()
-    assert sweep.max_scan == max_scan
+def test_decompose_range_pinned(request, fixture, n_max, max_scan, monkeypatch):
+    # decompose_range sweeps its spans on usable_cpus() workers.
+    table = request.getfixturevalue(fixture)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+        sweep = decompose_range(table, 6, n_max)
+        assert sweep.count == (n_max - 6) // 2 + 1
+        assert sweep.failures == ()
+        assert sweep.max_scan == max_scan, cpus
+    assert_no_child_left()
 
 
 def test_decompose_range_split_at_block_seams(table1m, monkeypatch):
     # In spans of 10^5 evens, the blocks of [6, 10^6] end at 200_004,
     # 400_004, ...; 503_222 is the deepest first hit.
+    # On 2 or 3 workers the caller sweeps the first block, and a child
+    # the second.
     monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
-    whole = decompose_range(table1m, 6, 10**6)
-    for x in (200_002, 200_004, 200_006, 400_004, 600_006, 503_220, 503_222):
-        left = decompose_range(table1m, 6, x)
-        right = decompose_range(table1m, x + 2, 10**6)
-        assert _merge_decompositions(left, right) == (
-            whole.count, whole.failures, whole.max_scan
-        ), x
-    # [642662, 850712] is two blocks whose deepest first hits tie at
-    # depth 79, at both endpoints; the earlier block keeps it.
-    assert decompose_range(table1m, 642_662, 850_712).max_scan == (79, 642_662)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+        whole = decompose_range(table1m, 6, 10**6)
+        assert whole.max_scan == (98, 503_222)
+        for x in (200_002, 200_004, 200_006, 400_004, 600_006, 503_220, 503_222):
+            left = decompose_range(table1m, 6, x)
+            right = decompose_range(table1m, x + 2, 10**6)
+            assert _merge_decompositions(left, right) == (
+                whole.count, whole.failures, whole.max_scan
+            ), (x, cpus)
+        # [642662, 850712] is two blocks whose deepest first hits tie at
+        # depth 79, at both endpoints; the earlier block keeps it.
+        assert decompose_range(table1m, 642_662, 850_712).max_scan == (79, 642_662), cpus
+    assert_no_child_left()
 
 
 def test_decompose_range_failures_in_two_blocks(table1m, monkeypatch):
@@ -1320,11 +1363,97 @@ def test_decompose_range_failures_in_two_blocks(table1m, monkeypatch):
         if not any(visible_prime(n - p) for p in small[1:] if p < n)
     )
     monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 10_000)
-    sweep = decompose_range(doctored, 6, 10**6)
-    assert sweep.failures == expected
     span = 20_000
     assert {(n - 6) // span for n in expected} == {0, 1}
-    assert sweep.count == 499_998
+    # On 2 or 3 workers the first block's failures come from the caller
+    # and the second's from a child.
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+        sweep = decompose_range(doctored, 6, 10**6)
+        assert sweep.failures == expected, cpus
+        assert sweep.count == 499_998
+    assert_no_child_left()
+
+
+def test_decompose_range_forks_one_child_fewer_than_its_workers(table1m, monkeypatch):
+    # Of W = min(usable_cpus(), spans) workers the caller is one: W - 1
+    # forks, none on one CPU, and the same answer on any.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)  # 5 spans
+    fork, children = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert decompose_range(table1m, 6, 10**6).max_scan == (98, 503_222)
+    assert len(children) == min(search.usable_cpus(), 5) - 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_pooled_decompose_span_error_keeps_its_type(table1m, monkeypatch, cpus):
+    # In spans of 10^5 evens, [6, 10^6] makes 5; a child sweeps the
+    # second, [200006, 400004], and raises there an error with its own
+    # constructor arguments, which reaches the caller as itself.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
+    monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+    decompose_span = search._decompose_span
+    caller = os.getpid()
+
+    def fails_in_a_child(table, lo, hi):
+        if lo == 200_006 and os.getpid() != caller:
+            raise GoldbachCounterexampleError(lo, "hidden", evidence=[lo - 3])
+        return decompose_span(table, lo, hi)
+
+    monkeypatch.setattr(search, "_decompose_span", fails_in_a_child)
+    with pytest.raises(GoldbachCounterexampleError) as info:
+        decompose_range(table1m, 6, 10**6)
+    assert type(info.value) is GoldbachCounterexampleError
+    assert (info.value.n, info.value.evidence) == (200_006, [200_003])
+    assert str(info.value) == "no two-prime decomposition for n=200006: hidden"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_pooled_decompose_dead_child_raises_engine_error(table1m, monkeypatch, cpus):
+    # A child SIGKILLs itself on its first span, the second of 5: the
+    # caller, having merged the first, finds the pipe closed.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
+    monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+    decompose_span = search._decompose_span
+    caller = os.getpid()
+
+    def dies_in_a_child(table, lo, hi):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return decompose_span(table, lo, hi)
+
+    monkeypatch.setattr(search, "_decompose_span", dies_in_a_child)
+    with pytest.raises(EngineError, match=r"^a sweep worker died before span \(200006, 400004\)$"):
+        decompose_range(table1m, 6, 10**6)
+    assert_no_child_left()
+
+
+def test_interrupted_decompose_reaps_its_child(table1m, monkeypatch):
+    # On 2 workers the caller's own third span, [400006, 600004], is
+    # interrupted while the child still has the fourth to sweep.
+    monkeypatch.setattr(search, "DEFAULT_BLOCK_EVENS", 100_000)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    decompose_span = search._decompose_span
+    caller = os.getpid()
+
+    def interrupted_in_the_caller(table, lo, hi):
+        if lo == 400_006 and os.getpid() == caller:
+            raise KeyboardInterrupt
+        return decompose_span(table, lo, hi)
+
+    monkeypatch.setattr(search, "_decompose_span", interrupted_in_the_caller)
+    with pytest.raises(KeyboardInterrupt):
+        decompose_range(table1m, 6, 10**6)
+    assert_no_child_left()
 
 
 def test_top_of_range_matches_oracle(table10m, oracle10m):
